@@ -197,9 +197,8 @@ _EST_HEADER = [
 def _cmd_estimates(args) -> int:
     lo, hi, steps = _parse_sweep(args.sweep)
     th = est_mod.thresholds()
-    bs = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
     rows, statuses, ok = [], [], 0
-    for b in bs:
+    for b in thr_mod.sweep_grid(lo, hi, steps):
         try:
             e1, e2, e3 = est_mod.estimate1(b), est_mod.estimate2(b), est_mod.estimate3(b)
             rows.append([

@@ -85,22 +85,26 @@ class WeightProfile:
         return abs(abs(self.beta) - BETA_MAX) <= 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralMultiplier:
-    """Fourier symbol of convolution with p (and with p') at wavenumber k.
+def trig_polynomial(cos_coeffs, sin_coeffs, x):
+    """The trigonometric polynomial u and its derivative u_x at x, where
 
-    ``m_p`` multiplies the k-th coefficient for p*f; the multiplier for
-    (p')*f is purely imaginary with imaginary part ``m_dp``.
+        u = sum_k cos_coeffs[k] cos(2 pi k x) + sin_coeffs[k] sin(2 pi k x).
+
+    The mode-0 sine coefficient multiplies sin(0) and is ignored.  The modes
+    are summed in order, cosines first, so u is reproducible to the bit.
     """
-
-    k: int
-    m_p: float
-    m_dp: float
-
-    @classmethod
-    def for_mode(cls, k: int) -> "SpectralMultiplier":
-        denom = 1.0 + (2.0 * math.pi * k) ** 2
-        return cls(k=k, m_p=1.0 / denom, m_dp=2.0 * math.pi * k / denom)
+    x = np.asarray(x, dtype=np.float64)
+    u = np.zeros_like(x)
+    ux = np.zeros_like(x)
+    for k, c in enumerate(np.asarray(cos_coeffs, dtype=np.float64)):
+        u += c * np.cos(2.0 * np.pi * k * x)
+        ux += -c * 2.0 * np.pi * k * np.sin(2.0 * np.pi * k * x)
+    for k, c in enumerate(np.asarray(sin_coeffs, dtype=np.float64)):
+        if k == 0:
+            continue
+        u += c * np.sin(2.0 * np.pi * k * x)
+        ux += c * 2.0 * np.pi * k * np.cos(2.0 * np.pi * k * x)
+    return u, ux
 
 
 def p_multiplier(n: int) -> np.ndarray:

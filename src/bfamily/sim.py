@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import dp_multiplier
+from .kernel import dp_multiplier, trig_polynomial
 
 _TAIL_LIMIT = 1e-2
 _OVERFLOW_LIMIT = 1e8
@@ -57,18 +57,6 @@ class TorusField:
         spec = self.spectrum() * _deriv_symbol(self.n)
         return np.fft.irfft(spec, self.n)
 
-    def spectral_tail_fraction(self, k_max: Optional[int] = None) -> float:
-        """Energy fraction carried by the top third of modes up to k_max."""
-        spec = self.spectrum()
-        if k_max is None:
-            k_max = self.n // 2
-        energy = np.abs(spec[1 : k_max + 1]) ** 2
-        total = float(energy.sum())
-        if total == 0.0:
-            return 0.0
-        k_lo = int(math.ceil(2.0 * k_max / 3.0))
-        return float(energy[k_lo - 1 :].sum()) / total
-
     @classmethod
     def from_function(cls, f, n: int, time: float = 0.0) -> "TorusField":
         x = np.arange(n) / n
@@ -90,19 +78,9 @@ class TorusField:
 
     @classmethod
     def from_coefficients(cls, cos_coeffs, sin_coeffs, n: int) -> "TorusField":
-        cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
-        sin_coeffs = np.asarray(sin_coeffs, dtype=np.float64)
-
-        def build(x):
-            u = np.zeros_like(x)
-            for k, c in enumerate(cos_coeffs):
-                u += c * np.cos(2.0 * np.pi * k * x)
-            for k, c in enumerate(sin_coeffs):
-                if k:
-                    u += c * np.sin(2.0 * np.pi * k * x)
-            return u
-
-        return cls.from_function(build, n)
+        return cls.from_function(
+            lambda x: trig_polynomial(cos_coeffs, sin_coeffs, x)[0], n
+        )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BOutOfRange
+from .errors import BFamilyError, BOutOfRange
 from .estimates import EstimateResult, estimate1, estimate2, estimate3
 from .kernel import BETA_MAX
 from .variational import compute_j
@@ -73,6 +73,10 @@ def compute_beta_b(
 ) -> BetaBResult:
     """Locate beta_b by a uniform scan of F over the bracket plus bisection.
 
+    The crossing is FINITE only when both ends of the final bracket clear
+    the propagated error band, F(lo) < -band(lo) and F(hi) >= band(hi);
+    otherwise it is UNDETERMINED.
+
     ``tol`` is the certified width of the crossing (>= 1e-6); ``scan_points``
     the number of scan values (>= 64).
     """
@@ -102,6 +106,7 @@ def compute_beta_b(
         return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
 
     lo, hi = float(betas[i - 1]), float(betas[i])
+    f_lo, band_lo = fvals[i - 1], bands[i - 1]
     f_hi, band_hi = fvals[i], bands[i]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -109,10 +114,11 @@ def compute_beta_b(
         if f_mid >= 0.0:
             hi, f_hi, band_hi = mid, f_mid, band_mid
         else:
-            lo = mid
+            lo, f_lo, band_lo = mid, f_mid, band_mid
 
-    if f_hi < band_hi:
-        # The certifying value is inside the propagated J error band.
+    if not (f_lo < -band_lo and f_hi >= band_hi):
+        # A bracket end lies inside the propagated J error band, so the sign
+        # change between them is not certified.
         return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
 
     return BetaBResult(
@@ -136,6 +142,14 @@ class SweepRow:
     error: Optional[str] = None
 
 
+def sweep_grid(b_min: float, b_max: float, steps: int) -> list[float]:
+    """The b values of an inclusive sweep: ``steps`` points, both ends exact.
+
+    ``beta-b`` and ``estimates`` share this grid, so their CSVs join on b.
+    """
+    return np.linspace(b_min, b_max, steps).tolist()
+
+
 def sweep(
     b_min: float,
     b_max: float,
@@ -146,7 +160,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Independent compute_beta_b per b on an inclusive grid, ordered by b.
 
-    Individual failures are recorded on their row and the sweep continues.
+    A domain or solver failure at one b (``BFamilyError``, ``LinAlgError``) is
+    recorded on its row and the sweep continues; any other exception is a bug
+    and propagates.
     """
     if not (1.0 < b_min <= b_max <= 3.0):
         raise BOutOfRange(
@@ -155,10 +171,8 @@ def sweep(
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
-    bs = np.linspace(b_min, b_max, steps) if steps > 1 else np.array([b_min])
     rows = []
-    for b in bs:
-        b = float(b)
+    for b in sweep_grid(b_min, b_max, steps):
         try:
             result = compute_beta_b(b, tol=tol, scan_points=scan_points, n=n)
             rows.append(
@@ -167,6 +181,6 @@ def sweep(
                     est1=estimate1(b), est2=estimate2(b), est3=estimate3(b),
                 )
             )
-        except Exception as exc:  # record and continue
+        except (BFamilyError, np.linalg.LinAlgError) as exc:  # record and continue
             rows.append(SweepRow(b=b, result=None, error=f"{type(exc).__name__}: {exc}"))
     return rows

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dptsv
 
-from ._backend import spd_solve
 from .errors import BetaOutOfRange, BOutOfRange, LinearSolveFailure, NotCoercive
-from .kernel import BETA_MAX, WeightProfile, convolve_dp, convolve_p
+from .kernel import BETA_MAX, WeightProfile, convolve_dp, convolve_p, trig_polynomial
 
 _DEFAULT_N = 4096
 _SINGULAR_FLUX_TOL = 1e-6
@@ -80,6 +80,30 @@ def _check_params(b: float, beta: float, *, b_open_top: bool) -> None:
             raise BOutOfRange(f"requires 1 < b <= 3 (got b = {b})")
     if not abs(beta) <= BETA_MAX + 1e-12:
         raise BetaOutOfRange(f"|beta| = {abs(beta)} outside the weight bracket {BETA_MAX}")
+
+
+def spd_solve(diag, off, rhs):
+    """Solve the symmetric positive-definite tridiagonal system.
+
+    ``diag`` (n,) is the main diagonal, ``off`` (n-1,) the first off-diagonal,
+    ``rhs`` (n,) the right-hand side; none is modified.  LAPACK ``dptsv``
+    factors the matrix as L D L^T.  Raises ``numpy.linalg.LinAlgError`` when
+    the matrix is not positive definite.
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    off = np.asarray(off, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    n = diag.shape[0]
+    if off.shape[0] != max(n - 1, 0) or rhs.shape[0] != n:
+        raise ValueError("inconsistent system dimensions")
+    if n < 2:  # the LAPACK wrapper rejects an empty off-diagonal
+        if not np.all(diag > 0.0):
+            raise np.linalg.LinAlgError("leading minor 1 not positive definite")
+        return rhs / diag
+    _, _, x, info = dptsv(diag, off, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
+    return x
 
 
 def _nodes(n: int, graded: bool) -> np.ndarray:
@@ -277,16 +301,7 @@ def check_convolution_bound(
         raise ValueError("at most 32 Fourier modes are supported")
 
     x = np.arange(n) / n
-    u = np.zeros(n)
-    ux = np.zeros(n)
-    for k, c in enumerate(cos_coeffs):
-        u += c * np.cos(2.0 * np.pi * k * x)
-        ux += -c * 2.0 * np.pi * k * np.sin(2.0 * np.pi * k * x)
-    for k, c in enumerate(sin_coeffs):
-        if k == 0:
-            continue
-        u += c * np.sin(2.0 * np.pi * k * x)
-        ux += c * 2.0 * np.pi * k * np.cos(2.0 * np.pi * k * x)
+    u, ux = trig_polynomial(cos_coeffs, sin_coeffs, x)
 
     g = 0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux
     lhs = convolve_p(g) + beta * convolve_dp(g)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bfamily import threshold
 from bfamily.cli import main
 
 
@@ -91,6 +92,15 @@ class TestBetaB:
         manifest = json.loads((tmp_path / "rows.manifest.json").read_text())
         assert manifest["row_status"][0]["status"] == "FINITE"
 
+    def test_internal_error_exit_3(self, capsys, monkeypatch):
+        def broken(b, **kwargs):
+            raise TypeError("a bug, not a domain failure")
+
+        monkeypatch.setattr(threshold, "compute_beta_b", broken)
+        code, _, err = run_cli(capsys, "beta-b", "--b", "2")
+        assert code == 3
+        assert "internal error: TypeError" in err
+
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BFAMILY_OUT_DIR", str(tmp_path))
         code, _, _ = run_cli(capsys, "beta-b", "--b", "3", "--out", "sub/rows.csv")
@@ -123,6 +133,23 @@ class TestEstimates:
         assert "false" in flags and "true" in flags
         flip_b = float(rows[flags.index("true")][0])
         assert flip_b == pytest.approx(1.012, abs=2e-3)
+
+    def test_grid_joins_beta_b_sweep(self, capsys, monkeypatch):
+        # Both commands must put the same b values on their rows, to the
+        # last bit, so the two CSVs join on b.  The threshold search is
+        # stubbed out: only the grid is under test.
+        monkeypatch.setattr(threshold, "compute_beta_b",
+                            lambda b, **kw: threshold.BetaBResult(
+                                b=b, status=threshold.STATUS_INFINITE))
+        spec = "1.28:3:100"
+        code, beta_out, _ = run_cli(capsys, "beta-b", "--sweep", spec)
+        assert code == 0
+        code, est_out, _ = run_cli(capsys, "estimates", "--sweep", spec)
+        assert code == 0
+        beta_bs = [line.split(",")[0] for line in beta_out.strip().split("\n")[1:]]
+        est_bs = [line.split(",")[0] for line in est_out.strip().split("\n")[1:]]
+        assert len(est_bs) == 100
+        assert est_bs == beta_bs
 
     def test_out_of_domain_rows_reported(self, capsys):
         code, out, _ = run_cli(capsys, "estimates", "--sweep", "1.0:1.1:2")
@@ -211,6 +238,14 @@ class TestConsoleScript:
             [sys.executable, "-c",
              "import sys; from bfamily.cli import main; sys.exit(main())",
              "j", "--b", "3", "--beta", "0"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["method"] == "SPECIAL_B3"
+
+    def test_python_m_bfamily(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "bfamily", "j", "--b", "3", "--beta", "0"],
             capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr

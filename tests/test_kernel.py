@@ -8,7 +8,6 @@ from bfamily import (
     BETA_MAX,
     BetaOutOfRange,
     GridTooSmall,
-    SpectralMultiplier,
     WeightProfile,
     convolve_dp,
     convolve_p,
@@ -122,18 +121,6 @@ class TestWeightProfile:
     def test_rejects_bad_beta(self):
         with pytest.raises(BetaOutOfRange):
             WeightProfile(-BETA_MAX - 1e-3)
-
-
-class TestSpectralMultiplier:
-    def test_dc_mode(self):
-        m = SpectralMultiplier.for_mode(0)
-        assert m.m_p == 1.0 and m.m_dp == 0.0
-
-    def test_parity(self):
-        for k in (1, 3, 10):
-            mp_, mm = SpectralMultiplier.for_mode(k), SpectralMultiplier.for_mode(-k)
-            assert mp_.m_p == pytest.approx(mm.m_p, rel=1e-15)
-            assert mp_.m_dp == pytest.approx(-mm.m_dp, rel=1e-15)
 
 
 class TestConvolutions:

@@ -51,10 +51,6 @@ class TestTorusField:
         expected = -2.0 * np.pi * np.sin(2.0 * np.pi * u.x)
         assert np.allclose(u.derivative_values(), expected, atol=1e-12)
 
-    def test_tail_fraction_smooth(self):
-        u = TorusField.cosine(1.0, 256)
-        assert u.spectral_tail_fraction() < 1e-12
-
     def test_from_coefficients(self):
         u = TorusField.from_coefficients([0.5, 0.1], [0.0, -0.2], 64)
         x = u.x

@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+from scipy.linalg import solveh_banded
+
+from bfamily.variational import spd_solve
+
+
+def random_spd_system(rng, n):
+    off = rng.standard_normal(n - 1)
+    # strictly diagonally dominant with positive diagonal => SPD
+    diag = np.abs(rng.standard_normal(n)) + 1.0
+    diag[:-1] += np.abs(off)
+    diag[1:] += np.abs(off)
+    rhs = rng.standard_normal(n)
+    return diag, off, rhs
+
+
+def dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 1000])
+def test_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    diag, off, rhs = random_spd_system(rng, n)
+    x = spd_solve(diag, off, rhs)
+    a = dense(diag, off)
+    assert np.allclose(x, np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-12)
+    assert np.allclose(a @ x, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 1000, 4097])
+def test_bit_identical_to_banded_reference(n):
+    rng = np.random.default_rng(100 + n)
+    diag, off, rhs = random_spd_system(rng, n)
+    ab = np.zeros((2, n))
+    ab[0, 1:] = off
+    ab[1, :] = diag
+    ref = solveh_banded(ab, rhs, lower=False, check_finite=False)
+    assert np.array_equal(spd_solve(diag, off, rhs), ref)
+
+
+@pytest.mark.parametrize(
+    "diag, off",
+    [
+        ([1.0, -2.0, 1.0], [0.0, 0.0]),
+        ([1.0, 1.0], [2.0]),  # positive diagonal, negative determinant
+        ([-1.0], []),
+        ([0.0], []),
+    ],
+)
+def test_rejects_indefinite(diag, off):
+    diag, off = np.array(diag), np.array(off)
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_solve(diag, off, np.ones(diag.shape[0]))
+
+
+@pytest.mark.parametrize(
+    "diag, off, rhs",
+    [
+        (np.ones(3), np.ones(3), np.ones(3)),
+        (np.ones(3), np.ones(1), np.ones(3)),
+        (np.ones(3), np.ones(2), np.ones(4)),
+        (np.ones(1), np.ones(1), np.ones(1)),
+    ],
+)
+def test_dimension_validation(diag, off, rhs):
+    with pytest.raises(ValueError):
+        spd_solve(diag, off, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_inputs_unmodified(n):
+    rng = np.random.default_rng(7)
+    system = random_spd_system(rng, n)
+    copies = [a.copy() for a in system]
+    spd_solve(*system)
+    for a, before in zip(system, copies):
+        assert np.array_equal(a, before)

@@ -1,16 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
 from bfamily import (
     BETA_MAX,
     BOutOfRange,
+    LinearSolveFailure,
     STATUS_FINITE,
     STATUS_INFINITE,
+    STATUS_UNDETERMINED,
     compute_beta_b,
     estimate3,
     f_discriminant,
     sweep,
+    threshold,
     thresholds,
 )
 
@@ -64,6 +68,20 @@ class TestComputeBetaB:
             compute_beta_b(2.0, tol=1e-8)
         with pytest.raises(ValueError):
             compute_beta_b(2.0, scan_points=32)
+
+    @pytest.mark.parametrize("f_below, status", [(-1.0, STATUS_FINITE),
+                                                 (-1e-3, STATUS_UNDETERMINED)])
+    def test_lower_bracket_end_certified(self, monkeypatch, f_below, status):
+        # A step in F at beta = 1 with band 1e-2 everywhere: F(hi) = 1 clears
+        # the band, and F(lo) must clear it too for the crossing to count.
+        def fake(b, beta, n):
+            return (1.0 if beta >= 1.0 else f_below), 1e-2
+
+        monkeypatch.setattr(threshold, "_f_with_band", fake)
+        res = compute_beta_b(2.0)
+        assert res.status == status
+        if status == STATUS_FINITE:
+            assert res.beta_b - res.uncertainty < 1.0 <= res.beta_b
 
     def test_sign_reversal_recorded_between_onset_and_gamma(self):
         # Below gamma the discriminant turns negative again near the bracket
@@ -120,3 +138,24 @@ class TestSweep:
             sweep(0.9, 2.0, 5)
         with pytest.raises(ValueError):
             sweep(1.5, 2.0, 0)
+
+    def test_solver_failure_recorded_on_row(self, monkeypatch):
+        def fail(b, **kwargs):
+            raise LinearSolveFailure("singular")
+
+        monkeypatch.setattr(threshold, "compute_beta_b", fail)
+        (row,) = sweep(2.0, 2.0, 1)
+        assert row.result is None
+        assert row.error == "LinearSolveFailure: singular"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(b, **kwargs):
+            raise TypeError("a bug, not a domain failure")
+
+        monkeypatch.setattr(threshold, "compute_beta_b", broken)
+        with pytest.raises(TypeError):
+            sweep(2.0, 2.0, 1)
+
+    def test_grid_is_linspace(self):
+        assert threshold.sweep_grid(1.28, 3.0, 100) == np.linspace(1.28, 3.0, 100).tolist()
+        assert threshold.sweep_grid(1.5, 1.5, 1) == [1.5]
