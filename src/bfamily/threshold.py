@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BFamilyError, BOutOfRange
 from .estimates import EstimateResult, estimate1, estimate2, estimate3
 from .kernel import BETA_MAX
-from .variational import compute_j
+from .variational import BVPGrid, JResult, compute_j, with_error_estimate
 
 _DEFAULT_TOL = 1e-4
 _DEFAULT_SCAN = 256
@@ -44,6 +44,10 @@ class BetaBResult:
     region (an upper enclosure of the infimum) and the true threshold lies in
     [beta_b - uncertainty, beta_b].  ``sign_reversal_above`` records whether
     F turned negative again later in the bracket.
+
+    ``f_lo``, ``band_lo``, ``f_hi`` and ``band_hi`` are F and its error band
+    at the two ends of the final bracket, the certificate the verdict rests
+    on; they are None when the search ended before a bracket was certified.
     """
 
     b: float
@@ -52,17 +56,23 @@ class BetaBResult:
     uncertainty: Optional[float] = None
     bracket: tuple = (0.0, BETA_MAX)
     sign_reversal_above: bool = False
+    f_lo: Optional[float] = None
+    band_lo: Optional[float] = None
+    f_hi: Optional[float] = None
+    band_hi: Optional[float] = None
 
 
 def f_discriminant(b: float, beta: float, n: int = _DEFAULT_N) -> float:
     """F(b, beta) = beta^2 + (2/(b-1)) (J(b, beta) - b/2)."""
-    return _f_with_band(b, beta, n)[0]
+    return _f(b, compute_j(b, beta, n))
 
 
-def _f_with_band(b: float, beta: float, n: int) -> tuple[float, float]:
-    res = compute_j(b, beta, n)
-    amp = 2.0 / (b - 1.0)
-    return beta * beta + amp * (res.value - 0.5 * b), amp * res.error_estimate
+def _f(b: float, res: JResult) -> float:
+    return res.beta * res.beta + 2.0 / (b - 1.0) * (res.value - 0.5 * b)
+
+
+def _band(b: float, res: JResult, n: int) -> float:
+    return 2.0 / (b - 1.0) * with_error_estimate(res, n).error_estimate
 
 
 def compute_beta_b(
@@ -75,7 +85,9 @@ def compute_beta_b(
 
     The crossing is FINITE only when both ends of the final bracket clear
     the propagated error band, F(lo) < -band(lo) and F(hi) >= band(hi);
-    otherwise it is UNDETERMINED.
+    otherwise it is UNDETERMINED.  The scan and the bisection read J's value
+    alone, on one grid built for the search; the error band is computed only
+    at the two bracket ends.
 
     ``tol`` is the certified width of the crossing (>= 1e-6); ``scan_points``
     the number of scan values (>= 64).
@@ -87,11 +99,10 @@ def compute_beta_b(
     if scan_points < 64:
         raise ValueError(f"scan_points must be >= 64 (got {scan_points})")
 
-    betas = np.linspace(0.0, BETA_MAX, scan_points)
-    fvals = np.empty(scan_points)
-    bands = np.empty(scan_points)
-    for i, beta in enumerate(betas):
-        fvals[i], bands[i] = _f_with_band(b, float(beta), n)
+    grid = BVPGrid(n)
+    scan = [compute_j(b, float(beta), n, grid=grid)
+            for beta in np.linspace(0.0, BETA_MAX, scan_points)]
+    fvals = np.array([_f(b, res) for res in scan])
 
     nonneg = np.flatnonzero(fvals >= 0.0)
     if nonneg.size == 0:
@@ -105,28 +116,30 @@ def compute_beta_b(
         # swamped the sign, so no verdict is possible.
         return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
 
-    lo, hi = float(betas[i - 1]), float(betas[i])
-    f_lo, band_lo = fvals[i - 1], bands[i - 1]
-    f_hi, band_hi = fvals[i], bands[i]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid, band_mid = _f_with_band(b, mid, n)
-        if f_mid >= 0.0:
-            hi, f_hi, band_hi = mid, f_mid, band_mid
+    lo, hi = scan[i - 1], scan[i]
+    while hi.beta - lo.beta > tol:
+        mid = compute_j(b, 0.5 * (lo.beta + hi.beta), n, grid=grid)
+        if _f(b, mid) >= 0.0:
+            hi = mid
         else:
-            lo, f_lo, band_lo = mid, f_mid, band_mid
+            lo = mid
 
+    f_lo, band_lo = float(_f(b, lo)), float(_band(b, lo, n))
+    f_hi, band_hi = float(_f(b, hi)), float(_band(b, hi, n))
+    certificate = dict(f_lo=f_lo, band_lo=band_lo, f_hi=f_hi, band_hi=band_hi)
     if not (f_lo < -band_lo and f_hi >= band_hi):
         # A bracket end lies inside the propagated J error band, so the sign
         # change between them is not certified.
-        return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
+        return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal,
+                           **certificate)
 
     return BetaBResult(
         b=b,
         status=STATUS_FINITE,
-        beta_b=hi,
-        uncertainty=hi - lo,
+        beta_b=hi.beta,
+        uncertainty=hi.beta - lo.beta,
         sign_reversal_above=reversal,
+        **certificate,
     )
 
 

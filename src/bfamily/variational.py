@@ -32,8 +32,9 @@ Discretization notes (constraints, not style):
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -112,6 +113,30 @@ def _nodes(n: int, graded: bool) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
+class BVPGrid:
+    """The beta-independent arrays of the n-cell grid on [0, 1].
+
+    Nodes ``x``, cell widths ``h``, interior control volumes ``hbar``, the
+    three face midpoints at each end (``mid0``, ``mid1``) and cosh/sinh of
+    x - 1/2, from which the weight at any beta is one affine combination.
+    A threshold search builds the uniform grid once for all of its J values.
+    """
+
+    def __init__(self, n: int, graded: bool = False):
+        if n < 64:
+            raise ValueError(f"need n >= 64 grid cells (got {n})")
+        x = _nodes(n, graded)
+        self.n = n
+        self.x = x
+        self.h = np.diff(x)
+        self.hbar = 0.5 * (self.h[:-1] + self.h[1:])
+        self.mid0 = 0.5 * (x[:3] + x[1:4])
+        self.mid1 = 0.5 * (x[-4:-1] + x[-3:])
+        y = x - 0.5
+        self.cosh = np.cosh(y)
+        self.sinh = np.sinh(y)
+
+
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
     wl, wr = w_nodes[:-1], w_nodes[1:]
     s = wl + wr
@@ -130,22 +155,27 @@ def _extrapolate_to(x0: float, xs: np.ndarray, ys: np.ndarray) -> float:
     return y1 * l1 + y2 * l2 + y3 * l3
 
 
-def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSolution:
-    """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
-    _check_params(b, beta, b_open_top=True)
-    if n < 64:
-        raise ValueError(f"need n >= 64 grid cells (got {n})")
+def solve_euler_lagrange(
+    b: float, beta: float, n: int = _DEFAULT_N, *, grid: Optional[BVPGrid] = None
+) -> ELSolution:
+    """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells.
 
+    ``grid`` is the uniform ``BVPGrid`` of n cells, built here when omitted;
+    a degenerate weight is always solved on its own graded grid.
+    """
+    _check_params(b, beta, b_open_top=True)
     profile = WeightProfile(beta)
     graded = profile.degenerate
-    x = _nodes(n, graded)
-    w = np.maximum(profile.on_unit_interval(x), 0.0)
+    if graded or grid is None:
+        grid = BVPGrid(n, graded)
+    elif grid.n != n:
+        raise ValueError(f"grid has {grid.n} cells, not {n}")
+    w = np.maximum(profile.from_cosh_sinh(grid.cosh, grid.sinh), 0.0)
 
-    h = np.diff(x)
+    h = grid.h
     wf = _face_weights(w)
     a = (3.0 - b) * wf / h                      # face conductances
-    hbar = 0.5 * (h[:-1] + h[1:])               # interior control volumes
-    q = b * w[1:-1] * hbar
+    q = b * w[1:-1] * grid.hbar
 
     diag = a[:-1] + a[1:] + q
     off = -a[1:-1]
@@ -158,37 +188,36 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
 
     vfull = np.concatenate(([0.0], v, [0.0]))
     flux = wf * np.diff(vfull) / h
-    mid = 0.5 * (x[:-1] + x[1:])
-    flux0 = _extrapolate_to(0.0, mid[:3], flux[:3])
-    flux1 = _extrapolate_to(1.0, mid[-3:], flux[-3:])
+    flux0 = _extrapolate_to(0.0, grid.mid0, flux[:3])
+    flux1 = _extrapolate_to(1.0, grid.mid1, flux[-3:])
     return ELSolution(
-        b=b, beta=beta, grid=x[1:-1], v=v,
+        b=b, beta=beta, grid=grid.x[1:-1], v=v,
         flux0=flux0, flux1=flux1, singular_weight=graded,
     )
 
 
-def _j_bvp_value(b: float, beta: float, n: int) -> float:
-    sol = solve_euler_lagrange(b, beta, n)
+def _j_bvp_value(b: float, beta: float, n: int, grid: Optional[BVPGrid] = None) -> float:
+    sol = solve_euler_lagrange(b, beta, n, grid=grid)
     return 0.5 * (3.0 - b) * (sol.flux1 - sol.flux0)
 
 
-def _richardson_pair(n: int) -> tuple[int, float]:
+def _richardson_error(j_value, b: float, beta: float, n: int, value: float) -> float:
     # Second-order scheme: solving at n/2 gives error(n) ~ |J_n - J_{n/2}| / 3.
     # For small n the refinement runs upward instead.
     if n // 2 >= 64:
-        return n // 2, 1.0 / 3.0
-    return 2 * n, 4.0 / 3.0
+        n2, factor = n // 2, 1.0 / 3.0
+    else:
+        n2, factor = 2 * n, 4.0 / 3.0
+    return factor * abs(value - j_value(b, beta, n2))
 
 
 def compute_j_bvp(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     """J via the Euler-Lagrange boundary-flux identity, with a grid-refinement
     error estimate."""
     value = _j_bvp_value(b, beta, n)
-    n2, factor = _richardson_pair(n)
-    other = _j_bvp_value(b, beta, n2)
     return JResult(
         b=b, beta=beta, value=value, method="BVP_FLUX",
-        error_estimate=factor * abs(value - other),
+        error_estimate=_richardson_error(_j_bvp_value, b, beta, n, value),
     )
 
 
@@ -243,11 +272,9 @@ def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     toward it under refinement.
     """
     value = _j_direct_value(b, beta, n)
-    n2, factor = _richardson_pair(n)
-    other = _j_direct_value(b, beta, n2)
     return JResult(
         b=b, beta=beta, value=value, method="DIRECT_MIN",
-        error_estimate=factor * abs(value - other),
+        error_estimate=_richardson_error(_j_direct_value, b, beta, n, value),
     )
 
 
@@ -259,23 +286,48 @@ def _compute_j_cached(b: float, beta: float, n: int) -> tuple[float, str, float]
         # direct-minimization refinement sequence is the guard for this value.
         return 0.0, "SPECIAL_B3", 0.0
     res = compute_j_bvp(b, beta, n)
-    if abs(abs(beta) - BETA_MAX) <= 1e-9 and res.error_estimate > _SINGULAR_FLUX_TOL:
+    if WeightProfile(beta).degenerate and res.error_estimate > _SINGULAR_FLUX_TOL:
         # Degenerate weight with fluxes disagreeing across refinements: fall
         # back to the variational route, which needs no flux extrapolation.
         res = compute_j_direct(b, beta, n)
     return res.value, res.method, res.error_estimate
 
 
-def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
+def compute_j(
+    b: float, beta: float, n: int = _DEFAULT_N, *, grid: Optional[BVPGrid] = None
+) -> JResult:
     """J(b, beta) for b in (1, 3] and |beta| <= (e+1)/(e-1).
 
     Dispatch: b = 3 is exact (J = 0); otherwise the BVP flux value at the
     given grid size with a Richardson error estimate, falling back to direct
     minimization when a degenerate weight spoils the flux extrapolation.
+
+    Passing ``grid``, the uniform ``BVPGrid`` of n cells, asks for the value
+    alone: it is solved on that grid, without the Richardson companion and
+    outside the cache, and ``error_estimate`` is NaN until
+    ``with_error_estimate`` supplies it.  b = 3 and the degenerate weight,
+    whose value depends on its error estimate, are computed in full.
     """
     _check_params(b, beta, b_open_top=False)
-    value, method, err = _compute_j_cached(float(b), float(beta), int(n))
+    key = float(b), float(beta), int(n)
+    if grid is None or abs(key[0] - 3.0) <= 1e-12 or WeightProfile(beta).degenerate:
+        value, method, err = _compute_j_cached(*key)
+    else:
+        value, method, err = _j_bvp_value(*key, grid), "BVP_FLUX", math.nan
     return JResult(b=b, beta=beta, value=value, method=method, error_estimate=err)
+
+
+def with_error_estimate(res: JResult, n: int) -> JResult:
+    """``res`` with its Richardson error estimate, the result
+    ``compute_j(res.b, res.beta, n)`` gives.
+
+    A value-only result of ``compute_j`` gets the estimate from the one
+    companion solve; a result that has its estimate is returned as it is.
+    """
+    if not math.isnan(res.error_estimate):
+        return res
+    err = _richardson_error(_j_bvp_value, float(res.b), float(res.beta), int(n), res.value)
+    return replace(res, error_estimate=err)
 
 
 @dataclass(frozen=True)

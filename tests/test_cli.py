@@ -11,6 +11,8 @@ import pytest
 from bfamily import threshold
 from bfamily.cli import main
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -100,6 +102,16 @@ class TestBetaB:
         code, _, err = run_cli(capsys, "beta-b", "--b", "2")
         assert code == 3
         assert "internal error: TypeError" in err
+
+    @pytest.mark.parametrize("spec", ["1.3:3:10", "1.005:1.06:8"])
+    def test_sweep_matches_golden_file(self, capsys, tmp_path, spec):
+        # The committed CSVs pin the sweep's bytes: a change that moves a scan
+        # sign, a bisection step, a certificate verdict or a bound shows here.
+        golden = DATA / f"beta_b_sweep_{spec.replace(':', '_')}.csv"
+        target = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "beta-b", "--sweep", spec, "--out", str(target))
+        assert code == 0
+        assert target.read_bytes() == golden.read_bytes()
 
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BFAMILY_OUT_DIR", str(tmp_path))

@@ -6,16 +6,19 @@ import pytest
 from bfamily import (
     BETA_MAX,
     BOutOfRange,
+    JResult,
     LinearSolveFailure,
     STATUS_FINITE,
     STATUS_INFINITE,
     STATUS_UNDETERMINED,
     compute_beta_b,
+    compute_j,
     estimate3,
     f_discriminant,
     sweep,
     threshold,
     thresholds,
+    variational,
 )
 
 
@@ -74,14 +77,65 @@ class TestComputeBetaB:
     def test_lower_bracket_end_certified(self, monkeypatch, f_below, status):
         # A step in F at beta = 1 with band 1e-2 everywhere: F(hi) = 1 clears
         # the band, and F(lo) must clear it too for the crossing to count.
-        def fake(b, beta, n):
-            return (1.0 if beta >= 1.0 else f_below), 1e-2
+        # At b = 2, F = beta^2 + 2 (J - 1) and band = 2 * error_estimate.
+        def fake(b, beta, n, grid=None):
+            f = 1.0 if beta >= 1.0 else f_below
+            return JResult(b=b, beta=beta, value=1.0 + 0.5 * (f - beta * beta),
+                           method="BVP_FLUX", error_estimate=5e-3)
 
-        monkeypatch.setattr(threshold, "_f_with_band", fake)
+        monkeypatch.setattr(threshold, "compute_j", fake)
         res = compute_beta_b(2.0)
         assert res.status == status
         if status == STATUS_FINITE:
             assert res.beta_b - res.uncertainty < 1.0 <= res.beta_b
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 2.9])
+    def test_certificate_on_result(self, b):
+        # The result carries F and its band at both bracket ends, equal to
+        # the full J (value and Richardson estimate) at those betas.
+        res = compute_beta_b(b)
+        assert res.status == STATUS_FINITE
+        lo = res.beta_b - res.uncertainty
+        assert res.band_hi == 2 / (b - 1) * compute_j(b, res.beta_b).error_estimate
+        assert res.band_lo == 2 / (b - 1) * compute_j(b, lo).error_estimate
+        assert res.f_hi == f_discriminant(b, res.beta_b)
+        assert res.f_lo == f_discriminant(b, lo)
+        assert res.f_lo < -res.band_lo < 0.0 < res.band_hi <= res.f_hi
+
+    def test_no_certificate_without_bracket(self):
+        res = compute_beta_b(1.0005)
+        assert res.status == STATUS_INFINITE
+        assert (res.f_lo, res.band_lo, res.f_hi, res.band_hi) == (None,) * 4
+
+    def test_search_leaves_full_results_in_cache(self):
+        # The scan's values are computed without their error band; none of
+        # them may be served later as a full compute_j result.
+        beta = float(np.linspace(0.0, BETA_MAX, 256)[100])
+        variational._compute_j_cached.cache_clear()
+        compute_beta_b(2.0)
+        warm = compute_j(2.0, beta)
+        variational._compute_j_cached.cache_clear()
+        cold = compute_j(2.0, beta)
+        assert not math.isnan(warm.error_estimate)
+        assert warm.error_estimate == cold.error_estimate
+        assert warm == cold
+
+    def test_solves_per_threshold(self, monkeypatch):
+        # Work-count guard: 263 J values (256 scan points, 7 bisection
+        # steps), one solve each and two at the degenerate scan point, plus
+        # the Richardson companions at the two bracket ends: 266.  Solving a
+        # companion for every J took 526.
+        calls = []
+        solve = variational.spd_solve
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(variational, "spd_solve", counting)
+        variational._compute_j_cached.cache_clear()
+        assert compute_beta_b(2.0).status == STATUS_FINITE
+        assert len(calls) <= 270
 
     def test_sign_reversal_recorded_between_onset_and_gamma(self):
         # Below gamma the discriminant turns negative again near the bracket

@@ -15,6 +15,8 @@ from bfamily import (
     legendre_ratio,
     solve_euler_lagrange,
 )
+from bfamily import variational as vmod
+from bfamily.variational import BVPGrid, with_error_estimate
 
 E = math.e
 COSH1 = math.cosh(1.0)
@@ -165,8 +167,6 @@ class TestComputeJ:
     def test_singular_weight_fallback_dispatch(self, monkeypatch):
         # When the degenerate-weight fluxes disagree across refinements the
         # dispatcher switches to the minimization route.
-        from bfamily import variational as vmod
-
         def fake_bvp(b, beta, n):
             from bfamily.variational import JResult
             return JResult(b=b, beta=beta, value=123.0, method="BVP_FLUX",
@@ -181,6 +181,53 @@ class TestComputeJ:
             assert regular.method == "BVP_FLUX" and regular.value == 123.0
         finally:
             vmod._compute_j_cached.cache_clear()
+
+
+def _per_call_j(b, beta, n):
+    # The BVP value with every array rebuilt from the nodes on each call,
+    # written out as the reference for the shared search grid.
+    x = np.linspace(0.0, 1.0, n + 1)
+    y = x - 0.5
+    w = np.maximum((np.cosh(y) + beta * np.sinh(y)) / (2.0 * math.sinh(0.5)), 0.0)
+    h = np.diff(x)
+    wf = vmod._face_weights(w)
+    a = (3.0 - b) * wf / h
+    hbar = 0.5 * (h[:-1] + h[1:])
+    q = b * w[1:-1] * hbar
+    v = vmod.spd_solve(a[:-1] + a[1:] + q, -a[1:-1], -q)
+    flux = wf * np.diff(np.concatenate(([0.0], v, [0.0]))) / h
+    mid = 0.5 * (x[:-1] + x[1:])
+    flux0 = vmod._extrapolate_to(0.0, mid[:3], flux[:3])
+    flux1 = vmod._extrapolate_to(1.0, mid[-3:], flux[-3:])
+    return 0.5 * (3.0 - b) * (flux1 - flux0)
+
+
+class TestSearchGrid:
+    # A threshold search builds one BVPGrid and asks compute_j for values
+    # alone; they must be the bits of the full, per-call computation.
+    @pytest.mark.parametrize("n", [64, 4096])
+    @pytest.mark.parametrize("beta", [-BETA_MAX + 1e-8, -1.0, 0.0, 0.5, BETA_MAX - 1e-8])
+    def test_value_only_bit_identical(self, n, beta):
+        grid = BVPGrid(n)
+        for b in (1.01, 2.0, 2.9):
+            full = compute_j_bvp(b, beta, n)
+            value_only = compute_j(b, beta, n, grid=grid)
+            assert value_only.value == full.value == _per_call_j(b, beta, n)
+            assert value_only.method == "BVP_FLUX"
+            assert math.isnan(value_only.error_estimate)
+            assert with_error_estimate(value_only, n) == full
+
+    @pytest.mark.parametrize("b, beta", [(2.0, BETA_MAX), (3.0, 0.7)])
+    def test_full_where_value_needs_estimate(self, b, beta):
+        # The degenerate weight picks its route from the error estimate, and
+        # b = 3 is exact: both come back complete.
+        res = compute_j(b, beta, 256, grid=BVPGrid(256))
+        assert res == compute_j(b, beta, 256)
+        assert with_error_estimate(res, 256) is res
+
+    def test_grid_size_must_match(self):
+        with pytest.raises(ValueError):
+            compute_j(2.0, 0.5, 128, grid=BVPGrid(256))
 
 
 class TestConvolutionBound:
