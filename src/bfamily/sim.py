@@ -6,6 +6,13 @@ both exact in Fourier space.  Products are formed pointwise on the grid with
 two-thirds-rule dealiasing, time stepping is classical RK4 with a CFL-scaled
 step.
 
+The RK4 state is the spectrum S = rfft(u).  Each stage transforms the band
+of S back to u and u_x (2 inverse FFTs) and the two products forward (2
+FFTs); the u and u_x of a new step serve both its record and its first
+stage, so a step costs 16 FFTs.  Modes above the band never evolve: their
+physical part is computed once and added back for the CFL amplitude and the
+snapshots.
+
 Blow-up here means wave breaking: the solution stays bounded while
 inf_x u_x runs to -infinity.  Detection is on min_x u_x crossing a large
 negative threshold.  Independently, the run tracks the energy fraction in
@@ -119,7 +126,8 @@ class BlowupReport:
     ``t_detect`` estimates the breaking time: the stop time plus the
     remaining-time bound 2/((b-1) |min u_x|) implied by the slope dynamics,
     which removes the leading resolution bias of the raw trigger time
-    (``t_stop``).
+    (``t_stop``).  ``steps`` counts the RK4 steps taken and ``dt_min`` /
+    ``dt_max`` bound their sizes (None before the first step).
     """
 
     detected: bool
@@ -130,6 +138,9 @@ class BlowupReport:
     resolution_loss: bool = False
     stop_reason: str = ""
     t_stop: Optional[float] = None
+    steps: Optional[int] = None
+    dt_min: Optional[float] = None
+    dt_max: Optional[float] = None
 
 
 @dataclass
@@ -162,45 +173,54 @@ def _band_limit(n: int, dealias: bool) -> int:
     return (n // 3) if dealias else (n // 2)
 
 
-def _mask(n: int, dealias: bool) -> np.ndarray:
-    k_keep = _band_limit(n, dealias)
-    m = np.ones(n // 2 + 1)
-    m[k_keep + 1 :] = 0.0
-    return m
+class _Stepper:
+    """RK4 for one b on the band S[:k+1] of the spectrum S = rfft(u) of an
+    n-point grid, k the two-thirds cutoff (n/2 without dealiasing).  Every
+    spectrum here is such a band; ``irfft`` pads it with zeros."""
 
+    def __init__(self, n: int, b: float, dealias: bool):
+        self.n = n
+        self.k = _band_limit(n, dealias)
+        self.band = slice(0, self.k + 1)
+        self.deriv = _deriv_symbol(n)[self.band]
+        self.dp_mult = dp_multiplier(n)[self.band]
+        self.b = b
 
-def _rhs_values(vals: np.ndarray, b: float, mask: np.ndarray,
-                deriv: np.ndarray, dp_mult: np.ndarray) -> np.ndarray:
-    n = vals.shape[0]
-    spec = np.fft.rfft(vals) * mask
-    u = np.fft.irfft(spec, n)
-    ux = np.fft.irfft(spec * deriv, n)
-    adv = np.fft.rfft(u * ux) * mask
-    quad = np.fft.rfft(0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux) * mask
-    return np.fft.irfft(-adv - dp_mult * quad, n)
+    def fields(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u and u_x on the grid: 2 inverse FFTs."""
+        return np.fft.irfft(spec, self.n), np.fft.irfft(spec * self.deriv, self.n)
+
+    def tendency(self, u: np.ndarray, ux: np.ndarray) -> np.ndarray:
+        """Band of rfft(-u u_x - (p') * (b/2 u^2 + (3-b)/2 u_x^2)): 2 FFTs."""
+        b = self.b
+        adv = np.fft.rfft(u * ux)[self.band]
+        quad = np.fft.rfft(0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux)[self.band]
+        return -adv - self.dp_mult * quad
+
+    def increment(self, spec: np.ndarray, dt: float, u: np.ndarray,
+                  ux: np.ndarray) -> np.ndarray:
+        """The RK4 increment of ``spec`` over dt; ``u``, ``ux`` are ``fields(spec)``."""
+        k1 = self.tendency(u, ux)
+        k2 = self.tendency(*self.fields(spec + 0.5 * dt * k1))
+        k3 = self.tendency(*self.fields(spec + 0.5 * dt * k2))
+        k4 = self.tendency(*self.fields(spec + dt * k3))
+        return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rhs(u: TorusField, b: float, dealias: bool = True) -> TorusField:
     """Right-hand side -u u_x - (p') * (b/2 u^2 + (3-b)/2 u_x^2)."""
-    n = u.n
-    vals = _rhs_values(u.values, b, _mask(n, dealias), _deriv_symbol(n), dp_multiplier(n))
-    return TorusField(values=vals, time=u.time)
-
-
-def _rk4_step(vals, dt, b, mask, deriv, dp_mult):
-    k1 = _rhs_values(vals, b, mask, deriv, dp_mult)
-    k2 = _rhs_values(vals + 0.5 * dt * k1, b, mask, deriv, dp_mult)
-    k3 = _rhs_values(vals + 0.5 * dt * k2, b, mask, deriv, dp_mult)
-    k4 = _rhs_values(vals + dt * k3, b, mask, deriv, dp_mult)
-    return vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stepper = _Stepper(u.n, b, dealias)
+    k = stepper.tendency(*stepper.fields(u.spectrum()[stepper.band]))
+    return TorusField(values=np.fft.irfft(k, u.n), time=u.time)
 
 
 def step(u: TorusField, b: float, dt: float, dealias: bool = True) -> TorusField:
     """One RK4 step of size dt (dt < 0 steps backward)."""
-    n = u.n
-    vals = _rk4_step(u.values, dt, b, _mask(n, dealias), _deriv_symbol(n),
-                     dp_multiplier(n))
-    return TorusField(values=vals, time=u.time + dt)
+    stepper = _Stepper(u.n, b, dealias)
+    spec = u.spectrum()[stepper.band]
+    # The increment is added on the grid, so u itself makes no FFT round trip.
+    du = np.fft.irfft(stepper.increment(spec, dt, *stepper.fields(spec)), u.n)
+    return TorusField(values=u.values + du, time=u.time + dt)
 
 
 def conserved_quantities(u: TorusField, b: float) -> ConservedQuantities:
@@ -259,12 +279,16 @@ def integrate(
     under grid refinement; the raw stop time is kept in ``t_stop``.
     """
     n = u0.n
-    mask = _mask(n, cfg.dealias)
-    deriv = _deriv_symbol(n)
-    dp_mult = dp_multiplier(n)
-    k_active = _band_limit(n, cfg.dealias)
+    stepper = _Stepper(n, cfg.b, cfg.dealias)
+    deriv = stepper.deriv
+    k_active = stepper.k
 
-    vals = u0.values.copy()
+    spec = u0.spectrum()
+    above = spec.copy()
+    above[stepper.band] = 0.0
+    hi = np.fft.irfft(above, n)  # the modes above the band never evolve
+    spec = spec[stepper.band]
+    u, ux = stepper.fields(spec)
     t = float(u0.time)
     t_end = t + cfg.t_max
 
@@ -273,28 +297,25 @@ def integrate(
     mean_hist = []
     h1_hist = []
     tail_hist = []
-    snapshots = [TorusField(values=vals.copy(), time=t)]
+    snapshots = [TorusField(values=u0.values.copy(), time=t)]
     snap_dt = cfg.t_max / max(cfg.max_snapshots - 1, 1)
     next_snap = t + snap_dt
 
     k_lo = int(math.ceil(2.0 * k_active / 3.0))
 
-    def record(cur_t, cur_vals):
-        spec = np.fft.rfft(cur_vals) * mask
-        u = np.fft.irfft(spec, n)
-        ux_spec = spec * deriv
-        ux = np.fft.irfft(ux_spec, n)
-        energy = np.abs(ux_spec[1 : k_active + 1]) ** 2
+    def record(cur_t):
+        energy = np.abs(spec[1:] * deriv[1:]) ** 2
         total = float(energy.sum())
         tail = float(energy[k_lo - 1 :].sum()) / total if total > 0.0 else 0.0
+        min_slope = float(ux.min())
         times.append(cur_t)
-        slope_hist.append((cur_t, float(ux.min())))
+        slope_hist.append((cur_t, min_slope))
         mean_hist.append(float(u.mean()))
         h1_hist.append(float(np.mean(u * u + ux * ux)))
         tail_hist.append(tail)
-        return float(ux.min()), tail
+        return min_slope, tail
 
-    initial_min_slope, _ = record(t, vals)
+    initial_min_slope, _ = record(t)
 
     detected = False
     t_detect = None
@@ -306,8 +327,9 @@ def integrate(
         return cur_t + 2.0 / ((cfg.b - 1.0) * abs(min_slope))
 
     steps = 0
+    dt_min = dt_max = None
     while t < t_end - 1e-14:
-        amp = float(np.max(np.abs(vals)))
+        amp = float(np.max(np.abs(u + hi)))
         if not math.isfinite(amp) or amp > _OVERFLOW_LIMIT:
             stop_reason = "overflow"
             last_slope = slope_hist[-1][1]
@@ -318,14 +340,17 @@ def integrate(
             break
         dt = cfg.cfl / (n * max(amp, 1e-12))
         dt = min(dt, t_end - t)
-        vals = _rk4_step(vals, dt, cfg.b, mask, deriv, dp_mult)
+        spec = spec + stepper.increment(spec, dt, u, ux)
+        u, ux = stepper.fields(spec)
         t += dt
         steps += 1
+        dt_min = dt if dt_min is None else min(dt_min, dt)
+        dt_max = dt if dt_max is None else max(dt_max, dt)
 
-        min_slope, tail = record(t, vals)
+        min_slope, tail = record(t)
 
         if t >= next_snap - 1e-14 or t >= t_end - 1e-14:
-            snapshots.append(TorusField(values=vals.copy(), time=t))
+            snapshots.append(TorusField(values=u + hi, time=t))
             while next_snap <= t + 1e-14:
                 next_snap += snap_dt
 
@@ -350,7 +375,7 @@ def integrate(
             break
 
     if snapshots[-1].time < t - 1e-14:
-        snapshots.append(TorusField(values=vals.copy(), time=t))
+        snapshots.append(TorusField(values=u + hi, time=t))
 
     report = BlowupReport(
         detected=detected,
@@ -359,6 +384,9 @@ def integrate(
         resolution_loss=resolution_loss,
         stop_reason=stop_reason,
         t_stop=t_stop,
+        steps=steps,
+        dt_min=dt_min,
+        dt_max=dt_max,
     )
     if beta_b is not None and math.isfinite(beta_b):
         report.criterion_points = check_criterion(u0, beta_b)

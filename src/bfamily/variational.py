@@ -140,6 +140,8 @@ class BVPGrid:
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
     wl, wr = w_nodes[:-1], w_nodes[1:]
     s = wl + wr
+    if s.min() > 0.0:  # every face of a regular weight
+        return 2.0 * wl * wr / s
     out = np.zeros_like(s)
     pos = s > 0.0
     out[pos] = 2.0 * wl[pos] * wr[pos] / s[pos]

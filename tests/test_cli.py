@@ -20,6 +20,32 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _series(path):
+    # numpy >= 2 writes a float64 cell as "np.float64(x)"
+    header, *rows = path.read_text().splitlines()
+    assert header == "t,min_slope,mean,h1_energy,tail_fraction"
+    return [[float(c.removeprefix("np.float64(").removesuffix(")")) for c in row.split(",")]
+            for row in rows]
+
+
+def _assert_close(got, want, path="$"):
+    # Floats agree to 1e-10 relative; below 1e-3 in size, to 1e-13 absolute,
+    # since the mean of cosine data (0) and the early tail fractions (~1e-29)
+    # are roundoff.
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-3), (path, got, want)
+    else:
+        assert got == want, path
+
+
 class TestJ:
     def test_b2_beta0(self, capsys):
         code, out, _ = run_cli(capsys, "j", "--b", "2", "--beta", "0")
@@ -217,6 +243,26 @@ class TestSimulate:
             "--coeffs", "0.1,0.05,-0.02", "--n", "256", "--t-max", "0.01",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("suffix, extra", [("", ()), ("_nodealias", ("--no-dealias",))])
+    def test_matches_golden_files(self, capsys, tmp_path, suffix, extra):
+        # The committed report and series pin the stepping and the dealiasing:
+        # row count, stop reason and verdict exactly, every float to 1e-10.
+        golden = DATA / f"simulate_cos_b2_n256{suffix}"
+        stem = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--b", "2", "--ic", "cos", "--n", "256", "--t-max", "0.5",
+            "--beta-b", "0.51328", *extra, "--out", str(stem),
+        )
+        assert code == 0
+        want = json.loads(Path(f"{golden}.report.json").read_text())
+        got = json.loads((tmp_path / "run.report.json").read_text())
+        assert (got["stop_reason"], got["detected"]) == (want["stop_reason"], want["detected"])
+        _assert_close(got, want)
+        want_rows = _series(Path(f"{golden}.series.csv"))
+        got_rows = _series(tmp_path / "run.series.csv")
+        assert len(got_rows) == len(want_rows)
+        _assert_close(got_rows, want_rows)
 
     def test_bad_coeffs_usage_error(self, capsys):
         code, _, err = run_cli(

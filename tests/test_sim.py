@@ -178,12 +178,81 @@ class TestIntegrate:
         assert not rep.detected
         assert rep.stop_reason == "tail_resolution_loss"
 
+    def test_report_counts_steps_and_dt_range(self):
+        traj, rep = integrate(TorusField.cosine(1.0, 256), SimConfig(b=2.0, t_max=0.5))
+        dts = np.diff(traj.times)
+        assert rep.steps == len(traj.times) - 1
+        assert rep.dt_min == pytest.approx(dts.min(), rel=1e-12)
+        assert rep.dt_max == pytest.approx(dts.max(), rel=1e-12)
+        assert rep.dt_min < rep.dt_max  # dt shrinks as the wave steepens
+
     def test_snapshot_bookkeeping(self):
         u0 = TorusField.cosine(0.2, 256)
         traj, _ = integrate(u0, SimConfig(b=2.0, t_max=0.1))
         assert traj.snapshots[0].time == 0.0
         assert traj.snapshots[-1].time == pytest.approx(0.1, abs=1e-12)
         assert len(traj.times) == len(traj.mean_history) == len(traj.h1_history)
+
+
+def _physical_rk4(vals, b, cfl, steps, dealias):
+    # The physical-space RK4 of the original solver, written out as an oracle:
+    # every stage goes grid -> spectrum -> grid, modes above the band included.
+    n = vals.size
+    k = np.arange(n // 2 + 1)
+    mask = (k <= (n // 3 if dealias else n // 2)).astype(float)
+    deriv = 2j * np.pi * k
+    deriv[-1] = 0.0
+    dp = 2j * np.pi * k / (1.0 + (2.0 * np.pi * k) ** 2)
+
+    def f(v):
+        spec = np.fft.rfft(v) * mask
+        u, ux = np.fft.irfft(spec, n), np.fft.irfft(spec * deriv, n)
+        adv = np.fft.rfft(u * ux) * mask
+        quad = np.fft.rfft(0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux) * mask
+        return np.fft.irfft(-adv - dp * quad, n)
+
+    times = [0.0]
+    for _ in range(steps):
+        dt = cfl / (n * np.abs(vals).max())
+        k1 = f(vals)
+        k2 = f(vals + 0.5 * dt * k1)
+        k3 = f(vals + 0.5 * dt * k2)
+        k4 = f(vals + dt * k3)
+        vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        times.append(times[-1] + dt)
+    return np.array(times), vals
+
+
+class TestFourierStateOracle:
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("high_mode", [0.0, 1e-4])
+    def test_integrate_matches_physical_rk4(self, dealias, high_mode):
+        # k = 100 lies above n/3 = 85: with dealiasing it never evolves but
+        # still sets dt and shows in the snapshots; without, it evolves.
+        n, steps = 256, 40
+        x = np.arange(n) / n
+        vals = 0.8 * np.cos(2.0 * np.pi * x) + high_mode * np.cos(2.0 * np.pi * 100 * x)
+        times, want = _physical_rk4(vals, 2.5, 0.3, steps, dealias)
+        cfg = SimConfig(b=2.5, t_max=1.0, dealias=dealias, max_steps=steps)
+        traj, rep = integrate(TorusField(vals), cfg)
+        assert rep.stop_reason == "max_steps"
+        assert np.abs(traj.times - times).max() <= 1e-12 * times[-1]
+        assert np.abs(traj.final.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_fft_count_per_step(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            fn = getattr(np.fft, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        traj, rep = integrate(TorusField.cosine(1.0, 256), SimConfig(b=2.0, t_max=0.5))
+        steps = len(traj.times) - 1
+        assert steps > 100
+        assert len(calls) <= 16 * steps + 8  # the physical-space RK4 made 27 per step
 
 
 class TestStepReversal:

@@ -230,6 +230,25 @@ class TestSearchGrid:
             compute_j(2.0, 0.5, 128, grid=BVPGrid(256))
 
 
+class TestFaceWeights:
+    def _masked(self, w):
+        wl, wr = w[:-1], w[1:]
+        s = wl + wr
+        out = np.zeros_like(s)
+        pos = s > 0.0
+        out[pos] = 2.0 * wl[pos] * wr[pos] / s[pos]
+        return out
+
+    def test_regular_weight_bit_identical_to_masked_form(self):
+        w = np.random.default_rng(3).uniform(1e-3, 5.0, 4097)
+        assert np.array_equal(vmod._face_weights(w), self._masked(w))
+
+    def test_zero_face_sum_gives_zero_face(self):
+        w = np.array([0.0, 0.0, 1.0, 2.0])
+        assert np.array_equal(vmod._face_weights(w), self._masked(w))
+        assert vmod._face_weights(w)[0] == 0.0
+
+
 class TestConvolutionBound:
     def test_constant_field_slack(self):
         rep = check_convolution_bound([1.0], [0.0], 2.0, 0.0)
