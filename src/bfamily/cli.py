@@ -20,6 +20,8 @@ import os
 import sys
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
+import numpy as np
+
 from . import estimates as est_mod
 from . import sim as sim_mod
 from . import threshold as thr_mod
@@ -55,8 +57,9 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # repr of a numpy float is "np.float64(x)"; the float's is "x"
+        return repr(float(value))
     return str(value)
 
 

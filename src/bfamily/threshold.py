@@ -15,8 +15,16 @@ reported as a warning rather than silently ignored.  Near b = 1 the factor
 2/(b-1) amplifies the numerical error of J; that error is propagated into an
 F error band and a crossing that cannot be certified against the band is
 returned as UNDETERMINED instead of being rounded to a verdict.
+
+Every decision of the search is the sign of F for the BVP value of J.  A
+spectral enclosure of J (``variational.SpectralJ``), widened by a fixed
+margin that covers the BVP error, proves most of those signs without a
+solve; only the points it leaves open are solved.  The two bracket ends the
+verdict rests on are always solved, with their Richardson companions, so
+the verdict and its certificate are the BVP's.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,11 +33,17 @@ import numpy as np
 from .errors import BFamilyError, BOutOfRange
 from .estimates import EstimateResult, estimate1, estimate2, estimate3
 from .kernel import BETA_MAX
-from .variational import BVPGrid, JResult, compute_j, with_error_estimate
+from .variational import BVPGrid, JResult, SpectralJ, compute_j, with_error_estimate
 
 _DEFAULT_TOL = 1e-4
 _DEFAULT_SCAN = 256
 _DEFAULT_N = 4096
+
+# J margin of the screen: a sign counts as known when the enclosure, widened
+# by this much, proves it.  The n = 4096 BVP value lies within 4e-6 of J at
+# every non-degenerate scan point; its error is second order in 1/n, so a
+# coarser search grid widens the margin by (4096/n)^2.
+_SCREEN_MARGIN = 1e-4
 
 STATUS_FINITE = "FINITE"
 STATUS_INFINITE = "INFINITE_IN_BRACKET"
@@ -48,6 +62,13 @@ class BetaBResult:
     ``f_lo``, ``band_lo``, ``f_hi`` and ``band_hi`` are F and its error band
     at the two ends of the final bracket, the certificate the verdict rests
     on; they are None when the search ended before a bracket was certified.
+
+    ``bvp_solves`` counts the J values the search took from the BVP route
+    (one per ``compute_j`` call that solves, so none at b = 3) and the
+    Richardson companions of the bracket ends; ``screened_points`` the scan
+    and bisection points whose sign the spectral enclosure proved; and
+    ``max_gap`` the largest enclosure gap such a proof used (None when no
+    proof used a lower bound).  The CLI writes none of these fields.
     """
 
     b: float
@@ -60,6 +81,9 @@ class BetaBResult:
     band_lo: Optional[float] = None
     f_hi: Optional[float] = None
     band_hi: Optional[float] = None
+    bvp_solves: Optional[int] = None
+    screened_points: Optional[int] = None
+    max_gap: Optional[float] = None
 
 
 def f_discriminant(b: float, beta: float, n: int = _DEFAULT_N) -> float:
@@ -71,8 +95,66 @@ def _f(b: float, res: JResult) -> float:
     return res.beta * res.beta + 2.0 / (b - 1.0) * (res.value - 0.5 * b)
 
 
-def _band(b: float, res: JResult, n: int) -> float:
-    return 2.0 / (b - 1.0) * with_error_estimate(res, n).error_estimate
+class _Search:
+    """The signs of F at one b for the BVP value of J on the search grid:
+    proved by the spectral enclosure where it can, solved where it cannot.
+    Solved values are kept for the bracket ends."""
+
+    def __init__(self, b: float, n: int):
+        self.b = b
+        self.n = n
+        self.grid = BVPGrid(n)
+        # J(3, .) = 0 exactly and costs no solve; the dual needs b < 3.
+        self.spec = None if abs(b - 3.0) <= 1e-12 else SpectralJ(b)
+        self.margin = _SCREEN_MARGIN * max(1.0, (_DEFAULT_N / n) ** 2)
+        self.values = {}
+        self.bvp_solves = 0
+        self.screened_points = 0
+        self.max_gap = None
+
+    def j(self, beta: float) -> JResult:
+        res = self.values.get(beta)
+        if res is None:
+            res = self.values[beta] = compute_j(self.b, beta, self.n, grid=self.grid)
+            self.bvp_solves += res.method != "SPECIAL_B3"
+        return res
+
+    def band(self, res: JResult) -> float:
+        self.bvp_solves += math.isnan(res.error_estimate)
+        return 2.0 / (self.b - 1.0) * with_error_estimate(res, self.n).error_estimate
+
+    def nonneg(self, betas: np.ndarray) -> np.ndarray:
+        """Whether F(b, beta) >= 0 at each beta."""
+        known = self._screen(betas)
+        signs = known > 0
+        for k in np.flatnonzero(known == 0):
+            signs[k] = _f(self.b, self.j(float(betas[k]))) >= 0.0
+        return signs
+
+    def _screen(self, betas: np.ndarray) -> np.ndarray:
+        # +1 (-1) where the enclosure, widened by the margin, proves F >= 0
+        # (F < 0); 0 where it proves neither.
+        known = np.zeros(betas.shape, dtype=int)
+        if self.spec is None:
+            return known
+        amp, half_b = 2.0 / (self.b - 1.0), 0.5 * self.b
+        upper = self.spec.upper(betas)
+        known[betas * betas + amp * (upper + self.margin - half_b) < 0.0] = -1
+        # lower <= upper, so the dual can prove F >= 0 only where the upper
+        # bound, less the margin, already gives it.
+        rest = np.flatnonzero(betas * betas + amp * (upper - self.margin - half_b) >= 0.0)
+        lower = self.spec.lower(betas[rest])
+        proved = betas[rest] ** 2 + amp * (lower - self.margin - half_b) >= 0.0
+        if proved.any():
+            known[rest[proved]] = 1
+            gap = float(np.max(upper[rest[proved]] - lower[proved]))
+            self.max_gap = gap if self.max_gap is None else max(self.max_gap, gap)
+        self.screened_points += int(np.count_nonzero(known))
+        return known
+
+    def counts(self) -> dict:
+        return dict(bvp_solves=self.bvp_solves, screened_points=self.screened_points,
+                    max_gap=self.max_gap)
 
 
 def compute_beta_b(
@@ -85,9 +167,10 @@ def compute_beta_b(
 
     The crossing is FINITE only when both ends of the final bracket clear
     the propagated error band, F(lo) < -band(lo) and F(hi) >= band(hi);
-    otherwise it is UNDETERMINED.  The scan and the bisection read J's value
-    alone, on one grid built for the search; the error band is computed only
-    at the two bracket ends.
+    otherwise it is UNDETERMINED.  Each decision is the sign of F for the
+    BVP value of J on one grid built for the search, most of them proved by
+    the spectral enclosure without a solve (see the module docstring); the
+    error band is computed only at the two bracket ends.
 
     ``tol`` is the certified width of the crossing (>= 1e-6); ``scan_points``
     the number of scan values (>= 64).
@@ -99,47 +182,49 @@ def compute_beta_b(
     if scan_points < 64:
         raise ValueError(f"scan_points must be >= 64 (got {scan_points})")
 
-    grid = BVPGrid(n)
-    scan = [compute_j(b, float(beta), n, grid=grid)
-            for beta in np.linspace(0.0, BETA_MAX, scan_points)]
-    fvals = np.array([_f(b, res) for res in scan])
+    search = _Search(b, n)
+    betas = np.linspace(0.0, BETA_MAX, scan_points)
+    signs = search.nonneg(betas)
 
-    nonneg = np.flatnonzero(fvals >= 0.0)
+    nonneg = np.flatnonzero(signs)
     if nonneg.size == 0:
-        return BetaBResult(b=b, status=STATUS_INFINITE)
+        return BetaBResult(b=b, status=STATUS_INFINITE, **search.counts())
 
     i = int(nonneg[0])
-    reversal = bool(np.any(fvals[i:] < 0.0))
+    reversal = not bool(np.all(signs[i:]))
 
     if i == 0:
         # F(b, 0) < 0 holds analytically; reaching this means J's error
         # swamped the sign, so no verdict is possible.
-        return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
+        return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal,
+                           **search.counts())
 
-    lo, hi = scan[i - 1], scan[i]
-    while hi.beta - lo.beta > tol:
-        mid = compute_j(b, 0.5 * (lo.beta + hi.beta), n, grid=grid)
-        if _f(b, mid) >= 0.0:
+    lo, hi = float(betas[i - 1]), float(betas[i])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if search.nonneg(np.array([mid]))[0]:
             hi = mid
         else:
             lo = mid
 
-    f_lo, band_lo = float(_f(b, lo)), float(_band(b, lo, n))
-    f_hi, band_hi = float(_f(b, hi)), float(_band(b, hi, n))
+    lo_res, hi_res = search.j(lo), search.j(hi)
+    f_lo, band_lo = float(_f(b, lo_res)), float(search.band(lo_res))
+    f_hi, band_hi = float(_f(b, hi_res)), float(search.band(hi_res))
     certificate = dict(f_lo=f_lo, band_lo=band_lo, f_hi=f_hi, band_hi=band_hi)
     if not (f_lo < -band_lo and f_hi >= band_hi):
         # A bracket end lies inside the propagated J error band, so the sign
         # change between them is not certified.
         return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal,
-                           **certificate)
+                           **certificate, **search.counts())
 
     return BetaBResult(
         b=b,
         status=STATUS_FINITE,
-        beta_b=hi.beta,
-        uncertainty=hi.beta - lo.beta,
+        beta_b=hi,
+        uncertainty=hi - lo,
         sign_reversal_above=reversal,
         **certificate,
+        **search.counts(),
     )
 
 

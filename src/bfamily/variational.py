@@ -17,6 +17,17 @@ independent routes are provided:
 The BVP route is the production path; the direct minimization is kept as an
 independent oracle and as a fallback when the weight degenerates.
 
+``compute_j_spectral`` encloses J between two spectral bounds (Prager and
+Synge's two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
+P_k(2x-1) from above, and the complementary-energy maximum over
+sigma = sum d_k P_k(2x-1) from below,
+
+    J >= sigma(1) - sigma(0) - integral sigma^2/(2(3-b)w) + sigma'^2/(2bw),
+
+which holds for every sigma because b/2 w u^2 >= sigma' u - sigma'^2/(2bw)
+and (3-b)/2 w u_x^2 >= sigma u_x - sigma^2/(2(3-b)w) pointwise.  The
+threshold search uses it to skip BVP solves whose sign it already knows.
+
 Discretization notes (constraints, not style):
 
 * The self-adjoint form (w v')' is discretized with harmonic-mean face
@@ -33,17 +44,27 @@ Discretization notes (constraints, not style):
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .errors import BetaOutOfRange, BOutOfRange, LinearSolveFailure, NotCoercive
-from .kernel import BETA_MAX, WeightProfile, convolve_dp, convolve_p, trig_polynomial
+from .kernel import (
+    BETA_MAX, WeightProfile, convolve_dp, convolve_p, eval_dp, eval_p, trig_polynomial,
+)
 
 _DEFAULT_N = 4096
 _SINGULAR_FLUX_TOL = 1e-6
+
+_SPECTRAL_MODES = 16
+# A lower bound counts only where it agrees with itself under a doubled
+# quadrature, and lies below the upper bound, to this many ulp of max(|J|, 1).
+# The dual's rounding error is absolute, about 1e-14 even where J is small
+# (b near 3).
+_ROUNDING_ULPS = 1024
+_DUAL_CHUNK = 64  # betas per batched dual solve; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -330,6 +351,165 @@ def with_error_estimate(res: JResult, n: int) -> JResult:
         return res
     err = _richardson_error(_j_bvp_value, float(res.b), float(res.beta), int(n), res.value)
     return replace(res, error_estimate=err)
+
+
+@dataclass(frozen=True)
+class JEnclosure:
+    """Spectral bounds ``lower <= J(b, beta) <= upper`` from ``modes``
+    Legendre modes.  ``lower`` is -inf where no lower bound is certified: at
+    the degenerate weight, or where the dual's quadrature has not converged.
+    """
+
+    b: float
+    beta: float
+    upper: float
+    lower: float
+    gap: float
+    modes: int
+
+
+def _gauss(points: int):
+    t, q = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (t + 1.0), 0.5 * q
+
+
+@lru_cache(maxsize=None)
+def _spectral_forms(modes: int):
+    """The b- and beta-independent quadrature forms of the spectral bounds.
+
+    Ritz, for the two parts p and p' of w = p + beta p': int w phi,
+    int w phi phi^T and int w phi' phi'^T over phi_k = x(1-x) P_k(2x-1), by
+    the Q-point Gauss-Legendre rule, Q = max(2 modes + 16, 64), which is
+    exact for the polynomial factors.  Dual, for the Q- and the 2Q-point
+    rule: p, p' and the weights at the nodes, and per node the entries of
+    P P^T and P' P'^T bordered by a zero row and column.
+    """
+    legendre = np.polynomial.legendre
+    quad = max(2 * modes + 16, 64)
+    derivative = legendre.legder(np.eye(modes))
+
+    def basis(x):
+        t = 2.0 * x - 1.0
+        return legendre.legvander(t, modes - 1), 2.0 * legendre.legval(t, derivative).T
+
+    x, q = _gauss(quad)
+    p, dp = basis(x)
+    phi = (x * (1.0 - x))[:, None] * p
+    dphi = (1.0 - 2.0 * x)[:, None] * p + (x * (1.0 - x))[:, None] * dp
+    ritz = []
+    for part in (eval_p(x), eval_dp(x)):
+        qw = q * part
+        ritz.append((qw @ phi, phi.T @ (qw[:, None] * phi), dphi.T @ (qw[:, None] * dphi)))
+
+    dual = []
+    for points in (quad, 2 * quad):
+        x, q = _gauss(points)
+        p, dp = (np.pad(a, ((0, 0), (0, 1))) for a in basis(x))
+        dual.append((eval_p(x), eval_dp(x), q,
+                     np.einsum("qi,qj->qij", p, p).reshape(points, -1),
+                     np.einsum("qi,qj->qij", dp, dp).reshape(points, -1)))
+    return ritz, dual
+
+
+class SpectralJ:
+    """Spectral bounds on J(b, beta) at one b, vectorised over beta.
+
+    Upper bound: w is affine in beta, so the Ritz matrix and load are
+    A0 + beta A1 and g0 + beta g1.  One decomposition of the symmetric-
+    definite pencil (A1, A0), V^T A0 V = I and V^T A1 V = diag(lam), gives
+    for every beta
+
+        upper(beta) = b/2 - 1/2 sum_i (h0_i + beta h1_i)^2 / (1 + beta lam_i)
+
+    with h = V^T g (w integrates to 1).  The pencil is reduced through the
+    Cholesky factor A0 = L L^T to the symmetric eigenproblem of
+    L^-1 A1 L^-T, with numpy's LAPACK routines, which the Gauss rules and
+    the lower bound load anyway.  Lower bound: the maximum over
+    sigma = sum d_k P_k(2x-1) of the dual functional, 1/2 e^T B(beta)^-1 e
+    with e_k = P_k(1) - P_k(-1); it needs one Cholesky factorisation per
+    beta, batched.
+    """
+
+    def __init__(self, b: float, modes: int = _SPECTRAL_MODES):
+        if not 1.0 < b < 3.0:
+            raise BOutOfRange(f"spectral bounds require 1 < b < 3 (got b = {b})")
+        if modes < 1:
+            raise ValueError(f"need at least one mode (got {modes})")
+        (g0, m0, s0), (g1, m1, s1) = _spectral_forms(modes)[0]
+        l_inv = np.linalg.inv(np.linalg.cholesky(b * m0 + (3.0 - b) * s0))
+        lam, vec = np.linalg.eigh(l_inv @ (b * m1 + (3.0 - b) * s1) @ l_inv.T)
+        vt = vec.T @ l_inv                      # V^T
+        self.b = b
+        self.modes = modes
+        self._lam = lam
+        self._h0 = b * (vt @ g0)
+        self._h1 = b * (vt @ g1)
+
+    def upper(self, beta):
+        """The Ritz upper bound at each beta."""
+        beta = np.asarray(beta, dtype=np.float64)[..., None]
+        h = self._h0 + beta * self._h1
+        return 0.5 * self.b - 0.5 * np.sum(h * h / (1.0 + beta * self._lam), axis=-1)
+
+    @cached_property
+    def _dual_forms(self):
+        b, k = self.b, self.modes
+        # Bordered by e, the Cholesky factor's last row starts with L_B^-1 e,
+        # so max(dual) = 1/2 e^T B^-1 e is half its squared norm.  The corner
+        # only keeps the bordered matrix definite: e^T B^-1 e = 2 max(dual)
+        # <= 2 J <= b.
+        border = np.zeros((k + 1, k + 1))
+        border[k, :k] = border[:k, k] = 1.0 - (-1.0) ** np.arange(k)
+        border[k, k] = 2.0 * b + 1.0
+        rules = [(p, dp, q, pp / (3.0 - b) + dd / b)
+                 for p, dp, q, pp, dd in _spectral_forms(k)[1]]
+        return border, rules
+
+    def _dual(self, beta, rule, border):
+        p, dp, q, form = rule
+        w = p + beta[:, None] * dp
+        mats = ((q / w) @ form).reshape(-1, *border.shape) + border
+        row = np.linalg.cholesky(mats)[:, -1, :-1]
+        return 0.5 * np.einsum("ij,ij->i", row, row)
+
+    def lower(self, beta):
+        """The dual lower bound at each beta of a 1-d array; -inf at the
+        degenerate weight, and wherever doubling the quadrature moves the
+        bound, or the bound exceeds the upper one, by more than the rounding
+        allowance."""
+        beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
+        upper = self.upper(beta)
+        allowance = _ROUNDING_ULPS * np.finfo(np.float64).eps * np.maximum(np.abs(upper), 1.0)
+        lower = np.full(beta.shape, -np.inf)
+        # the 1/w quadrature needs w > 0 on [0, 1] (WeightProfile.degenerate)
+        regular = np.flatnonzero(np.abs(np.abs(beta) - BETA_MAX) > 1e-9)
+        border, (coarse_rule, fine_rule) = self._dual_forms
+        for start in range(0, regular.size, _DUAL_CHUNK):
+            idx = regular[start:start + _DUAL_CHUNK]
+            try:
+                coarse = self._dual(beta[idx], coarse_rule, border)
+                fine = self._dual(beta[idx], fine_rule, border)
+            except np.linalg.LinAlgError:
+                continue
+            ok = (np.abs(fine - coarse) <= allowance[idx]) & (fine <= upper[idx] + allowance[idx])
+            lower[idx[ok]] = fine[ok]
+        return lower
+
+
+def compute_j_spectral(b: float, beta: float, modes: int = _SPECTRAL_MODES) -> JEnclosure:
+    """Two-sided spectral enclosure of J(b, beta) for 1 < b < 3.
+
+    The upper bound is the Ritz minimum over u = 1 + x(1-x) sum c_k
+    P_k(2x-1), the lower bound the complementary-energy maximum over
+    sigma = sum d_k P_k(2x-1), k < ``modes``.  Both are computed in floating
+    point, so they hold to a rounding allowance of 1024 ulp of max(|J|, 1).
+    """
+    spec = SpectralJ(b, modes)
+    _check_params(b, beta, b_open_top=True)
+    upper = float(spec.upper(beta))
+    lower = float(spec.lower(beta)[0])
+    return JEnclosure(b=b, beta=beta, upper=upper, lower=lower, gap=upper - lower,
+                      modes=modes)
 
 
 @dataclass(frozen=True)

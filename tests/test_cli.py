@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bfamily import threshold
+from bfamily import cli, threshold
 from bfamily.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -21,11 +22,9 @@ def run_cli(capsys, *argv):
 
 
 def _series(path):
-    # numpy >= 2 writes a float64 cell as "np.float64(x)"
     header, *rows = path.read_text().splitlines()
     assert header == "t,min_slope,mean,h1_energy,tail_fraction"
-    return [[float(c.removeprefix("np.float64(").removesuffix(")")) for c in row.split(",")]
-            for row in rows]
+    return [[float(c) for c in row.split(",")] for row in rows]
 
 
 def _assert_close(got, want, path="$"):
@@ -44,6 +43,17 @@ def _assert_close(got, want, path="$"):
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-3), (path, got, want)
     else:
         assert got == want, path
+
+
+class TestFormat:
+    def test_numpy_scalars_as_plain_text(self):
+        # numpy scalars get the same cell text as the Python values
+        assert cli._fmt(np.float64(0.1)) == cli._fmt(0.1) == "0.1"
+        assert cli._fmt(np.float64(-4.336808689942018e-17)) == "-4.336808689942018e-17"
+        assert cli._fmt(np.float32(0.5)) == "0.5"
+        assert cli._fmt(True) == "true"
+        assert cli._fmt(None) == ""
+        assert cli._fmt("FINITE") == "FINITE"
 
 
 class TestJ:
@@ -119,6 +129,18 @@ class TestBetaB:
         assert target.read_text().startswith("b,beta_b,status")
         manifest = json.loads((tmp_path / "rows.manifest.json").read_text())
         assert manifest["row_status"][0]["status"] == "FINITE"
+
+    def test_search_counts_not_written(self, capsys, tmp_path):
+        # BetaBResult's bvp_solves, screened_points and max_gap stay out of
+        # the CSV and the manifest.
+        target = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "beta-b", "--b", "2", "--out", str(target))
+        assert code == 0
+        assert target.read_text().splitlines()[0] == "b,beta_b,status,uncertainty,est1,est2,est3"
+        manifest_text = (tmp_path / "rows.manifest.json").read_text()
+        assert json.loads(manifest_text)["row_status"] == [{"b": 2.0, "status": "FINITE"}]
+        for field in ("bvp_solves", "screened_points", "max_gap"):
+            assert field not in manifest_text
 
     def test_internal_error_exit_3(self, capsys, monkeypatch):
         def broken(b, **kwargs):
@@ -260,6 +282,7 @@ class TestSimulate:
         assert (got["stop_reason"], got["detected"]) == (want["stop_reason"], want["detected"])
         _assert_close(got, want)
         want_rows = _series(Path(f"{golden}.series.csv"))
+        assert "np." not in (tmp_path / "run.series.csv").read_text()
         got_rows = _series(tmp_path / "run.series.csv")
         assert len(got_rows) == len(want_rows)
         _assert_close(got_rows, want_rows)

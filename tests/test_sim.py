@@ -268,6 +268,22 @@ class TestStepReversal:
         assert e1 < 1e-10
         assert e1 / e2 > 8.0  # at least fourth-order shrinkage
 
+    def test_time_reversal_order_above_rounding(self):
+        # At dt = 1e-3 and 5e-4 the forward-then-back error is a few ulp of
+        # the 0.5 amplitude, so the ratio above compares rounding.  At 4e-3
+        # and 2e-3 it is truncation (2.2e-12 and 3.4e-14), ~100x above the
+        # rounding floor, and halving dt must shrink it by more than 2^3.
+        u0 = TorusField.cosine(0.5, 256)
+
+        def pair_error(dt):
+            back = step(step(u0, 2.0, dt), 2.0, -dt)
+            return np.abs(back.values - u0.values).max()
+
+        e1, e2 = pair_error(4e-3), pair_error(2e-3)
+        assert e2 > 100 * np.finfo(float).eps * 0.5  # truncation, not rounding
+        assert e1 < 1e-10
+        assert e1 / e2 > 8.0
+
 
 class TestConservedQuantities:
     def test_constant_field(self):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bfamily import (
     BETA_MAX,
+    BetaBResult,
     BOutOfRange,
     JResult,
     LinearSolveFailure,
@@ -83,7 +85,19 @@ class TestComputeBetaB:
             return JResult(b=b, beta=beta, value=1.0 + 0.5 * (f - beta * beta),
                            method="BVP_FLUX", error_estimate=5e-3)
 
+        class NoEnclosure:
+            # proves no sign, so every J of the search comes from the fake
+            def __init__(self, b):
+                pass
+
+            def upper(self, beta):
+                return np.full(np.shape(beta), np.inf)
+
+            def lower(self, beta):
+                return np.full(np.shape(beta), -np.inf)
+
         monkeypatch.setattr(threshold, "compute_j", fake)
+        monkeypatch.setattr(threshold, "SpectralJ", NoEnclosure)
         res = compute_beta_b(2.0)
         assert res.status == status
         if status == STATUS_FINITE:
@@ -121,10 +135,11 @@ class TestComputeBetaB:
         assert warm == cold
 
     def test_solves_per_threshold(self, monkeypatch):
-        # Work-count guard: 263 J values (256 scan points, 7 bisection
-        # steps), one solve each and two at the degenerate scan point, plus
-        # the Richardson companions at the two bracket ends: 266.  Solving a
-        # companion for every J took 526.
+        # Work-count guard: the search decides 263 signs (256 scan points, 7
+        # bisection steps).  The spectral enclosure proves all but a few near
+        # the crossing and the top of the bracket; those, the two bracket
+        # ends and their Richardson companions are solved: 12 at b = 2.
+        # Solving every point took 266, and 526 with a companion each.
         calls = []
         solve = variational.spd_solve
 
@@ -134,8 +149,21 @@ class TestComputeBetaB:
 
         monkeypatch.setattr(variational, "spd_solve", counting)
         variational._compute_j_cached.cache_clear()
-        assert compute_beta_b(2.0).status == STATUS_FINITE
-        assert len(calls) <= 270
+        res = compute_beta_b(2.0)
+        assert res.status == STATUS_FINITE
+        assert len(calls) <= 16
+        # The result reports the work; the degenerate scan point counts as
+        # one J value but takes two solves (n and n/2).
+        assert 4 <= res.bvp_solves <= len(calls) <= res.bvp_solves + 1
+        assert 240 <= res.screened_points <= 263
+        assert 0.0 <= res.max_gap <= 1e-4
+
+    def test_search_counts_without_solves(self):
+        infinite = compute_beta_b(1.0005)
+        assert infinite.status == STATUS_INFINITE
+        assert (infinite.bvp_solves, infinite.screened_points) == (0, 256)
+        at_three = compute_beta_b(3.0)
+        assert (at_three.bvp_solves, at_three.screened_points, at_three.max_gap) == (0, 0, None)
 
     def test_sign_reversal_recorded_between_onset_and_gamma(self):
         # Below gamma the discriminant turns negative again near the bracket
@@ -145,6 +173,61 @@ class TestComputeBetaB:
         assert res.sign_reversal_above
         res2 = compute_beta_b(2.0)
         assert not res2.sign_reversal_above
+
+
+def _unscreened_beta_b(b, tol=1e-4, scan_points=256, n=4096):
+    # The search without the enclosure, written out as the oracle: every
+    # scan point and bisection midpoint solved on the search grid, the error
+    # band at the two bracket ends.
+    grid = variational.BVPGrid(n)
+
+    def f(res):
+        return res.beta * res.beta + 2.0 / (b - 1.0) * (res.value - 0.5 * b)
+
+    def band(res):
+        return 2.0 / (b - 1.0) * variational.with_error_estimate(res, n).error_estimate
+
+    scan = [compute_j(b, float(t), n, grid=grid) for t in np.linspace(0.0, BETA_MAX, scan_points)]
+    fvals = np.array([f(res) for res in scan])
+    nonneg = np.flatnonzero(fvals >= 0.0)
+    if nonneg.size == 0:
+        return dict(status=STATUS_INFINITE)
+    i = int(nonneg[0])
+    reversal = bool(np.any(fvals[i:] < 0.0))
+    if i == 0:
+        return dict(status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
+    lo, hi = scan[i - 1], scan[i]
+    while hi.beta - lo.beta > tol:
+        mid = compute_j(b, 0.5 * (lo.beta + hi.beta), n, grid=grid)
+        if f(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    cert = dict(f_lo=f(lo), band_lo=band(lo), f_hi=f(hi), band_hi=band(hi))
+    if not (cert["f_lo"] < -cert["band_lo"] and cert["f_hi"] >= cert["band_hi"]):
+        return dict(status=STATUS_UNDETERMINED, sign_reversal_above=reversal, **cert)
+    return dict(status=STATUS_FINITE, beta_b=hi.beta, uncertainty=hi.beta - lo.beta,
+                sign_reversal_above=reversal, **cert)
+
+
+class TestScreenedSearch:
+    # b = 1.0403414285714285 is the UNDETERMINED row of the benchmark's onset
+    # sweeps, 1.01007 its sign-reversal row, 1.0100 the FINITE onset.
+    @pytest.mark.parametrize("b", [1.0100, 1.01007, 1.011, 1.0403414285714285,
+                                   1.5, 2.0, 2.9, 3.0])
+    def test_equals_unscreened_search(self, b):
+        res = compute_beta_b(b)
+        want = BetaBResult(b=b, **_unscreened_beta_b(b))
+        got = replace(res, bvp_solves=None, screened_points=None, max_gap=None)
+        assert got == want
+        if b != 3.0:
+            assert res.screened_points > 200
+
+    def test_equals_unscreened_search_on_coarse_grid(self):
+        # The margin widens as (4096/n)^2 with the BVP error.
+        res = compute_beta_b(2.0, n=512)
+        want = BetaBResult(b=2.0, **_unscreened_beta_b(2.0, n=512))
+        assert replace(res, bvp_solves=None, screened_points=None, max_gap=None) == want
 
 
 class TestSweep:

@@ -12,11 +12,13 @@ from bfamily import (
     compute_j,
     compute_j_bvp,
     compute_j_direct,
+    compute_j_spectral,
     legendre_ratio,
     solve_euler_lagrange,
 )
+from bfamily import threshold
 from bfamily import variational as vmod
-from bfamily.variational import BVPGrid, with_error_estimate
+from bfamily.variational import BVPGrid, SpectralJ, with_error_estimate
 
 E = math.e
 COSH1 = math.cosh(1.0)
@@ -247,6 +249,109 @@ class TestFaceWeights:
         w = np.array([0.0, 0.0, 1.0, 2.0])
         assert np.array_equal(vmod._face_weights(w), self._masked(w))
         assert vmod._face_weights(w)[0] == 0.0
+
+
+def _direct_ritz_j(b, beta, modes, points=96):
+    # The Ritz minimum over u = 1 + x(1-x) sum c_k P_k(2x-1) by one K x K
+    # solve at this beta, written out as the reference for the pencil form.
+    t, q = np.polynomial.legendre.leggauss(points)
+    x, q = 0.5 * (t + 1.0), 0.5 * q
+    p = np.polynomial.legendre.legvander(2.0 * x - 1.0, modes - 1)
+    dp = 2.0 * np.polynomial.legendre.legval(
+        2.0 * x - 1.0, np.polynomial.legendre.legder(np.eye(modes))).T
+    phi = (x * (1.0 - x))[:, None] * p
+    dphi = (1.0 - 2.0 * x)[:, None] * p + (x * (1.0 - x))[:, None] * dp
+    qw = q * (np.cosh(x - 0.5) + beta * np.sinh(x - 0.5)) / (2.0 * math.sinh(0.5))
+    a = b * phi.T @ (qw[:, None] * phi) + (3.0 - b) * dphi.T @ (qw[:, None] * dphi)
+    g = b * qw @ phi
+    return 0.5 * b * qw.sum() - 0.5 * g @ np.linalg.solve(a, g)
+
+
+class TestSpectralEnclosure:
+    # C05's 9x9 (b, beta) grid
+    B_GRID = np.linspace(1.2, 3.0, 11)[1:-1]
+    BETA_GRID = np.linspace(0.0, BETA_MAX - 0.05, 9)
+
+    def test_encloses_bvp_on_c05_grid(self):
+        # The n = 4096 BVP value lies below J by about its Richardson band
+        # (0.96-1.0 bands here), so it sits in [lower - 1.1 band, upper].
+        for b in self.B_GRID:
+            for beta in self.BETA_GRID:
+                enc = compute_j_spectral(float(b), float(beta), modes=32)
+                bvp = compute_j_bvp(float(b), float(beta))
+                assert math.isfinite(enc.lower), (b, beta)
+                assert enc.lower <= enc.upper + 1e-13, (b, beta)
+                assert enc.gap == enc.upper - enc.lower <= 1e-7, (b, beta)
+                assert enc.lower - 1.1 * bvp.error_estimate <= bvp.value <= enc.upper, (b, beta)
+
+    @pytest.mark.parametrize("b", [1.01, 1.3, 2.0, 2.9])
+    def test_bvp_error_far_inside_screen_margin(self, b):
+        # The threshold screen widens the enclosure by a fixed J margin; the
+        # search grid's BVP values must lie within a tenth of it at the 255
+        # non-degenerate scan points.
+        margin = threshold._SCREEN_MARGIN
+        betas = np.linspace(0.0, BETA_MAX, 256)[:-1]
+        grid = BVPGrid(4096)
+        bvp = np.array([compute_j(b, float(t), 4096, grid=grid).value for t in betas])
+        spec = SpectralJ(b)
+        upper, lower = spec.upper(betas), spec.lower(betas)
+        assert np.sum(np.isfinite(lower)) >= 250
+        outside = np.maximum(np.maximum(lower - bvp, bvp - upper), 0.0)
+        assert outside.max() <= margin / 10.0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -1.3, 2.0, BETA_MAX])
+    def test_upper_is_the_ritz_minimum(self, beta):
+        # The pencil's closed form equals a direct K x K solve at this beta.
+        for b in (1.01, 2.0, 2.9):
+            assert SpectralJ(b, 12).upper(beta) == pytest.approx(
+                _direct_ritz_j(b, beta, 12), abs=1e-12)
+
+    def test_even_in_beta(self):
+        spec = SpectralJ(1.7)
+        betas = np.array([0.3, 1.1, 2.0])
+        assert np.allclose(spec.upper(-betas), spec.upper(betas), rtol=0, atol=1e-13)
+        assert np.allclose(spec.lower(-betas), spec.lower(betas), rtol=0, atol=1e-13)
+
+    def test_chunks_agree_with_single_points(self):
+        spec = SpectralJ(2.0)
+        betas = np.linspace(0.0, 2.0, 300)   # more than one chunk
+        single = np.array([spec.lower(np.array([t]))[0] for t in betas[::37]])
+        assert np.allclose(spec.lower(betas)[::37], single, rtol=0, atol=1e-13)
+
+    def test_no_lower_bound_at_degenerate_weight(self):
+        enc = compute_j_spectral(2.0, BETA_MAX)
+        assert enc.lower == -math.inf and enc.gap == math.inf
+        assert enc.upper >= compute_j(2.0, BETA_MAX).value
+
+    def test_unconverged_quadrature_rejected(self):
+        # Next to the degenerate weight the 1/w quadrature has not converged:
+        # doubling it moves the dual far more than the rounding allowance,
+        # so the point gets no lower bound rather than an unchecked one.
+        beta = BETA_MAX * 254 / 255
+        spec = SpectralJ(2.0)
+        border, (coarse, fine) = spec._dual_forms
+        at = np.array([beta])
+        moved = abs(spec._dual(at, coarse, border)[0] - spec._dual(at, fine, border)[0])
+        assert moved > 1e3 * vmod._ROUNDING_ULPS * np.finfo(float).eps
+        assert spec.lower(at)[0] == -math.inf
+
+    def test_lower_above_upper_rejected(self):
+        spec = SpectralJ(2.0)
+        betas = np.array([0.2, 0.9])
+        assert np.all(np.isfinite(spec.lower(betas)))
+        true_upper = spec.upper
+        spec.upper = lambda beta: true_upper(beta) - 1e-9
+        assert np.all(spec.lower(betas) == -math.inf)
+
+    def test_domain(self):
+        with pytest.raises(BOutOfRange):
+            compute_j_spectral(3.0, 0.5)
+        with pytest.raises(BOutOfRange):
+            compute_j_spectral(1.0, 0.5)
+        with pytest.raises(BetaOutOfRange):
+            compute_j_spectral(2.0, BETA_MAX + 0.1)
+        with pytest.raises(ValueError):
+            SpectralJ(2.0, 0)
 
 
 class TestConvolutionBound:
