@@ -24,7 +24,6 @@ verdict rests on are always solved, with their Richardson companions, so
 the verdict and its certificate are the BVP's.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,12 +62,16 @@ class BetaBResult:
     at the two ends of the final bracket, the certificate the verdict rests
     on; they are None when the search ended before a bracket was certified.
 
-    ``bvp_solves`` counts the J values the search took from the BVP route
-    (one per ``compute_j`` call that solves, so none at b = 3) and the
-    Richardson companions of the bracket ends; ``screened_points`` the scan
-    and bisection points whose sign the spectral enclosure proved; and
-    ``max_gap`` the largest enclosure gap such a proof used (None when no
-    proof used a lower bound).  The CLI writes none of these fields.
+    ``solved_points`` counts the betas whose J the search took from
+    ``compute_j``: the scan and bisection points the spectral enclosure left
+    open and the two bracket ends (none at b = 3).  Each costs one n-cell
+    tridiagonal solve, and a bracket end one more for its Richardson
+    companion; the degenerate point beta = BETA_MAX, which ``compute_j``
+    computes in full and caches, costs two (four when it falls back to the
+    direct route, none when cached).  ``screened_points`` counts the scan
+    and bisection points whose sign the enclosure proved, and ``max_gap`` is
+    the largest enclosure gap such a proof used (None when no proof used a
+    lower bound).  The CLI writes none of these fields.
     """
 
     b: float
@@ -81,7 +84,7 @@ class BetaBResult:
     band_lo: Optional[float] = None
     f_hi: Optional[float] = None
     band_hi: Optional[float] = None
-    bvp_solves: Optional[int] = None
+    solved_points: Optional[int] = None
     screened_points: Optional[int] = None
     max_gap: Optional[float] = None
 
@@ -93,6 +96,10 @@ def f_discriminant(b: float, beta: float, n: int = _DEFAULT_N) -> float:
 
 def _f(b: float, res: JResult) -> float:
     return res.beta * res.beta + 2.0 / (b - 1.0) * (res.value - 0.5 * b)
+
+
+def _band(b: float, res: JResult, n: int) -> float:
+    return 2.0 / (b - 1.0) * with_error_estimate(res, n).error_estimate
 
 
 class _Search:
@@ -108,7 +115,7 @@ class _Search:
         self.spec = None if abs(b - 3.0) <= 1e-12 else SpectralJ(b)
         self.margin = _SCREEN_MARGIN * max(1.0, (_DEFAULT_N / n) ** 2)
         self.values = {}
-        self.bvp_solves = 0
+        self.solved_points = 0
         self.screened_points = 0
         self.max_gap = None
 
@@ -116,12 +123,8 @@ class _Search:
         res = self.values.get(beta)
         if res is None:
             res = self.values[beta] = compute_j(self.b, beta, self.n, grid=self.grid)
-            self.bvp_solves += res.method != "SPECIAL_B3"
+            self.solved_points += res.method != "SPECIAL_B3"
         return res
-
-    def band(self, res: JResult) -> float:
-        self.bvp_solves += math.isnan(res.error_estimate)
-        return 2.0 / (self.b - 1.0) * with_error_estimate(res, self.n).error_estimate
 
     def nonneg(self, betas: np.ndarray) -> np.ndarray:
         """Whether F(b, beta) >= 0 at each beta."""
@@ -153,7 +156,7 @@ class _Search:
         return known
 
     def counts(self) -> dict:
-        return dict(bvp_solves=self.bvp_solves, screened_points=self.screened_points,
+        return dict(solved_points=self.solved_points, screened_points=self.screened_points,
                     max_gap=self.max_gap)
 
 
@@ -208,8 +211,8 @@ def compute_beta_b(
             lo = mid
 
     lo_res, hi_res = search.j(lo), search.j(hi)
-    f_lo, band_lo = float(_f(b, lo_res)), float(search.band(lo_res))
-    f_hi, band_hi = float(_f(b, hi_res)), float(search.band(hi_res))
+    f_lo, band_lo = float(_f(b, lo_res)), float(_band(b, lo_res, n))
+    f_hi, band_hi = float(_f(b, hi_res)), float(_band(b, hi_res, n))
     certificate = dict(f_lo=f_lo, band_lo=band_lo, f_hi=f_hi, band_hi=band_hi)
     if not (f_lo < -band_lo and f_hi >= band_hi):
         # A bracket end lies inside the propagated J error band, so the sign

@@ -58,7 +58,7 @@ from .kernel import (
 _DEFAULT_N = 4096
 _SINGULAR_FLUX_TOL = 1e-6
 
-_SPECTRAL_MODES = 16
+_SPECTRAL_MODES = 16  # Legendre modes K of both spectral bounds
 # A lower bound counts only where it agrees with itself under a doubled
 # quadrature, and lies below the upper bound, to this many ulp of max(|J|, 1).
 # The dual's rounding error is absolute, about 1e-14 even where J is small
@@ -353,38 +353,25 @@ def with_error_estimate(res: JResult, n: int) -> JResult:
     return replace(res, error_estimate=err)
 
 
-@dataclass(frozen=True)
-class JEnclosure:
-    """Spectral bounds ``lower <= J(b, beta) <= upper`` from ``modes``
-    Legendre modes.  ``lower`` is -inf where no lower bound is certified: at
-    the degenerate weight, or where the dual's quadrature has not converged.
-    """
-
-    b: float
-    beta: float
-    upper: float
-    lower: float
-    gap: float
-    modes: int
-
-
 def _gauss(points: int):
     t, q = np.polynomial.legendre.leggauss(points)
     return 0.5 * (t + 1.0), 0.5 * q
 
 
 @lru_cache(maxsize=None)
-def _spectral_forms(modes: int):
+def _spectral_forms():
     """The b- and beta-independent quadrature forms of the spectral bounds.
 
     Ritz, for the two parts p and p' of w = p + beta p': int w phi,
-    int w phi phi^T and int w phi' phi'^T over phi_k = x(1-x) P_k(2x-1), by
-    the Q-point Gauss-Legendre rule, Q = max(2 modes + 16, 64), which is
-    exact for the polynomial factors.  Dual, for the Q- and the 2Q-point
-    rule: p, p' and the weights at the nodes, and per node the entries of
-    P P^T and P' P'^T bordered by a zero row and column.
+    int w phi phi^T and int w phi' phi'^T over phi_k = x(1-x) P_k(2x-1),
+    k < K = _SPECTRAL_MODES, by the Q-point Gauss-Legendre rule,
+    Q = max(2K + 16, 64), which is exact for the polynomial factors.  Dual,
+    for the Q- and the 2Q-point rule: p, p' and the weights at the nodes,
+    and per node the entries of P P^T and P' P'^T bordered by a zero row and
+    column.
     """
     legendre = np.polynomial.legendre
+    modes = _SPECTRAL_MODES
     quad = max(2 * modes + 16, 64)
     derivative = legendre.legder(np.eye(modes))
 
@@ -430,17 +417,14 @@ class SpectralJ:
     beta, batched.
     """
 
-    def __init__(self, b: float, modes: int = _SPECTRAL_MODES):
+    def __init__(self, b: float):
         if not 1.0 < b < 3.0:
             raise BOutOfRange(f"spectral bounds require 1 < b < 3 (got b = {b})")
-        if modes < 1:
-            raise ValueError(f"need at least one mode (got {modes})")
-        (g0, m0, s0), (g1, m1, s1) = _spectral_forms(modes)[0]
+        (g0, m0, s0), (g1, m1, s1) = _spectral_forms()[0]
         l_inv = np.linalg.inv(np.linalg.cholesky(b * m0 + (3.0 - b) * s0))
         lam, vec = np.linalg.eigh(l_inv @ (b * m1 + (3.0 - b) * s1) @ l_inv.T)
         vt = vec.T @ l_inv                      # V^T
         self.b = b
-        self.modes = modes
         self._lam = lam
         self._h0 = b * (vt @ g0)
         self._h1 = b * (vt @ g1)
@@ -453,7 +437,7 @@ class SpectralJ:
 
     @cached_property
     def _dual_forms(self):
-        b, k = self.b, self.modes
+        b, k = self.b, _SPECTRAL_MODES
         # Bordered by e, the Cholesky factor's last row starts with L_B^-1 e,
         # so max(dual) = 1/2 e^T B^-1 e is half its squared norm.  The corner
         # only keeps the bordered matrix definite: e^T B^-1 e = 2 max(dual)
@@ -462,7 +446,7 @@ class SpectralJ:
         border[k, :k] = border[:k, k] = 1.0 - (-1.0) ** np.arange(k)
         border[k, k] = 2.0 * b + 1.0
         rules = [(p, dp, q, pp / (3.0 - b) + dd / b)
-                 for p, dp, q, pp, dd in _spectral_forms(k)[1]]
+                 for p, dp, q, pp, dd in _spectral_forms()[1]]
         return border, rules
 
     def _dual(self, beta, rule, border):
@@ -496,20 +480,20 @@ class SpectralJ:
         return lower
 
 
-def compute_j_spectral(b: float, beta: float, modes: int = _SPECTRAL_MODES) -> JEnclosure:
-    """Two-sided spectral enclosure of J(b, beta) for 1 < b < 3.
+def compute_j_spectral(b: float, beta: float) -> tuple[float, float]:
+    """Two-sided spectral enclosure ``(upper, lower)`` of J(b, beta) for
+    1 < b < 3.
 
     The upper bound is the Ritz minimum over u = 1 + x(1-x) sum c_k
     P_k(2x-1), the lower bound the complementary-energy maximum over
-    sigma = sum d_k P_k(2x-1), k < ``modes``.  Both are computed in floating
-    point, so they hold to a rounding allowance of 1024 ulp of max(|J|, 1).
+    sigma = sum d_k P_k(2x-1), k < K.  ``lower`` is -inf where no lower
+    bound is certified: at the degenerate weight, or where the dual's
+    quadrature has not converged.  Both are computed in floating point, so
+    they hold to a rounding allowance of 1024 ulp of max(|J|, 1).
     """
-    spec = SpectralJ(b, modes)
+    spec = SpectralJ(b)
     _check_params(b, beta, b_open_top=True)
-    upper = float(spec.upper(beta))
-    lower = float(spec.lower(beta)[0])
-    return JEnclosure(b=b, beta=beta, upper=upper, lower=lower, gap=upper - lower,
-                      modes=modes)
+    return float(spec.upper(beta)), float(spec.lower(beta)[0])
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ class TestBetaB:
         assert manifest["row_status"][0]["status"] == "FINITE"
 
     def test_search_counts_not_written(self, capsys, tmp_path):
-        # BetaBResult's bvp_solves, screened_points and max_gap stay out of
+        # BetaBResult's solved_points, screened_points and max_gap stay out of
         # the CSV and the manifest.
         target = tmp_path / "rows.csv"
         code, _, _ = run_cli(capsys, "beta-b", "--b", "2", "--out", str(target))
@@ -139,7 +139,7 @@ class TestBetaB:
         assert target.read_text().splitlines()[0] == "b,beta_b,status,uncertainty,est1,est2,est3"
         manifest_text = (tmp_path / "rows.manifest.json").read_text()
         assert json.loads(manifest_text)["row_status"] == [{"b": 2.0, "status": "FINITE"}]
-        for field in ("bvp_solves", "screened_points", "max_gap"):
+        for field in ("solved_points", "screened_points", "max_gap"):
             assert field not in manifest_text
 
     def test_internal_error_exit_3(self, capsys, monkeypatch):

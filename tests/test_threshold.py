@@ -140,6 +140,8 @@ class TestComputeBetaB:
         # the crossing and the top of the bracket; those, the two bracket
         # ends and their Richardson companions are solved: 12 at b = 2.
         # Solving every point took 266, and 526 with a companion each.
+        # b = 2's degenerate point beta = BETA_MAX is solved, by the BVP
+        # route, in full: two solves.
         calls = []
         solve = variational.spd_solve
 
@@ -150,20 +152,22 @@ class TestComputeBetaB:
         monkeypatch.setattr(variational, "spd_solve", counting)
         variational._compute_j_cached.cache_clear()
         res = compute_beta_b(2.0)
+        solves = len(calls)
         assert res.status == STATUS_FINITE
-        assert len(calls) <= 16
-        # The result reports the work; the degenerate scan point counts as
-        # one J value but takes two solves (n and n/2).
-        assert 4 <= res.bvp_solves <= len(calls) <= res.bvp_solves + 1
+        assert solves <= 16
+        # One solve per solved point, one companion per bracket end, and one
+        # more for the degenerate point's own companion.
+        assert compute_j(2.0, BETA_MAX).method == "BVP_FLUX"
+        assert solves == res.solved_points + 2 + 1
         assert 240 <= res.screened_points <= 263
         assert 0.0 <= res.max_gap <= 1e-4
 
     def test_search_counts_without_solves(self):
         infinite = compute_beta_b(1.0005)
         assert infinite.status == STATUS_INFINITE
-        assert (infinite.bvp_solves, infinite.screened_points) == (0, 256)
+        assert (infinite.solved_points, infinite.screened_points) == (0, 256)
         at_three = compute_beta_b(3.0)
-        assert (at_three.bvp_solves, at_three.screened_points, at_three.max_gap) == (0, 0, None)
+        assert (at_three.solved_points, at_three.screened_points, at_three.max_gap) == (0, 0, None)
 
     def test_sign_reversal_recorded_between_onset_and_gamma(self):
         # Below gamma the discriminant turns negative again near the bracket
@@ -212,13 +216,16 @@ def _unscreened_beta_b(b, tol=1e-4, scan_points=256, n=4096):
 
 class TestScreenedSearch:
     # b = 1.0403414285714285 is the UNDETERMINED row of the benchmark's onset
-    # sweeps, 1.01007 its sign-reversal row, 1.0100 the FINITE onset.
-    @pytest.mark.parametrize("b", [1.0100, 1.01007, 1.011, 1.0403414285714285,
-                                   1.5, 2.0, 2.9, 3.0])
+    # sweeps, 1.01007 its sign-reversal row, 1.0100 the FINITE onset.  The
+    # BVP is least accurate at the ends of the b range: 1.00001, where
+    # 2/(b-1) amplifies its error, and 2.9999, whose endpoint layers are
+    # narrower than the grid.
+    @pytest.mark.parametrize("b", [1.00001, 1.0100, 1.01007, 1.011, 1.0403414285714285,
+                                   1.5, 2.0, 2.9, 2.9999, 3.0])
     def test_equals_unscreened_search(self, b):
         res = compute_beta_b(b)
         want = BetaBResult(b=b, **_unscreened_beta_b(b))
-        got = replace(res, bvp_solves=None, screened_points=None, max_gap=None)
+        got = replace(res, solved_points=None, screened_points=None, max_gap=None)
         assert got == want
         if b != 3.0:
             assert res.screened_points > 200
@@ -227,7 +234,7 @@ class TestScreenedSearch:
         # The margin widens as (4096/n)^2 with the BVP error.
         res = compute_beta_b(2.0, n=512)
         want = BetaBResult(b=2.0, **_unscreened_beta_b(2.0, n=512))
-        assert replace(res, bvp_solves=None, screened_points=None, max_gap=None) == want
+        assert replace(res, solved_points=None, screened_points=None, max_gap=None) == want
 
 
 class TestSweep:
