@@ -16,12 +16,13 @@ reported as a warning rather than silently ignored.  Near b = 1 the factor
 F error band and a crossing that cannot be certified against the band is
 returned as UNDETERMINED instead of being rounded to a verdict.
 
-Every decision of the search is the sign of F for the BVP value of J.  A
-spectral enclosure of J (``variational.SpectralJ``), widened by a fixed
-margin that covers the BVP error, proves most of those signs without a
-solve; only the points it leaves open are solved.  The two bracket ends the
-verdict rests on are always solved, with their Richardson companions, so
-the verdict and its certificate are the BVP's.
+Every decision of the search is the sign of F for the BVP value of J.  Two
+bounds on J, widened by a fixed margin that covers the BVP error, prove most
+of those signs without a solve: the floor J >= 0 (w >= 0), which settles the
+top of the bracket, and a spectral enclosure of J (``variational.SpectralJ``).
+Only the points they leave open are solved, by ``compute_j``.  The two
+bracket ends the verdict rests on are always solved, so the verdict and its
+certificate are the BVP's.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import BFamilyError, BOutOfRange
 from .estimates import EstimateResult, estimate1, estimate2, estimate3
 from .kernel import BETA_MAX
-from .variational import BVPGrid, JResult, SpectralJ, compute_j, with_error_estimate
+from .variational import JResult, SpectralJ, compute_j
 
 _DEFAULT_TOL = 1e-4
 _DEFAULT_SCAN = 256
@@ -63,15 +64,14 @@ class BetaBResult:
     on; they are None when the search ended before a bracket was certified.
 
     ``solved_points`` counts the betas whose J the search took from
-    ``compute_j``: the scan and bisection points the spectral enclosure left
-    open and the two bracket ends (none at b = 3).  Each costs one n-cell
-    tridiagonal solve, and a bracket end one more for its Richardson
-    companion; the degenerate point beta = BETA_MAX, which ``compute_j``
-    computes in full and caches, costs two (four when it falls back to the
-    direct route, none when cached).  ``screened_points`` counts the scan
-    and bisection points whose sign the enclosure proved, and ``max_gap`` is
-    the largest enclosure gap such a proof used (None when no proof used a
-    lower bound).  The CLI writes none of these fields.
+    ``compute_j``: the scan and bisection points the floor and the spectral
+    enclosure left open and the two bracket ends (none at b = 3).  Each
+    costs two tridiagonal solves, on n cells and on n/2 for its Richardson
+    companion; the degenerate point beta = BETA_MAX costs four when it
+    falls back to the direct route.  ``screened_points`` counts the scan and
+    bisection points whose sign the floor or the enclosure proved, and
+    ``max_gap`` is the largest enclosure gap such a proof used (None when no
+    proof used a lower bound).  The CLI writes none of these fields.
     """
 
     b: float
@@ -98,19 +98,18 @@ def _f(b: float, res: JResult) -> float:
     return res.beta * res.beta + 2.0 / (b - 1.0) * (res.value - 0.5 * b)
 
 
-def _band(b: float, res: JResult, n: int) -> float:
-    return 2.0 / (b - 1.0) * with_error_estimate(res, n).error_estimate
+def _band(b: float, res: JResult) -> float:
+    return 2.0 / (b - 1.0) * res.error_estimate
 
 
 class _Search:
-    """The signs of F at one b for the BVP value of J on the search grid:
-    proved by the spectral enclosure where it can, solved where it cannot.
-    Solved values are kept for the bracket ends."""
+    """The signs of F at one b for the BVP value of J on n cells: proved by
+    the floor J >= 0 or the spectral enclosure where they can, solved where
+    they cannot.  Solved values are kept for the bracket ends."""
 
     def __init__(self, b: float, n: int):
         self.b = b
         self.n = n
-        self.grid = BVPGrid(n)
         # J(3, .) = 0 exactly and costs no solve; the dual needs b < 3.
         self.spec = None if abs(b - 3.0) <= 1e-12 else SpectralJ(b)
         self.margin = _SCREEN_MARGIN * max(1.0, (_DEFAULT_N / n) ** 2)
@@ -122,7 +121,7 @@ class _Search:
     def j(self, beta: float) -> JResult:
         res = self.values.get(beta)
         if res is None:
-            res = self.values[beta] = compute_j(self.b, beta, self.n, grid=self.grid)
+            res = self.values[beta] = compute_j(self.b, beta, self.n)
             self.solved_points += res.method != "SPECIAL_B3"
         return res
 
@@ -135,17 +134,22 @@ class _Search:
         return signs
 
     def _screen(self, betas: np.ndarray) -> np.ndarray:
-        # +1 (-1) where the enclosure, widened by the margin, proves F >= 0
-        # (F < 0); 0 where it proves neither.
+        # +1 (-1) where the floor or the enclosure, widened by the margin,
+        # proves F >= 0 (F < 0); 0 where neither proves a sign.
         known = np.zeros(betas.shape, dtype=int)
         if self.spec is None:
             return known
         amp, half_b = 2.0 / (self.b - 1.0), 0.5 * self.b
+        # J >= 0 because w >= 0: this floor proves F >= 0 with no dual, also
+        # at the degenerate weight, where the dual gives no bound.
+        floor = betas * betas - amp * (self.margin + half_b) >= 0.0
+        known[floor] = 1
         upper = self.spec.upper(betas)
         known[betas * betas + amp * (upper + self.margin - half_b) < 0.0] = -1
         # lower <= upper, so the dual can prove F >= 0 only where the upper
         # bound, less the margin, already gives it.
-        rest = np.flatnonzero(betas * betas + amp * (upper - self.margin - half_b) >= 0.0)
+        rest = np.flatnonzero(
+            ~floor & (betas * betas + amp * (upper - self.margin - half_b) >= 0.0))
         lower = self.spec.lower(betas[rest])
         proved = betas[rest] ** 2 + amp * (lower - self.margin - half_b) >= 0.0
         if proved.any():
@@ -171,9 +175,8 @@ def compute_beta_b(
     The crossing is FINITE only when both ends of the final bracket clear
     the propagated error band, F(lo) < -band(lo) and F(hi) >= band(hi);
     otherwise it is UNDETERMINED.  Each decision is the sign of F for the
-    BVP value of J on one grid built for the search, most of them proved by
-    the spectral enclosure without a solve (see the module docstring); the
-    error band is computed only at the two bracket ends.
+    BVP value of J on n cells, most of them proved without a solve (see the
+    module docstring).
 
     ``tol`` is the certified width of the crossing (>= 1e-6); ``scan_points``
     the number of scan values (>= 64).
@@ -211,8 +214,8 @@ def compute_beta_b(
             lo = mid
 
     lo_res, hi_res = search.j(lo), search.j(hi)
-    f_lo, band_lo = float(_f(b, lo_res)), float(_band(b, lo_res, n))
-    f_hi, band_hi = float(_f(b, hi_res)), float(_band(b, hi_res, n))
+    f_lo, band_lo = float(_f(b, lo_res)), float(_band(b, lo_res))
+    f_hi, band_hi = float(_f(b, hi_res)), float(_band(b, hi_res))
     certificate = dict(f_lo=f_lo, band_lo=band_lo, f_hi=f_hi, band_hi=band_hi)
     if not (f_lo < -band_lo and f_hi >= band_hi):
         # A bracket end lies inside the propagated J error band, so the sign

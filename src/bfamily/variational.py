@@ -43,9 +43,8 @@ Discretization notes (constraints, not style):
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -134,30 +133,6 @@ def _nodes(n: int, graded: bool) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-class BVPGrid:
-    """The beta-independent arrays of the n-cell grid on [0, 1].
-
-    Nodes ``x``, cell widths ``h``, interior control volumes ``hbar``, the
-    three face midpoints at each end (``mid0``, ``mid1``) and cosh/sinh of
-    x - 1/2, from which the weight at any beta is one affine combination.
-    A threshold search builds the uniform grid once for all of its J values.
-    """
-
-    def __init__(self, n: int, graded: bool = False):
-        if n < 64:
-            raise ValueError(f"need n >= 64 grid cells (got {n})")
-        x = _nodes(n, graded)
-        self.n = n
-        self.x = x
-        self.h = np.diff(x)
-        self.hbar = 0.5 * (self.h[:-1] + self.h[1:])
-        self.mid0 = 0.5 * (x[:3] + x[1:4])
-        self.mid1 = 0.5 * (x[-4:-1] + x[-3:])
-        y = x - 0.5
-        self.cosh = np.cosh(y)
-        self.sinh = np.sinh(y)
-
-
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
     wl, wr = w_nodes[:-1], w_nodes[1:]
     s = wl + wr
@@ -178,27 +153,21 @@ def _extrapolate_to(x0: float, xs: np.ndarray, ys: np.ndarray) -> float:
     return y1 * l1 + y2 * l2 + y3 * l3
 
 
-def solve_euler_lagrange(
-    b: float, beta: float, n: int = _DEFAULT_N, *, grid: Optional[BVPGrid] = None
-) -> ELSolution:
-    """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells.
-
-    ``grid`` is the uniform ``BVPGrid`` of n cells, built here when omitted;
-    a degenerate weight is always solved on its own graded grid.
-    """
+def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSolution:
+    """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     _check_params(b, beta, b_open_top=True)
+    if n < 64:
+        raise ValueError(f"need n >= 64 grid cells (got {n})")
     profile = WeightProfile(beta)
     graded = profile.degenerate
-    if graded or grid is None:
-        grid = BVPGrid(n, graded)
-    elif grid.n != n:
-        raise ValueError(f"grid has {grid.n} cells, not {n}")
-    w = np.maximum(profile.from_cosh_sinh(grid.cosh, grid.sinh), 0.0)
+    x = _nodes(n, graded)
+    y = x - 0.5
+    w = np.maximum(profile.from_cosh_sinh(np.cosh(y), np.sinh(y)), 0.0)
 
-    h = grid.h
+    h = np.diff(x)
     wf = _face_weights(w)
     a = (3.0 - b) * wf / h                      # face conductances
-    q = b * w[1:-1] * grid.hbar
+    q = b * w[1:-1] * (0.5 * (h[:-1] + h[1:]))
 
     diag = a[:-1] + a[1:] + q
     off = -a[1:-1]
@@ -211,16 +180,17 @@ def solve_euler_lagrange(
 
     vfull = np.concatenate(([0.0], v, [0.0]))
     flux = wf * np.diff(vfull) / h
-    flux0 = _extrapolate_to(0.0, grid.mid0, flux[:3])
-    flux1 = _extrapolate_to(1.0, grid.mid1, flux[-3:])
+    head, tail = x[:4], x[-4:]                  # the three face midpoints at each end
+    flux0 = _extrapolate_to(0.0, 0.5 * (head[:-1] + head[1:]), flux[:3])
+    flux1 = _extrapolate_to(1.0, 0.5 * (tail[:-1] + tail[1:]), flux[-3:])
     return ELSolution(
-        b=b, beta=beta, grid=grid.x[1:-1], v=v,
+        b=b, beta=beta, grid=x[1:-1], v=v,
         flux0=flux0, flux1=flux1, singular_weight=graded,
     )
 
 
-def _j_bvp_value(b: float, beta: float, n: int, grid: Optional[BVPGrid] = None) -> float:
-    sol = solve_euler_lagrange(b, beta, n, grid=grid)
+def _j_bvp_value(b: float, beta: float, n: int) -> float:
+    sol = solve_euler_lagrange(b, beta, n)
     return 0.5 * (3.0 - b) * (sol.flux1 - sol.flux0)
 
 
@@ -301,56 +271,25 @@ def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     )
 
 
-@lru_cache(maxsize=262144)
-def _compute_j_cached(b: float, beta: float, n: int) -> tuple[float, str, float]:
-    if abs(b - 3.0) <= 1e-12:
-        # At b = 3 the gradient penalty vanishes: thin layers at the endpoints
-        # drive the weighted mass of u to zero at no cost, so J = 0.  The
-        # direct-minimization refinement sequence is the guard for this value.
-        return 0.0, "SPECIAL_B3", 0.0
-    res = compute_j_bvp(b, beta, n)
-    if WeightProfile(beta).degenerate and res.error_estimate > _SINGULAR_FLUX_TOL:
-        # Degenerate weight with fluxes disagreeing across refinements: fall
-        # back to the variational route, which needs no flux extrapolation.
-        res = compute_j_direct(b, beta, n)
-    return res.value, res.method, res.error_estimate
-
-
-def compute_j(
-    b: float, beta: float, n: int = _DEFAULT_N, *, grid: Optional[BVPGrid] = None
-) -> JResult:
+def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     """J(b, beta) for b in (1, 3] and |beta| <= (e+1)/(e-1).
 
     Dispatch: b = 3 is exact (J = 0); otherwise the BVP flux value at the
     given grid size with a Richardson error estimate, falling back to direct
     minimization when a degenerate weight spoils the flux extrapolation.
-
-    Passing ``grid``, the uniform ``BVPGrid`` of n cells, asks for the value
-    alone: it is solved on that grid, without the Richardson companion and
-    outside the cache, and ``error_estimate`` is NaN until
-    ``with_error_estimate`` supplies it.  b = 3 and the degenerate weight,
-    whose value depends on its error estimate, are computed in full.
     """
     _check_params(b, beta, b_open_top=False)
-    key = float(b), float(beta), int(n)
-    if grid is None or abs(key[0] - 3.0) <= 1e-12 or WeightProfile(beta).degenerate:
-        value, method, err = _compute_j_cached(*key)
-    else:
-        value, method, err = _j_bvp_value(*key, grid), "BVP_FLUX", math.nan
-    return JResult(b=b, beta=beta, value=value, method=method, error_estimate=err)
-
-
-def with_error_estimate(res: JResult, n: int) -> JResult:
-    """``res`` with its Richardson error estimate, the result
-    ``compute_j(res.b, res.beta, n)`` gives.
-
-    A value-only result of ``compute_j`` gets the estimate from the one
-    companion solve; a result that has its estimate is returned as it is.
-    """
-    if not math.isnan(res.error_estimate):
-        return res
-    err = _richardson_error(_j_bvp_value, float(res.b), float(res.beta), int(n), res.value)
-    return replace(res, error_estimate=err)
+    if abs(b - 3.0) <= 1e-12:
+        # At b = 3 the gradient penalty vanishes: thin layers at the endpoints
+        # drive the weighted mass of u to zero at no cost, so J = 0.  The
+        # direct-minimization refinement sequence is the guard for this value.
+        return JResult(b=b, beta=beta, value=0.0, method="SPECIAL_B3", error_estimate=0.0)
+    res = compute_j_bvp(b, beta, n)
+    if WeightProfile(beta).degenerate and res.error_estimate > _SINGULAR_FLUX_TOL:
+        # Degenerate weight with fluxes disagreeing across refinements: fall
+        # back to the variational route, which needs no flux extrapolation.
+        res = compute_j_direct(b, beta, n)
+    return res
 
 
 def _gauss(points: int):

@@ -80,7 +80,7 @@ class TestComputeBetaB:
         # A step in F at beta = 1 with band 1e-2 everywhere: F(hi) = 1 clears
         # the band, and F(lo) must clear it too for the crossing to count.
         # At b = 2, F = beta^2 + 2 (J - 1) and band = 2 * error_estimate.
-        def fake(b, beta, n, grid=None):
+        def fake(b, beta, n):
             f = 1.0 if beta >= 1.0 else f_below
             return JResult(b=b, beta=beta, value=1.0 + 0.5 * (f - beta * beta),
                            method="BVP_FLUX", error_estimate=5e-3)
@@ -121,46 +121,57 @@ class TestComputeBetaB:
         assert res.status == STATUS_INFINITE
         assert (res.f_lo, res.band_lo, res.f_hi, res.band_hi) == (None,) * 4
 
-    def test_search_leaves_full_results_in_cache(self):
-        # The scan's values are computed without their error band; none of
-        # them may be served later as a full compute_j result.
-        beta = float(np.linspace(0.0, BETA_MAX, 256)[100])
-        variational._compute_j_cached.cache_clear()
-        compute_beta_b(2.0)
-        warm = compute_j(2.0, beta)
-        variational._compute_j_cached.cache_clear()
-        cold = compute_j(2.0, beta)
-        assert not math.isnan(warm.error_estimate)
-        assert warm.error_estimate == cold.error_estimate
-        assert warm == cold
-
     def test_solves_per_threshold(self, monkeypatch):
         # Work-count guard: the search decides 263 signs (256 scan points, 7
-        # bisection steps).  The spectral enclosure proves all but a few near
-        # the crossing and the top of the bracket; those, the two bracket
-        # ends and their Richardson companions are solved: 12 at b = 2.
-        # Solving every point took 266, and 526 with a companion each.
-        # b = 2's degenerate point beta = BETA_MAX is solved, by the BVP
-        # route, in full: two solves.
-        calls = []
-        solve = variational.spd_solve
+        # bisection steps).  The floor J >= 0 proves the top of the bracket,
+        # the degenerate point beta = BETA_MAX included, and the spectral
+        # enclosure all but a few near the crossing; those and the two
+        # bracket ends are solved, each at n and at n/2 for its Richardson
+        # companion.  Solving every point took 266, and 526 with a companion
+        # each.
+        calls, betas = [], []
+        solve, j = variational.spd_solve, threshold.compute_j
 
         def counting(*args):
             calls.append(1)
             return solve(*args)
 
+        def recording(b, beta, n):
+            betas.append(beta)
+            return j(b, beta, n)
+
         monkeypatch.setattr(variational, "spd_solve", counting)
-        variational._compute_j_cached.cache_clear()
+        monkeypatch.setattr(threshold, "compute_j", recording)
         res = compute_beta_b(2.0)
         solves = len(calls)
         assert res.status == STATUS_FINITE
         assert solves <= 16
-        # One solve per solved point, one companion per bracket end, and one
-        # more for the degenerate point's own companion.
-        assert compute_j(2.0, BETA_MAX).method == "BVP_FLUX"
-        assert solves == res.solved_points + 2 + 1
+        assert solves == 2 * res.solved_points
+        assert BETA_MAX not in betas
         assert 240 <= res.screened_points <= 263
         assert 0.0 <= res.max_gap <= 1e-4
+
+    @pytest.mark.parametrize("b", [1.3, 2.0, 2.9])
+    def test_floor_settles_top_of_bracket(self, monkeypatch, b):
+        # F >= beta^2 - 2/(b-1) (E + b/2) for the BVP value of J, which lies
+        # within the margin E of J >= 0; no beta above that root is solved.
+        betas = []
+        j = threshold.compute_j
+
+        def recording(b, beta, n):
+            betas.append(beta)
+            return j(b, beta, n)
+
+        monkeypatch.setattr(threshold, "compute_j", recording)
+        assert compute_beta_b(b).status == STATUS_FINITE
+        floor_from = (b + 2.0 * threshold._SCREEN_MARGIN) / (b - 1.0)
+        assert betas and all(beta * beta < floor_from for beta in betas)
+
+    @pytest.mark.parametrize("b", [1.28, 2.0, 2.9, 2.9999])
+    def test_degenerate_value_nonnegative(self, b):
+        # The floor's assumption at the degenerate point, which no margin
+        # test reaches: the value compute_j returns there is >= 0.
+        assert compute_j(b, BETA_MAX).value >= 0.0
 
     def test_search_counts_without_solves(self):
         infinite = compute_beta_b(1.0005)
@@ -180,18 +191,16 @@ class TestComputeBetaB:
 
 
 def _unscreened_beta_b(b, tol=1e-4, scan_points=256, n=4096):
-    # The search without the enclosure, written out as the oracle: every
-    # scan point and bisection midpoint solved on the search grid, the error
-    # band at the two bracket ends.
-    grid = variational.BVPGrid(n)
-
+    # The search without the enclosure or the floor, written out as the
+    # oracle: compute_j at every scan point and bisection midpoint, the
+    # error band at the two bracket ends.
     def f(res):
         return res.beta * res.beta + 2.0 / (b - 1.0) * (res.value - 0.5 * b)
 
     def band(res):
-        return 2.0 / (b - 1.0) * variational.with_error_estimate(res, n).error_estimate
+        return 2.0 / (b - 1.0) * res.error_estimate
 
-    scan = [compute_j(b, float(t), n, grid=grid) for t in np.linspace(0.0, BETA_MAX, scan_points)]
+    scan = [compute_j(b, float(t), n) for t in np.linspace(0.0, BETA_MAX, scan_points)]
     fvals = np.array([f(res) for res in scan])
     nonneg = np.flatnonzero(fvals >= 0.0)
     if nonneg.size == 0:
@@ -202,7 +211,7 @@ def _unscreened_beta_b(b, tol=1e-4, scan_points=256, n=4096):
         return dict(status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
     lo, hi = scan[i - 1], scan[i]
     while hi.beta - lo.beta > tol:
-        mid = compute_j(b, 0.5 * (lo.beta + hi.beta), n, grid=grid)
+        mid = compute_j(b, 0.5 * (lo.beta + hi.beta), n)
         if f(mid) >= 0.0:
             hi = mid
         else:
@@ -219,9 +228,10 @@ class TestScreenedSearch:
     # sweeps, 1.01007 its sign-reversal row, 1.0100 the FINITE onset.  The
     # BVP is least accurate at the ends of the b range: 1.00001, where
     # 2/(b-1) amplifies its error, and 2.9999, whose endpoint layers are
-    # narrower than the grid.
+    # narrower than the grid.  The floor J >= 0 first reaches BETA_MAX
+    # between 1.27 and 1.28.
     @pytest.mark.parametrize("b", [1.00001, 1.0100, 1.01007, 1.011, 1.0403414285714285,
-                                   1.5, 2.0, 2.9, 2.9999, 3.0])
+                                   1.27, 1.28, 1.5, 2.0, 2.9, 2.9999, 3.0])
     def test_equals_unscreened_search(self, b):
         res = compute_beta_b(b)
         want = BetaBResult(b=b, **_unscreened_beta_b(b))

@@ -18,7 +18,7 @@ from bfamily import (
 )
 from bfamily import threshold
 from bfamily import variational as vmod
-from bfamily.variational import BVPGrid, SpectralJ, with_error_estimate
+from bfamily.variational import SpectralJ
 
 E = math.e
 COSH1 = math.cosh(1.0)
@@ -175,19 +175,15 @@ class TestComputeJ:
                            error_estimate=1.0)
 
         monkeypatch.setattr(vmod, "compute_j_bvp", fake_bvp)
-        vmod._compute_j_cached.cache_clear()
-        try:
-            res = vmod.compute_j(2.0, BETA_MAX)
-            assert res.method == "DIRECT_MIN"
-            regular = vmod.compute_j(2.0, 1.0)
-            assert regular.method == "BVP_FLUX" and regular.value == 123.0
-        finally:
-            vmod._compute_j_cached.cache_clear()
+        res = vmod.compute_j(2.0, BETA_MAX)
+        assert res.method == "DIRECT_MIN"
+        regular = vmod.compute_j(2.0, 1.0)
+        assert regular.method == "BVP_FLUX" and regular.value == 123.0
 
 
 def _per_call_j(b, beta, n):
-    # The BVP value with every array rebuilt from the nodes on each call,
-    # written out as the reference for the shared search grid.
+    # The BVP value on the uniform grid, every array written out from the
+    # nodes, as the reference for solve_euler_lagrange's assembly.
     x = np.linspace(0.0, 1.0, n + 1)
     y = x - 0.5
     w = np.maximum((np.cosh(y) + beta * np.sinh(y)) / (2.0 * math.sinh(0.5)), 0.0)
@@ -205,31 +201,15 @@ def _per_call_j(b, beta, n):
 
 
 class TestSearchGrid:
-    # A threshold search builds one BVPGrid and asks compute_j for values
-    # alone; they must be the bits of the full, per-call computation.
+    # The values the threshold search takes from compute_j must be the bits
+    # of the written-out assembly.
     @pytest.mark.parametrize("n", [64, 4096])
     @pytest.mark.parametrize("beta", [-BETA_MAX + 1e-8, -1.0, 0.0, 0.5, BETA_MAX - 1e-8])
     def test_value_only_bit_identical(self, n, beta):
-        grid = BVPGrid(n)
         for b in (1.01, 2.0, 2.9):
             full = compute_j_bvp(b, beta, n)
-            value_only = compute_j(b, beta, n, grid=grid)
-            assert value_only.value == full.value == _per_call_j(b, beta, n)
-            assert value_only.method == "BVP_FLUX"
-            assert math.isnan(value_only.error_estimate)
-            assert with_error_estimate(value_only, n) == full
-
-    @pytest.mark.parametrize("b, beta", [(2.0, BETA_MAX), (3.0, 0.7)])
-    def test_full_where_value_needs_estimate(self, b, beta):
-        # The degenerate weight picks its route from the error estimate, and
-        # b = 3 is exact: both come back complete.
-        res = compute_j(b, beta, 256, grid=BVPGrid(256))
-        assert res == compute_j(b, beta, 256)
-        assert with_error_estimate(res, 256) is res
-
-    def test_grid_size_must_match(self):
-        with pytest.raises(ValueError):
-            compute_j(2.0, 0.5, 128, grid=BVPGrid(256))
+            assert full.value == _per_call_j(b, beta, n)
+            assert compute_j(b, beta, n) == full
 
 
 class TestFaceWeights:
@@ -288,12 +268,11 @@ class TestSpectralEnclosure:
     @pytest.mark.parametrize("b", [1.01, 1.3, 2.0, 2.9])
     def test_bvp_error_far_inside_screen_margin(self, b):
         # The threshold screen widens the enclosure by a fixed J margin; the
-        # search grid's BVP values must lie within a tenth of it at the 255
+        # search's BVP values must lie within a tenth of it at the 255
         # non-degenerate scan points.
         margin = threshold._SCREEN_MARGIN
         betas = np.linspace(0.0, BETA_MAX, 256)[:-1]
-        grid = BVPGrid(4096)
-        bvp = np.array([compute_j(b, float(t), 4096, grid=grid).value for t in betas])
+        bvp = np.array([compute_j(b, float(t), 4096).value for t in betas])
         spec = SpectralJ(b)
         upper, lower = spec.upper(betas), spec.lower(betas)
         assert np.sum(np.isfinite(lower)) >= 250
