@@ -77,14 +77,7 @@ class WeightProfile:
         which is what boundary-value solvers on (0, 1) need.
         """
         y = np.asarray(x, dtype=np.float64) - 0.5
-        return self.from_cosh_sinh(np.cosh(y), np.sinh(y))
-
-    def from_cosh_sinh(self, cosh_y, sinh_y):
-        """``on_unit_interval`` from cosh(x - 1/2) and sinh(x - 1/2).
-
-        w is affine in beta, so one grid's hyperbolic values serve every beta.
-        """
-        return (cosh_y + self.beta * sinh_y) / _TWO_SINH_HALF
+        return (np.cosh(y) + self.beta * np.sinh(y)) / _TWO_SINH_HALF
 
     @property
     def degenerate(self) -> bool:

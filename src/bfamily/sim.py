@@ -11,7 +11,7 @@ of S back to u and u_x (2 inverse FFTs) and the two products forward (2
 FFTs); the u and u_x of a new step serve both its record and its first
 stage, so a step costs 16 FFTs.  Modes above the band never evolve: their
 physical part is computed once and added back for the CFL amplitude and the
-snapshots.
+final state.
 
 Blow-up here means wave breaking: the solution stays bounded while
 inf_x u_x runs to -infinity.  Detection is on min_x u_x crossing a large
@@ -100,7 +100,6 @@ class SimConfig:
     blowup_slope_threshold: float = 1e4
     dealias: bool = True
     max_steps: int = 2_000_000
-    max_snapshots: int = 128
 
     def __post_init__(self):
         if not 1.0 < self.b <= 3.0:
@@ -149,11 +148,7 @@ class Trajectory:
     mean_history: np.ndarray
     h1_history: np.ndarray
     tail_history: np.ndarray  # slope-field tail fraction, the resolution monitor
-    snapshots: list  # TorusField at coarsely spaced times, first and last included
-
-    @property
-    def final(self) -> TorusField:
-        return self.snapshots[-1]
+    final: TorusField  # the state at the stop time
 
 
 @dataclass(frozen=True)
@@ -280,8 +275,6 @@ def integrate(
     """
     n = u0.n
     stepper = _Stepper(n, cfg.b, cfg.dealias)
-    deriv = stepper.deriv
-    k_active = stepper.k
 
     spec = u0.spectrum()
     above = spec.copy()
@@ -292,95 +285,64 @@ def integrate(
     t = float(u0.time)
     t_end = t + cfg.t_max
 
-    times = []
-    slope_hist = []
-    mean_hist = []
-    h1_hist = []
-    tail_hist = []
-    snapshots = [TorusField(values=u0.values.copy(), time=t)]
-    snap_dt = cfg.t_max / max(cfg.max_snapshots - 1, 1)
-    next_snap = t + snap_dt
+    k_lo = int(math.ceil(2.0 * stepper.k / 3.0))
+    rows = []  # (t, min u_x, mean u, mean(u^2 + u_x^2), tail fraction)
 
-    k_lo = int(math.ceil(2.0 * k_active / 3.0))
-
-    def record(cur_t):
-        energy = np.abs(spec[1:] * deriv[1:]) ** 2
+    def record():
+        energy = np.abs(spec[1:] * stepper.deriv[1:]) ** 2
         total = float(energy.sum())
         tail = float(energy[k_lo - 1 :].sum()) / total if total > 0.0 else 0.0
-        min_slope = float(ux.min())
-        times.append(cur_t)
-        slope_hist.append((cur_t, min_slope))
-        mean_hist.append(float(u.mean()))
-        h1_hist.append(float(np.mean(u * u + ux * ux)))
-        tail_hist.append(tail)
-        return min_slope, tail
+        rows.append((t, float(ux.min()), float(u.mean()),
+                     float(np.mean(u * u + ux * ux)), tail))
 
-    initial_min_slope, _ = record(t)
-
-    detected = False
-    t_detect = None
-    t_stop = None
-    resolution_loss = False
+    record()
     stop_reason = "t_max"
-
-    def breaking_time_estimate(cur_t, min_slope):
-        return cur_t + 2.0 / ((cfg.b - 1.0) * abs(min_slope))
-
     steps = 0
     dt_min = dt_max = None
     while t < t_end - 1e-14:
         amp = float(np.max(np.abs(u + hi)))
         if not math.isfinite(amp) or amp > _OVERFLOW_LIMIT:
             stop_reason = "overflow"
-            last_slope = slope_hist[-1][1]
-            detected = _classify_tail_stop(last_slope, initial_min_slope)
-            resolution_loss = not detected
-            if detected:
-                t_detect = t_stop = t
             break
-        dt = cfg.cfl / (n * max(amp, 1e-12))
-        dt = min(dt, t_end - t)
+        dt = min(cfg.cfl / (n * max(amp, 1e-12)), t_end - t)
         spec = spec + stepper.increment(spec, dt, u, ux)
         u, ux = stepper.fields(spec)
         t += dt
         steps += 1
         dt_min = dt if dt_min is None else min(dt_min, dt)
         dt_max = dt if dt_max is None else max(dt_max, dt)
-
-        min_slope, tail = record(t)
-
-        if t >= next_snap - 1e-14 or t >= t_end - 1e-14:
-            snapshots.append(TorusField(values=u + hi, time=t))
-            while next_snap <= t + 1e-14:
-                next_snap += snap_dt
-
-        if min_slope < -cfg.blowup_slope_threshold:
-            detected = True
-            t_stop = t
-            t_detect = breaking_time_estimate(t, min_slope)
+        record()
+        if rows[-1][1] < -cfg.blowup_slope_threshold:
             stop_reason = "slope_threshold"
             break
-        if tail > _TAIL_LIMIT:
-            if _classify_tail_stop(min_slope, initial_min_slope):
-                detected = True
-                t_stop = t
-                t_detect = breaking_time_estimate(t, min_slope)
-                stop_reason = "tail_breaking"
-            else:
-                resolution_loss = True
-                stop_reason = "tail_resolution_loss"
+        if rows[-1][4] > _TAIL_LIMIT:
+            stop_reason = "tail"
             break
         if steps >= cfg.max_steps:
             stop_reason = "max_steps"
             break
 
-    if snapshots[-1].time < t - 1e-14:
-        snapshots.append(TorusField(values=u + hi, time=t))
+    # A threshold crossing is breaking; a tail or overflow stop is breaking
+    # only if the minimum slope has collapsed, and a resolution loss otherwise.
+    min_slope = rows[-1][1]
+    detected = stop_reason == "slope_threshold"
+    resolution_loss = False
+    if stop_reason in ("tail", "overflow"):
+        detected = _classify_tail_stop(min_slope, rows[0][1])
+        resolution_loss = not detected
+        if stop_reason == "tail":
+            stop_reason = "tail_breaking" if detected else "tail_resolution_loss"
+    t_stop = t_detect = None
+    if detected:
+        t_stop = t_detect = t
+        if stop_reason != "overflow":
+            t_detect += 2.0 / ((cfg.b - 1.0) * abs(min_slope))
 
+    history = np.asarray(rows)
     report = BlowupReport(
         detected=detected,
         t_detect=t_detect,
-        min_slope_history=np.asarray(slope_hist),
+        min_slope_history=history[:, :2],
         resolution_loss=resolution_loss,
         stop_reason=stop_reason,
         t_stop=t_stop,
@@ -392,11 +354,12 @@ def integrate(
         report.criterion_points = check_criterion(u0, beta_b)
         report.lifespan_bound = lifespan_bound(u0, cfg.b, beta_b)
 
+    final = u0.values.copy() if steps == 0 else u + hi
     trajectory = Trajectory(
-        times=np.asarray(times),
-        mean_history=np.asarray(mean_hist),
-        h1_history=np.asarray(h1_hist),
-        tail_history=np.asarray(tail_hist),
-        snapshots=snapshots,
+        times=history[:, 0],
+        mean_history=history[:, 2],
+        h1_history=history[:, 3],
+        tail_history=history[:, 4],
+        final=TorusField(values=final, time=t),
     )
     return trajectory, report

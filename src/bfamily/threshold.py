@@ -33,11 +33,10 @@ import numpy as np
 from .errors import BFamilyError, BOutOfRange
 from .estimates import EstimateResult, estimate1, estimate2, estimate3
 from .kernel import BETA_MAX
-from .variational import JResult, SpectralJ, compute_j
+from .variational import _DEFAULT_N, JResult, SpectralJ, compute_j
 
 _DEFAULT_TOL = 1e-4
 _DEFAULT_SCAN = 256
-_DEFAULT_N = 4096
 
 # J margin of the screen: a sign counts as known when the enclosure, widened
 # by this much, proves it.  The n = 4096 BVP value lies within 4e-6 of J at
@@ -78,7 +77,6 @@ class BetaBResult:
     status: str
     beta_b: Optional[float] = None
     uncertainty: Optional[float] = None
-    bracket: tuple = (0.0, BETA_MAX)
     sign_reversal_above: bool = False
     f_lo: Optional[float] = None
     band_lo: Optional[float] = None

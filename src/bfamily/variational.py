@@ -161,8 +161,7 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     profile = WeightProfile(beta)
     graded = profile.degenerate
     x = _nodes(n, graded)
-    y = x - 0.5
-    w = np.maximum(profile.from_cosh_sinh(np.cosh(y), np.sinh(y)), 0.0)
+    w = np.maximum(profile.on_unit_interval(x), 0.0)
 
     h = np.diff(x)
     wf = _face_weights(w)

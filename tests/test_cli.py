@@ -294,6 +294,14 @@ class TestSimulate:
         assert code == 1
 
 
+def _checkout_env():
+    # A child interpreter imports bfamily from this checkout, as pytest does
+    # (pyproject.toml puts src/ on its path), installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 class TestConsoleScript:
     @pytest.mark.skipif(
         shutil.which("bfamily") is None,
@@ -319,7 +327,7 @@ class TestConsoleScript:
             [sys.executable, "-c",
              "import sys; from bfamily.cli import main; sys.exit(main())",
              "j", "--b", "3", "--beta", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_checkout_env(),
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["method"] == "SPECIAL_B3"
@@ -327,7 +335,7 @@ class TestConsoleScript:
     def test_python_m_bfamily(self):
         out = subprocess.run(
             [sys.executable, "-m", "bfamily", "j", "--b", "3", "--beta", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_checkout_env(),
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["method"] == "SPECIAL_B3"

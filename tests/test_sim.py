@@ -188,10 +188,35 @@ class TestIntegrate:
 
     def test_snapshot_bookkeeping(self):
         u0 = TorusField.cosine(0.2, 256)
-        traj, _ = integrate(u0, SimConfig(b=2.0, t_max=0.1))
-        assert traj.snapshots[0].time == 0.0
-        assert traj.snapshots[-1].time == pytest.approx(0.1, abs=1e-12)
-        assert len(traj.times) == len(traj.mean_history) == len(traj.h1_history)
+        traj, rep = integrate(u0, SimConfig(b=2.0, t_max=0.1))
+        assert traj.final.time == pytest.approx(0.1, abs=1e-12)
+        lengths = {len(traj.times), len(traj.mean_history), len(traj.h1_history),
+                   len(traj.tail_history), len(rep.min_slope_history)}
+        assert lengths == {rep.steps + 1}
+
+    def test_slope_threshold_stop(self):
+        # With threshold 50 the tail monitor trips first; 20 is crossed at
+        # step 138, while the spectrum is still resolved.
+        cfg = SimConfig(b=2.0, t_max=1.0, blowup_slope_threshold=20.0)
+        traj, rep = integrate(TorusField.cosine(1.0, 256), cfg)
+        assert rep.stop_reason == "slope_threshold"
+        assert rep.detected and not rep.resolution_loss
+        t_last, slope_last = rep.min_slope_history[-1]
+        assert slope_last < -20.0
+        assert rep.t_stop == t_last == traj.times[-1]
+        assert rep.t_detect == rep.t_stop + 2.0 / ((cfg.b - 1.0) * abs(slope_last))
+
+    def test_overflow_stop(self):
+        # max|u0| exceeds the overflow limit, so the run stops before a step.
+        u0 = TorusField.cosine(1e9, 128)
+        traj, rep = integrate(u0, SimConfig(b=2.0, t_max=1.0))
+        assert rep.stop_reason == "overflow"
+        assert rep.steps == 0
+        assert not rep.detected and rep.resolution_loss
+        assert rep.t_stop is None and rep.t_detect is None
+        assert np.array_equal(traj.final.values, u0.values)
+        assert traj.final.values is not u0.values
+        assert traj.final.time == u0.time
 
 
 def _physical_rk4(vals, b, cfl, steps, dealias):
@@ -228,7 +253,7 @@ class TestFourierStateOracle:
     @pytest.mark.parametrize("high_mode", [0.0, 1e-4])
     def test_integrate_matches_physical_rk4(self, dealias, high_mode):
         # k = 100 lies above n/3 = 85: with dealiasing it never evolves but
-        # still sets dt and shows in the snapshots; without, it evolves.
+        # still sets dt and shows in the final state; without, it evolves.
         n, steps = 256, 40
         x = np.arange(n) / n
         vals = 0.8 * np.cos(2.0 * np.pi * x) + high_mode * np.cos(2.0 * np.pi * 100 * x)
