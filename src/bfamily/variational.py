@@ -177,11 +177,12 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
             f"tridiagonal system singular at b={b}, beta={beta}, n={n}"
         ) from exc
 
-    vfull = np.concatenate(([0.0], v, [0.0]))
-    flux = wf * np.diff(vfull) / h
+    # Fluxes wf (v_{i+1} - v_i) / h_i on the three faces at each end, v(0) = v(1) = 0.
     head, tail = x[:4], x[-4:]                  # the three face midpoints at each end
-    flux0 = _extrapolate_to(0.0, 0.5 * (head[:-1] + head[1:]), flux[:3])
-    flux1 = _extrapolate_to(1.0, 0.5 * (tail[:-1] + tail[1:]), flux[-3:])
+    flux_head = wf[:3] * np.diff(v[:3], prepend=0.0) / h[:3]
+    flux_tail = wf[-3:] * np.diff(v[-3:], append=0.0) / h[-3:]
+    flux0 = _extrapolate_to(0.0, 0.5 * (head[:-1] + head[1:]), flux_head)
+    flux1 = _extrapolate_to(1.0, 0.5 * (tail[:-1] + tail[1:]), flux_tail)
     return ELSolution(
         b=b, beta=beta, grid=x[1:-1], v=v,
         flux0=flux0, flux1=flux1, singular_weight=graded,

@@ -14,6 +14,7 @@ from bfamily import (
     rhs,
     step,
 )
+from bfamily.kernel import dp_multiplier
 
 TWO_SINH_HALF = 2.0 * math.sinh(0.5)
 
@@ -265,19 +266,132 @@ class TestFourierStateOracle:
         assert np.abs(traj.final.values - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fft_count_per_step(self, monkeypatch):
-        calls = []
+        rows = []  # rows transformed by each call
         for name in ("rfft", "irfft"):
             fn = getattr(np.fft, name)
 
-            def counted(*args, _fn=fn, **kwargs):
-                calls.append(1)
-                return _fn(*args, **kwargs)
+            def counted(a, *args, _fn=fn, **kwargs):
+                rows.append(1 if np.ndim(a) == 1 else np.shape(a)[0])
+                return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         traj, rep = integrate(TorusField.cosine(1.0, 256), SimConfig(b=2.0, t_max=0.5))
         steps = len(traj.times) - 1
         assert steps > 100
-        assert len(calls) <= 16 * steps + 8  # the physical-space RK4 made 27 per step
+        # One batched call per direction and RK4 stage; the physical-space
+        # RK4 made 27 single-row calls per step, one call per row made 16.
+        assert len(rows) <= 8 * steps + 8
+        assert sum(rows) <= 16 * steps + 8
+
+
+class _SingleTransformStepper:
+    # The spectral RK4 with one transform per row, written out as the
+    # reference for the paired transforms: 2 irfft + 2 rfft per stage.
+    def __init__(self, n, b, dealias):
+        self.n, self.b = n, b
+        self.band = slice(0, (n // 3 if dealias else n // 2) + 1)
+        k = np.arange(n // 2 + 1, dtype=np.float64)
+        deriv = 2.0j * np.pi * k
+        deriv[-1] = 0.0
+        self.deriv = deriv[self.band]
+        self.dp_mult = dp_multiplier(n)[self.band]
+
+    def fields(self, spec):
+        return np.fft.irfft(spec, self.n), np.fft.irfft(spec * self.deriv, self.n)
+
+    def tendency(self, u, ux):
+        b = self.b
+        adv = np.fft.rfft(u * ux)[self.band]
+        quad = np.fft.rfft(0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux)[self.band]
+        return -adv - self.dp_mult * quad
+
+    def increment(self, spec, dt, u, ux):
+        k1 = self.tendency(u, ux)
+        k2 = self.tendency(*self.fields(spec + 0.5 * dt * k1))
+        k3 = self.tendency(*self.fields(spec + 0.5 * dt * k2))
+        k4 = self.tendency(*self.fields(spec + dt * k3))
+        return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _with_high_mode(n, high_mode):
+    # Mode 100 n/256 lies above the band n/3 with dealiasing.
+    x = np.arange(n) / n
+    return (0.8 * np.cos(2.0 * np.pi * x)
+            + high_mode * np.cos(2.0 * np.pi * (100 * n // 256) * x))
+
+
+def _single_transform_run(vals, b, cfl, steps, dealias):
+    # integrate's loop and history rows on the single-transform stepper, for
+    # a run that takes exactly ``steps`` steps.
+    n = vals.size
+    st = _SingleTransformStepper(n, b, dealias)
+    spec = np.fft.rfft(vals)
+    above = spec.copy()
+    above[st.band] = 0.0
+    hi = np.fft.irfft(above, n)
+    spec = spec[st.band]
+    u, ux = st.fields(spec)
+    k_lo = int(math.ceil(2.0 * (st.band.stop - 1) / 3.0))
+    t, rows = 0.0, []
+
+    def record():
+        energy = np.abs(spec[1:] * st.deriv[1:]) ** 2
+        tail = float(energy[k_lo - 1 :].sum()) / float(energy.sum())
+        rows.append((t, float(ux.min()), float(u.mean()),
+                     float(np.mean(u * u + ux * ux)), tail))
+
+    record()
+    for _ in range(steps):
+        dt = cfl / (n * float(np.max(np.abs(u + hi))))
+        spec = spec + st.increment(spec, dt, u, ux)
+        u, ux = st.fields(spec)
+        t += dt
+        record()
+    return np.asarray(rows), u + hi
+
+
+class TestPairedTransforms:
+    # Batching the transforms two rows per call must not move a bit.
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("high_mode", [0.0, 1e-4])
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_integrate_bit_identical(self, n, high_mode, dealias):
+        steps = 40
+        vals = _with_high_mode(n, high_mode)
+        want_rows, want_final = _single_transform_run(vals, 2.5, 0.3, steps, dealias)
+        cfg = SimConfig(b=2.5, t_max=1.0, dealias=dealias, max_steps=steps)
+        traj, rep = integrate(TorusField(vals), cfg)
+        assert rep.stop_reason == "max_steps"
+        got = (traj.times, rep.min_slope_history[:, 1], traj.mean_history,
+               traj.h1_history, traj.tail_history)
+        for col, got_col in enumerate(got):
+            assert np.array_equal(got_col, want_rows[:, col]), col
+        assert np.array_equal(traj.final.values, want_final)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_step_and_rhs_bit_identical(self, n, dealias):
+        vals = _with_high_mode(n, 1e-4)
+        u = TorusField(vals, time=0.25)
+        st = _SingleTransformStepper(n, 2.5, dealias)
+        spec = u.spectrum()[st.band]
+        dt = 1e-3
+        want_step = vals + np.fft.irfft(st.increment(spec, dt, *st.fields(spec)), n)
+        want_rhs = np.fft.irfft(st.tendency(*st.fields(spec)), n)
+        stepped = step(u, 2.5, dt, dealias=dealias)
+        assert np.array_equal(stepped.values, want_step)
+        assert stepped.time == 0.25 + dt
+        assert np.array_equal(rhs(u, 2.5, dealias=dealias).values, want_rhs)
+
+    def test_results_share_no_memory(self):
+        u = TorusField.cosine(0.5, 256)
+        s1, s2 = step(u, 2.0, 1e-3), step(u, 2.0, 1e-3)
+        r1, r2 = rhs(u, 2.0), rhs(u, 2.0)
+        traj, _ = integrate(u, SimConfig(b=2.0, t_max=0.05))
+        outs = [s1.values, s2.values, r1.values, r2.values, traj.final.values, u.values]
+        for i, a in enumerate(outs):
+            for other in outs[i + 1 :]:
+                assert not np.shares_memory(a, other)
 
 
 class TestStepReversal:
