@@ -26,7 +26,7 @@ from . import estimates as est_mod
 from . import sim as sim_mod
 from . import threshold as thr_mod
 from .errors import BFamilyError
-from .variational import compute_j, compute_j_bvp, compute_j_direct
+from .variational import _DEFAULT_N, compute_j, compute_j_bvp, compute_j_direct
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -308,7 +308,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("j", help="compute the variational constant J(b, beta)")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--grid", type=int, default=_DEFAULT_N)
     p.add_argument("--method", choices=["auto", "bvp", "direct"], default="auto")
     p.add_argument("--json", help="also write the JSON result to this path")
     p.set_defaults(fn=_cmd_j)
@@ -316,7 +316,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("beta-b", help="compute the blow-up threshold")
     p.add_argument("--b", type=float)
     p.add_argument("--sweep", help="b range as min:max:steps (inclusive)")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=thr_mod._DEFAULT_TOL)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(fn=_cmd_beta_b)
 
@@ -336,7 +336,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--slope-threshold", type=float, default=1e4)
     p.add_argument("--no-dealias", action="store_true")
     p.add_argument("--beta-b", type=float, help="use this threshold value directly")
-    p.add_argument("--beta-b-tol", type=float, default=1e-4)
+    p.add_argument("--beta-b-tol", type=float, default=thr_mod._DEFAULT_TOL)
     p.add_argument("--criterion-beta", choices=["numeric", "estimate"], default="numeric",
                    help="threshold source for the criterion check")
     p.add_argument("--out", help="output stem for report/series/manifest files")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BOutOfRange
+from .errors import BOutOfRange, NoConvergence
 from .kernel import BETA_MAX
 from .legendre import degree_upsilon, legendre_ratio
 
@@ -120,10 +120,18 @@ def estimate3(b: float) -> EstimateResult:
     """Bound through the Legendre logarithmic derivative at cosh(1).
 
     At b = 3 the Legendre term carries a vanishing (3-b) factor, so the bound
-    reduces to sqrt(3/2) without evaluating the (singular) degree map.
+    reduces to sqrt(3/2) without evaluating the (singular) degree map.  Just
+    below b = 3 the degree exceeds ~1200 and the Legendre series overflows;
+    there the bound is reported as unavailable, not raised.
     """
     _check_b(b)
-    radicand = _e3_radicand(b)
+    try:
+        radicand = _e3_radicand(b)
+    except NoConvergence:
+        return EstimateResult(
+            b=b, bound=None, method="E3", valid=False,
+            threshold_note="Legendre series did not converge",
+        )
     if radicand < 0.0:
         return EstimateResult(
             b=b, bound=None, method="E3", valid=False,

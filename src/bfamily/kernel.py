@@ -54,6 +54,12 @@ def eval_w(beta: float, x):
     return (np.cosh(y) + beta * np.sinh(y)) / _TWO_SINH_HALF
 
 
+def is_degenerate(beta):
+    """Whether w = p + beta*p' vanishes at an endpoint, |beta| within 1e-9 of
+    (e+1)/(e-1); elementwise for an array of beta."""
+    return abs(abs(beta) - BETA_MAX) <= 1e-9
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """The weight w = p + beta*p' on (0, 1), with |beta| <= (e+1)/(e-1).
@@ -82,7 +88,7 @@ class WeightProfile:
     @property
     def degenerate(self) -> bool:
         """True when the weight vanishes at an endpoint (|beta| at the limit)."""
-        return abs(abs(self.beta) - BETA_MAX) <= 1e-9
+        return is_degenerate(self.beta)
 
 
 def trig_polynomial(cos_coeffs, sin_coeffs, x):

@@ -36,12 +36,11 @@ from .kernel import BETA_MAX
 from .variational import _DEFAULT_N, JResult, SpectralJ, compute_j
 
 _DEFAULT_TOL = 1e-4
-_DEFAULT_SCAN = 256
+_SCAN_POINTS = 256
 
 # J margin of the screen: a sign counts as known when the enclosure, widened
 # by this much, proves it.  The n = 4096 BVP value lies within 4e-6 of J at
-# every non-degenerate scan point; its error is second order in 1/n, so a
-# coarser search grid widens the margin by (4096/n)^2.
+# every non-degenerate scan point.
 _SCREEN_MARGIN = 1e-4
 
 STATUS_FINITE = "FINITE"
@@ -65,9 +64,8 @@ class BetaBResult:
     ``solved_points`` counts the betas whose J the search took from
     ``compute_j``: the scan and bisection points the floor and the spectral
     enclosure left open and the two bracket ends (none at b = 3).  Each
-    costs two tridiagonal solves, on n cells and on n/2 for its Richardson
-    companion; the degenerate point beta = BETA_MAX costs four when it
-    falls back to the direct route.  ``screened_points`` counts the scan and
+    costs two tridiagonal solves, on 4096 cells and on 2048 for its
+    Richardson companion.  ``screened_points`` counts the scan and
     bisection points whose sign the floor or the enclosure proved, and
     ``max_gap`` is the largest enclosure gap such a proof used (None when no
     proof used a lower bound).  The CLI writes none of these fields.
@@ -87,9 +85,9 @@ class BetaBResult:
     max_gap: Optional[float] = None
 
 
-def f_discriminant(b: float, beta: float, n: int = _DEFAULT_N) -> float:
+def f_discriminant(b: float, beta: float) -> float:
     """F(b, beta) = beta^2 + (2/(b-1)) (J(b, beta) - b/2)."""
-    return _f(b, compute_j(b, beta, n))
+    return _f(b, compute_j(b, beta))
 
 
 def _f(b: float, res: JResult) -> float:
@@ -101,16 +99,14 @@ def _band(b: float, res: JResult) -> float:
 
 
 class _Search:
-    """The signs of F at one b for the BVP value of J on n cells: proved by
-    the floor J >= 0 or the spectral enclosure where they can, solved where
-    they cannot.  Solved values are kept for the bracket ends."""
+    """The signs of F at one b for the BVP value of J: proved by the floor
+    J >= 0 or the spectral enclosure where they can, solved where they
+    cannot.  Solved values are kept for the bracket ends."""
 
-    def __init__(self, b: float, n: int):
+    def __init__(self, b: float):
         self.b = b
-        self.n = n
         # J(3, .) = 0 exactly and costs no solve; the dual needs b < 3.
         self.spec = None if abs(b - 3.0) <= 1e-12 else SpectralJ(b)
-        self.margin = _SCREEN_MARGIN * max(1.0, (_DEFAULT_N / n) ** 2)
         self.values = {}
         self.solved_points = 0
         self.screened_points = 0
@@ -119,7 +115,7 @@ class _Search:
     def j(self, beta: float) -> JResult:
         res = self.values.get(beta)
         if res is None:
-            res = self.values[beta] = compute_j(self.b, beta, self.n)
+            res = self.values[beta] = compute_j(self.b, beta, _DEFAULT_N)
             self.solved_points += res.method != "SPECIAL_B3"
         return res
 
@@ -140,16 +136,16 @@ class _Search:
         amp, half_b = 2.0 / (self.b - 1.0), 0.5 * self.b
         # J >= 0 because w >= 0: this floor proves F >= 0 with no dual, also
         # at the degenerate weight, where the dual gives no bound.
-        floor = betas * betas - amp * (self.margin + half_b) >= 0.0
+        floor = betas * betas - amp * (_SCREEN_MARGIN + half_b) >= 0.0
         known[floor] = 1
         upper = self.spec.upper(betas)
-        known[betas * betas + amp * (upper + self.margin - half_b) < 0.0] = -1
+        known[betas * betas + amp * (upper + _SCREEN_MARGIN - half_b) < 0.0] = -1
         # lower <= upper, so the dual can prove F >= 0 only where the upper
         # bound, less the margin, already gives it.
         rest = np.flatnonzero(
-            ~floor & (betas * betas + amp * (upper - self.margin - half_b) >= 0.0))
+            ~floor & (betas * betas + amp * (upper - _SCREEN_MARGIN - half_b) >= 0.0))
         lower = self.spec.lower(betas[rest])
-        proved = betas[rest] ** 2 + amp * (lower - self.margin - half_b) >= 0.0
+        proved = betas[rest] ** 2 + amp * (lower - _SCREEN_MARGIN - half_b) >= 0.0
         if proved.any():
             known[rest[proved]] = 1
             gap = float(np.max(upper[rest[proved]] - lower[proved]))
@@ -162,32 +158,25 @@ class _Search:
                     max_gap=self.max_gap)
 
 
-def compute_beta_b(
-    b: float,
-    tol: float = _DEFAULT_TOL,
-    scan_points: int = _DEFAULT_SCAN,
-    n: int = _DEFAULT_N,
-) -> BetaBResult:
-    """Locate beta_b by a uniform scan of F over the bracket plus bisection.
+def compute_beta_b(b: float, tol: float = _DEFAULT_TOL) -> BetaBResult:
+    """Locate beta_b by a uniform 256-point scan of F over the bracket plus
+    bisection.
 
     The crossing is FINITE only when both ends of the final bracket clear
     the propagated error band, F(lo) < -band(lo) and F(hi) >= band(hi);
     otherwise it is UNDETERMINED.  Each decision is the sign of F for the
-    BVP value of J on n cells, most of them proved without a solve (see the
-    module docstring).
+    BVP value of J on 4096 cells, most of them proved without a solve (see
+    the module docstring).
 
-    ``tol`` is the certified width of the crossing (>= 1e-6); ``scan_points``
-    the number of scan values (>= 64).
+    ``tol`` is the certified width of the crossing (>= 1e-6).
     """
     if not 1.0 < b <= 3.0:
         raise BOutOfRange(f"threshold is computed for b in (1, 3] (got b = {b})")
     if tol < 1e-6:
         raise ValueError(f"tol must be >= 1e-6 (got {tol})")
-    if scan_points < 64:
-        raise ValueError(f"scan_points must be >= 64 (got {scan_points})")
 
-    search = _Search(b, n)
-    betas = np.linspace(0.0, BETA_MAX, scan_points)
+    search = _Search(b)
+    betas = np.linspace(0.0, BETA_MAX, _SCAN_POINTS)
     signs = search.nonneg(betas)
 
     nonneg = np.flatnonzero(signs)
@@ -252,14 +241,7 @@ def sweep_grid(b_min: float, b_max: float, steps: int) -> list[float]:
     return np.linspace(b_min, b_max, steps).tolist()
 
 
-def sweep(
-    b_min: float,
-    b_max: float,
-    steps: int,
-    tol: float = _DEFAULT_TOL,
-    scan_points: int = _DEFAULT_SCAN,
-    n: int = _DEFAULT_N,
-) -> list[SweepRow]:
+def sweep(b_min: float, b_max: float, steps: int, tol: float = _DEFAULT_TOL) -> list[SweepRow]:
     """Independent compute_beta_b per b on an inclusive grid, ordered by b.
 
     A domain or solver failure at one b (``BFamilyError``, ``LinAlgError``) is
@@ -276,7 +258,7 @@ def sweep(
     rows = []
     for b in sweep_grid(b_min, b_max, steps):
         try:
-            result = compute_beta_b(b, tol=tol, scan_points=scan_points, n=n)
+            result = compute_beta_b(b, tol=tol)
             rows.append(
                 SweepRow(
                     b=b, result=result,

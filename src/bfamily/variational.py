@@ -14,8 +14,8 @@ independent routes are provided:
   piecewise-linear v vanishing at both endpoints and read off
   J = b/2 + T(v_min).
 
-The BVP route is the production path; the direct minimization is kept as an
-independent oracle and as a fallback when the weight degenerates.
+The BVP route is the production path, also at the degenerate weight; the
+direct minimization is kept as an independent oracle.
 
 ``compute_j_spectral`` encloses J between two spectral bounds (Prager and
 Synge's two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
@@ -51,11 +51,11 @@ from scipy.linalg.lapack import dptsv
 
 from .errors import BetaOutOfRange, BOutOfRange, LinearSolveFailure, NotCoercive
 from .kernel import (
-    BETA_MAX, WeightProfile, convolve_dp, convolve_p, eval_dp, eval_p, trig_polynomial,
+    BETA_MAX, WeightProfile, convolve_dp, convolve_p, eval_dp, eval_p, is_degenerate,
+    trig_polynomial,
 )
 
 _DEFAULT_N = 4096
-_SINGULAR_FLUX_TOL = 1e-6
 
 _SPECTRAL_MODES = 16  # Legendre modes K of both spectral bounds
 # A lower bound counts only where it agrees with itself under a doubled
@@ -99,6 +99,10 @@ def _check_params(b: float, beta: float, *, b_open_top: bool) -> None:
     else:
         if not 1.0 < b <= 3.0:
             raise BOutOfRange(f"requires 1 < b <= 3 (got b = {b})")
+    _check_beta(beta)
+
+
+def _check_beta(beta: float) -> None:
     if not abs(beta) <= BETA_MAX + 1e-12:
         raise BetaOutOfRange(f"|beta| = {abs(beta)} outside the weight bracket {BETA_MAX}")
 
@@ -128,6 +132,8 @@ def spd_solve(diag, off, rhs):
 
 
 def _nodes(n: int, graded: bool) -> np.ndarray:
+    if n < 64:
+        raise ValueError(f"need n >= 64 grid cells (got {n})")
     if graded:
         return 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
     return np.linspace(0.0, 1.0, n + 1)
@@ -156,8 +162,6 @@ def _extrapolate_to(x0: float, xs: np.ndarray, ys: np.ndarray) -> float:
 def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSolution:
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     _check_params(b, beta, b_open_top=True)
-    if n < 64:
-        raise ValueError(f"need n >= 64 grid cells (got {n})")
     profile = WeightProfile(beta)
     graded = profile.degenerate
     x = _nodes(n, graded)
@@ -219,11 +223,7 @@ def _j_direct_value(b: float, beta: float, n: int) -> float:
     # to the positive-definiteness check, which reports it as NotCoercive.
     if not b > 1.0:
         raise BOutOfRange(f"direct minimization requires b > 1 (got b = {b})")
-    if not abs(beta) <= BETA_MAX + 1e-12:
-        raise BetaOutOfRange(f"|beta| = {abs(beta)} outside the weight bracket {BETA_MAX}")
-    if n < 64:
-        raise ValueError(f"need n >= 64 grid cells (got {n})")
-
+    _check_beta(beta)
     profile = WeightProfile(beta)
     x = _nodes(n, profile.degenerate)
     h = np.diff(x)
@@ -262,7 +262,9 @@ def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
 
     Independent of the BVP route; also accepts b = 3, where the infimum is
     approached through endpoint boundary layers and the values decrease
-    toward it under refinement.
+    toward it under refinement.  At the degenerate weight it converges at
+    an order well below two, so its Richardson band there is not a bound:
+    it understates the error (about 57x at b = 2.5, n = 2^20).
     """
     value = _j_direct_value(b, beta, n)
     return JResult(
@@ -274,9 +276,9 @@ def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
 def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     """J(b, beta) for b in (1, 3] and |beta| <= (e+1)/(e-1).
 
-    Dispatch: b = 3 is exact (J = 0); otherwise the BVP flux value at the
-    given grid size with a Richardson error estimate, falling back to direct
-    minimization when a degenerate weight spoils the flux extrapolation.
+    b = 3 is exact (J = 0); otherwise the BVP flux value on n cells with
+    its Richardson error estimate (``compute_j_bvp``), which stays second
+    order on the graded grid of the degenerate weight.
     """
     _check_params(b, beta, b_open_top=False)
     if abs(b - 3.0) <= 1e-12:
@@ -284,12 +286,7 @@ def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
         # drive the weighted mass of u to zero at no cost, so J = 0.  The
         # direct-minimization refinement sequence is the guard for this value.
         return JResult(b=b, beta=beta, value=0.0, method="SPECIAL_B3", error_estimate=0.0)
-    res = compute_j_bvp(b, beta, n)
-    if WeightProfile(beta).degenerate and res.error_estimate > _SINGULAR_FLUX_TOL:
-        # Degenerate weight with fluxes disagreeing across refinements: fall
-        # back to the variational route, which needs no flux extrapolation.
-        res = compute_j_direct(b, beta, n)
-    return res
+    return compute_j_bvp(b, beta, n)
 
 
 def _gauss(points: int):
@@ -404,8 +401,8 @@ class SpectralJ:
         upper = self.upper(beta)
         allowance = _ROUNDING_ULPS * np.finfo(np.float64).eps * np.maximum(np.abs(upper), 1.0)
         lower = np.full(beta.shape, -np.inf)
-        # the 1/w quadrature needs w > 0 on [0, 1] (WeightProfile.degenerate)
-        regular = np.flatnonzero(np.abs(np.abs(beta) - BETA_MAX) > 1e-9)
+        # the 1/w quadrature needs w > 0 on [0, 1]
+        regular = np.flatnonzero(~is_degenerate(beta))
         border, (coarse_rule, fine_rule) = self._dual_forms
         for start in range(0, regular.size, _DUAL_CHUNK):
             idx = regular[start:start + _DUAL_CHUNK]
@@ -430,8 +427,8 @@ def compute_j_spectral(b: float, beta: float) -> tuple[float, float]:
     quadrature has not converged.  Both are computed in floating point, so
     they hold to a rounding allowance of 1024 ulp of max(|J|, 1).
     """
+    _check_beta(beta)
     spec = SpectralJ(b)
-    _check_params(b, beta, b_open_top=True)
     return float(spec.upper(beta)), float(spec.lower(beta)[0])
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfamily import cli, threshold
+from bfamily import BETA_MAX, cli, threshold
 from bfamily.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -72,6 +72,18 @@ class TestJ:
         assert payload["value"] == 0.0
         assert payload["method"] == "SPECIAL_B3"
 
+    def test_degenerate_weight_on_coarse_grid(self, capsys):
+        # At beta = BETA_MAX the BVP route stays second order, so compute_j
+        # keeps it on every grid; its band covers the error to J(2, BETA_MAX)
+        # = (e+1)^2/(4e cosh 1).
+        code, out, _ = run_cli(capsys, "j", "--b", "2", "--beta", repr(BETA_MAX),
+                               "--grid", "512")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "BVP_FLUX"
+        exact = (math.e + 1.0) ** 2 / (4.0 * math.e * math.cosh(1.0))
+        assert abs(payload["value"] - exact) <= 1.1 * payload["error_estimate"]
+
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "j", "--b", "0.5", "--beta", "0")
         assert code == 2
@@ -105,6 +117,15 @@ class TestBetaB:
         # est columns populated and ordered est3 <= est2 <= est1
         e1, e2, e3 = float(cells[4]), float(cells[5]), float(cells[6])
         assert e3 <= e2 + 1e-9 <= e1 + 2e-9
+
+    def test_est3_unavailable_next_to_three(self, capsys):
+        # E3's Legendre series overflows just below b = 3; the row keeps its
+        # certified threshold and leaves est3 empty.
+        code, out, _ = run_cli(capsys, "beta-b", "--b", "2.9999999")
+        assert code == 0
+        cells = out.strip().split("\n")[1].split(",")
+        assert cells[2] == "FINITE"
+        assert cells[4] and cells[5] and cells[6] == ""
 
     def test_needs_exactly_one_selector(self, capsys):
         code, _, err = run_cli(capsys, "beta-b")
@@ -210,6 +231,15 @@ class TestEstimates:
         est_bs = [line.split(",")[0] for line in est_out.strip().split("\n")[1:]]
         assert len(est_bs) == 100
         assert est_bs == beta_bs
+
+    def test_rows_ok_where_est3_unavailable(self, capsys):
+        code, out, _ = run_cli(capsys, "estimates", "--sweep", "2.999998:3:3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [r[-1] for r in rows] == ["ok"] * 3
+        assert all(r[1] and r[3] for r in rows)                  # E1 and E2 kept
+        assert [(r[5], r[6]) for r in rows[:2]] == [("", "false")] * 2
+        assert rows[2][6] == "true"                              # b = 3: sqrt(3/2)
 
     def test_out_of_domain_rows_reported(self, capsys):
         code, out, _ = run_cli(capsys, "estimates", "--sweep", "1.0:1.1:2")

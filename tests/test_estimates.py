@@ -106,6 +106,15 @@ class TestEstimate3:
         assert res.valid
         assert res.bound == pytest.approx(math.sqrt(1.5), abs=1e-14)
 
+    def test_unavailable_where_series_overflows(self):
+        # Next to b = 3 the degree exceeds ~1200 and the Legendre series
+        # overflows; the bound is reported unavailable, as E2 does for no
+        # real root.
+        res = estimate3(2.9999999)
+        assert (res.bound, res.valid) == (None, False)
+        assert "did not converge" in res.threshold_note
+        assert estimate3(2.99999).valid
+
     def test_validity_onset_near_gamma(self):
         gamma = thresholds()["gamma"]
         res = estimate3(gamma)

@@ -71,8 +71,6 @@ class TestComputeBetaB:
             compute_beta_b(3.0001)
         with pytest.raises(ValueError):
             compute_beta_b(2.0, tol=1e-8)
-        with pytest.raises(ValueError):
-            compute_beta_b(2.0, scan_points=32)
 
     @pytest.mark.parametrize("f_below, status", [(-1.0, STATUS_FINITE),
                                                  (-1e-3, STATUS_UNDETERMINED)])
@@ -190,7 +188,7 @@ class TestComputeBetaB:
         assert not res2.sign_reversal_above
 
 
-def _unscreened_beta_b(b, tol=1e-4, scan_points=256, n=4096):
+def _unscreened_beta_b(b, tol=1e-4):
     # The search without the enclosure or the floor, written out as the
     # oracle: compute_j at every scan point and bisection midpoint, the
     # error band at the two bracket ends.
@@ -200,7 +198,7 @@ def _unscreened_beta_b(b, tol=1e-4, scan_points=256, n=4096):
     def band(res):
         return 2.0 / (b - 1.0) * res.error_estimate
 
-    scan = [compute_j(b, float(t), n) for t in np.linspace(0.0, BETA_MAX, scan_points)]
+    scan = [compute_j(b, float(t)) for t in np.linspace(0.0, BETA_MAX, 256)]
     fvals = np.array([f(res) for res in scan])
     nonneg = np.flatnonzero(fvals >= 0.0)
     if nonneg.size == 0:
@@ -211,7 +209,7 @@ def _unscreened_beta_b(b, tol=1e-4, scan_points=256, n=4096):
         return dict(status=STATUS_UNDETERMINED, sign_reversal_above=reversal)
     lo, hi = scan[i - 1], scan[i]
     while hi.beta - lo.beta > tol:
-        mid = compute_j(b, 0.5 * (lo.beta + hi.beta), n)
+        mid = compute_j(b, 0.5 * (lo.beta + hi.beta))
         if f(mid) >= 0.0:
             hi = mid
         else:
@@ -239,12 +237,6 @@ class TestScreenedSearch:
         assert got == want
         if b != 3.0:
             assert res.screened_points > 200
-
-    def test_equals_unscreened_search_on_coarse_grid(self):
-        # The margin widens as (4096/n)^2 with the BVP error.
-        res = compute_beta_b(2.0, n=512)
-        want = BetaBResult(b=2.0, **_unscreened_beta_b(2.0, n=512))
-        assert replace(res, solved_points=None, screened_points=None, max_gap=None) == want
 
 
 class TestSweep:
