@@ -108,12 +108,23 @@ def estimate2(b: float) -> EstimateResult:
     return EstimateResult(b=b, bound=phi, method="E2", valid=valid, threshold_note=note)
 
 
-def _e3_radicand(b: float) -> float:
+def extreme_weight_j(b: float) -> float:
+    """L(b) = J(b, +-(e+1)/(e-1)), the variational value at the extreme
+    weight, in closed form through the Legendre logarithmic derivative at
+    cosh(1); 0 at b = 3.
+
+    J is concave and even in beta, so L(b) is also a lower bound on
+    J(b, beta) for every admissible beta.  Raises ``NoConvergence`` just
+    below b = 3, where the Legendre series overflows.
+    """
     if b == 3.0:
-        return 1.5
+        return 0.0
     ratio = legendre_ratio(degree_upsilon(b).nu, _COSH1)
-    level = (3.0 - b) / (4.0 * _E) * (_E + 1.0) ** 2 * ratio
-    return 2.0 / (b - 1.0) * (0.5 * b - level)
+    return (3.0 - b) / (4.0 * _E) * (_E + 1.0) ** 2 * ratio
+
+
+def _e3_radicand(b: float) -> float:
+    return 2.0 / (b - 1.0) * (0.5 * b - extreme_weight_j(b))
 
 
 def estimate3(b: float) -> EstimateResult:

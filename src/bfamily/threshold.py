@@ -18,11 +18,13 @@ returned as UNDETERMINED instead of being rounded to a verdict.
 
 Every decision of the search is the sign of F for the BVP value of J.  Two
 bounds on J, widened by a fixed margin that covers the BVP error, prove most
-of those signs without a solve: the floor J >= 0 (w >= 0), which settles the
-top of the bracket, and a spectral enclosure of J (``variational.SpectralJ``).
-Only the points they leave open are solved, by ``compute_j``.  The two
-bracket ends the verdict rests on are always solved, so the verdict and its
-certificate are the BVP's.
+of those signs without a solve: the floor J >= L(b), which settles the top
+of the bracket, and a spectral enclosure of J (``variational.SpectralJ``).
+L(b) = J(b, (e+1)/(e-1)) is estimate 3's closed form; it bounds J from below
+on the whole bracket because J is concave and even in beta.  Only the points
+the bounds leave open are solved, by ``compute_j``.  The two bracket ends
+the verdict rests on are always solved, so the verdict and its certificate
+are the BVP's.
 """
 
 from dataclasses import dataclass
@@ -30,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BFamilyError, BOutOfRange
-from .estimates import EstimateResult, estimate1, estimate2, estimate3
+from .errors import BFamilyError, BOutOfRange, NoConvergence
+from .estimates import EstimateResult, estimate1, estimate2, estimate3, extreme_weight_j
 from .kernel import BETA_MAX
 from .variational import _DEFAULT_N, JResult, SpectralJ, compute_j
 
@@ -62,10 +64,10 @@ class BetaBResult:
     on; they are None when the search ended before a bracket was certified.
 
     ``solved_points`` counts the betas whose J the search took from
-    ``compute_j``: the scan and bisection points the floor and the spectral
-    enclosure left open and the two bracket ends (none at b = 3).  Each
-    costs two tridiagonal solves, on 4096 cells and on 2048 for its
-    Richardson companion.  ``screened_points`` counts the scan and
+    ``compute_j``: the scan and bisection points the floor J >= L(b) and
+    the spectral enclosure left open and the two bracket ends (none at
+    b = 3).  Each costs two tridiagonal solves, on 4096 cells and on 2048
+    for its Richardson companion.  ``screened_points`` counts the scan and
     bisection points whose sign the floor or the enclosure proved, and
     ``max_gap`` is the largest enclosure gap such a proof used (None when no
     proof used a lower bound).  The CLI writes none of these fields.
@@ -100,13 +102,21 @@ def _band(b: float, res: JResult) -> float:
 
 class _Search:
     """The signs of F at one b for the BVP value of J: proved by the floor
-    J >= 0 or the spectral enclosure where they can, solved where they
+    J >= L(b) or the spectral enclosure where they can, solved where they
     cannot.  Solved values are kept for the bracket ends."""
 
     def __init__(self, b: float):
         self.b = b
         # J(3, .) = 0 exactly and costs no solve; the dual needs b < 3.
         self.spec = None if abs(b - 3.0) <= 1e-12 else SpectralJ(b)
+        if self.spec is not None:
+            # J is concave and even in beta, so J >= J(b, BETA_MAX) = L(b) on
+            # the bracket.  Where the Legendre series of L(b) overflows (b
+            # within about 2e-6 of 3), w >= 0 still gives J >= 0.
+            try:
+                self.floor = extreme_weight_j(b)
+            except NoConvergence:
+                self.floor = 0.0
         self.values = {}
         self.solved_points = 0
         self.screened_points = 0
@@ -134,9 +144,9 @@ class _Search:
         if self.spec is None:
             return known
         amp, half_b = 2.0 / (self.b - 1.0), 0.5 * self.b
-        # J >= 0 because w >= 0: this floor proves F >= 0 with no dual, also
-        # at the degenerate weight, where the dual gives no bound.
-        floor = betas * betas - amp * (_SCREEN_MARGIN + half_b) >= 0.0
+        # The floor J >= L(b) proves F >= 0 with no dual, also at the
+        # degenerate weight, where the dual gives no bound.
+        floor = betas * betas + amp * (self.floor - _SCREEN_MARGIN - half_b) >= 0.0
         known[floor] = 1
         upper = self.spec.upper(betas)
         known[betas * betas + amp * (upper + _SCREEN_MARGIN - half_b) < 0.0] = -1

@@ -51,8 +51,8 @@ from scipy.linalg.lapack import dptsv
 
 from .errors import BetaOutOfRange, BOutOfRange, LinearSolveFailure, NotCoercive
 from .kernel import (
-    BETA_MAX, WeightProfile, convolve_dp, convolve_p, eval_dp, eval_p, is_degenerate,
-    trig_polynomial,
+    _TWO_SINH_HALF, BETA_MAX, WeightProfile, convolve_dp, convolve_p, eval_dp, eval_p,
+    is_degenerate, trig_polynomial,
 )
 
 _DEFAULT_N = 4096
@@ -139,6 +139,57 @@ def _nodes(n: int, graded: bool) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """The beta-independent arrays of the BVP on n cells: nodes x, cell
+    widths h, the node shares 0.5 (h[:-1] + h[1:]) of the interior nodes,
+    and cosh(x - 1/2), sinh(x - 1/2), from which every weight is built."""
+
+    x: np.ndarray
+    h: np.ndarray
+    share: np.ndarray
+    cosh: np.ndarray
+    sinh: np.ndarray
+
+    def weight(self, beta: float) -> np.ndarray:
+        # The operations of WeightProfile.on_unit_interval, so the same bits,
+        # in one array.
+        w = beta * self.sinh
+        w += self.cosh
+        w /= _TWO_SINH_HALF
+        return np.maximum(w, 0.0, out=w)
+
+
+# The threshold search solves on n = 4096 and 2048 cells, uniform or graded:
+# four grids of ~160 kB each.  Larger grids are not kept, so a refinement
+# study does not pin them in memory.
+@lru_cache(maxsize=4)
+def _cached_grid(n: int, graded: bool) -> _Grid:
+    x = _nodes(n, graded)
+    h = np.diff(x)
+    y = x - 0.5
+    arrays = (x, h, 0.5 * (h[:-1] + h[1:]), np.cosh(y), np.sinh(y))
+    for a in arrays:
+        a.flags.writeable = False  # shared by every solve on this grid
+    return _Grid(*arrays)
+
+
+def _grid_arrays(n: int, graded: bool, b: float, beta: float):
+    # Nodes x, widths h, the weight w at beta and the interior node masses
+    # q = b w share.  A grid above the memo's n is built with as few arrays
+    # alive at once as the solve allows: at n = 2^20 each fresh 8 MB array
+    # costs about 3 ms of page faults, and holding cosh, sinh and the
+    # shares through the solve made it 3-10% slower.
+    if n <= _DEFAULT_N:
+        grid = _cached_grid(n, graded)
+        w = grid.weight(beta)
+        return grid.x, grid.h, w, b * w[1:-1] * grid.share
+    x = _nodes(n, graded)
+    w = np.maximum(WeightProfile(beta).on_unit_interval(x), 0.0)
+    h = np.diff(x)
+    return x, h, w, b * w[1:-1] * (0.5 * (h[:-1] + h[1:]))
+
+
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
     wl, wr = w_nodes[:-1], w_nodes[1:]
     s = wl + wr
@@ -150,7 +201,7 @@ def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extrapolate_to(x0: float, xs: np.ndarray, ys: np.ndarray) -> float:
+def _extrapolate_to(x0: float, xs, ys) -> float:
     # Quadratic Lagrange extrapolation through three points.
     (x1, x2, x3), (y1, y2, y3) = xs, ys
     l1 = (x0 - x2) * (x0 - x3) / ((x1 - x2) * (x1 - x3))
@@ -159,18 +210,23 @@ def _extrapolate_to(x0: float, xs: np.ndarray, ys: np.ndarray) -> float:
     return y1 * l1 + y2 * l2 + y3 * l3
 
 
+def _end_flux(x0: float, x, wf, h, v) -> float:
+    # The fluxes wf (v_{i+1} - v_i) / h_i on the three faces between four
+    # nodes x with values v, extrapolated from the face midpoints to x0; in
+    # Python floats, as the arrays are short.
+    mids = [0.5 * (left + right) for left, right in zip(x, x[1:])]
+    flux = [f * (right - left) / s for f, left, right, s in zip(wf, v, v[1:], h)]
+    return _extrapolate_to(x0, mids, flux)
+
+
 def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSolution:
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     _check_params(b, beta, b_open_top=True)
-    profile = WeightProfile(beta)
-    graded = profile.degenerate
-    x = _nodes(n, graded)
-    w = np.maximum(profile.on_unit_interval(x), 0.0)
+    graded = bool(is_degenerate(beta))
+    x, h, w, q = _grid_arrays(n, graded, b, beta)
 
-    h = np.diff(x)
     wf = _face_weights(w)
     a = (3.0 - b) * wf / h                      # face conductances
-    q = b * w[1:-1] * (0.5 * (h[:-1] + h[1:]))
 
     diag = a[:-1] + a[1:] + q
     off = -a[1:-1]
@@ -181,12 +237,11 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
             f"tridiagonal system singular at b={b}, beta={beta}, n={n}"
         ) from exc
 
-    # Fluxes wf (v_{i+1} - v_i) / h_i on the three faces at each end, v(0) = v(1) = 0.
-    head, tail = x[:4], x[-4:]                  # the three face midpoints at each end
-    flux_head = wf[:3] * np.diff(v[:3], prepend=0.0) / h[:3]
-    flux_tail = wf[-3:] * np.diff(v[-3:], append=0.0) / h[-3:]
-    flux0 = _extrapolate_to(0.0, 0.5 * (head[:-1] + head[1:]), flux_head)
-    flux1 = _extrapolate_to(1.0, 0.5 * (tail[:-1] + tail[1:]), flux_tail)
+    # The three faces at each end, closed by v(0) = v(1) = 0.
+    flux0 = _end_flux(0.0, x[:4].tolist(), wf[:3].tolist(), h[:3].tolist(),
+                      [0.0] + v[:3].tolist())
+    flux1 = _end_flux(1.0, x[-4:].tolist(), wf[-3:].tolist(), h[-3:].tolist(),
+                      v[-3:].tolist() + [0.0])
     return ELSolution(
         b=b, beta=beta, grid=x[1:-1], v=v,
         flux0=flux0, flux1=flux1, singular_weight=graded,

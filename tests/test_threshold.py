@@ -16,6 +16,7 @@ from bfamily import (
     compute_beta_b,
     compute_j,
     estimate3,
+    estimates,
     f_discriminant,
     sweep,
     threshold,
@@ -96,6 +97,8 @@ class TestComputeBetaB:
 
         monkeypatch.setattr(threshold, "compute_j", fake)
         monkeypatch.setattr(threshold, "SpectralJ", NoEnclosure)
+        # and no floor: L(b) would prove signs the fake's step contradicts
+        monkeypatch.setattr(threshold, "extreme_weight_j", lambda b: -np.inf)
         res = compute_beta_b(2.0)
         assert res.status == status
         if status == STATUS_FINITE:
@@ -121,14 +124,14 @@ class TestComputeBetaB:
 
     def test_solves_per_threshold(self, monkeypatch):
         # Work-count guard: the search decides 263 signs (256 scan points, 7
-        # bisection steps).  The floor J >= 0 proves the top of the bracket,
-        # the degenerate point beta = BETA_MAX included, and the spectral
-        # enclosure all but a few near the crossing; those and the two
-        # bracket ends are solved, each at n and at n/2 for its Richardson
-        # companion.  Solving every point took 266, and 526 with a companion
-        # each.
-        calls, betas = [], []
-        solve, j = variational.spd_solve, threshold.compute_j
+        # bisection steps).  The floor J >= L(b) proves the top of the
+        # bracket, the degenerate point beta = BETA_MAX included, and the
+        # spectral enclosure all but a few near the crossing; those and the
+        # two bracket ends are solved, each at n and at n/2 for its
+        # Richardson companion.  Solving every point took 266, and 526 with
+        # a companion each.
+        calls, betas, dual = [], [], []
+        solve, j, lower = variational.spd_solve, threshold.compute_j, variational.SpectralJ.lower
 
         def counting(*args):
             calls.append(1)
@@ -138,21 +141,36 @@ class TestComputeBetaB:
             betas.append(beta)
             return j(b, beta, n)
 
+        def dual_counting(self, beta):
+            dual.append(np.size(beta))
+            return lower(self, beta)
+
         monkeypatch.setattr(variational, "spd_solve", counting)
         monkeypatch.setattr(threshold, "compute_j", recording)
-        res = compute_beta_b(2.0)
-        solves = len(calls)
-        assert res.status == STATUS_FINITE
-        assert solves <= 16
-        assert solves == 2 * res.solved_points
-        assert BETA_MAX not in betas
-        assert 240 <= res.screened_points <= 263
-        assert 0.0 <= res.max_gap <= 1e-4
+        monkeypatch.setattr(variational.SpectralJ, "lower", dual_counting)
+        # b: (solves, betas the dual ran on), a main and an onset row.  The
+        # floor J >= 0 left the dual 106 betas at b = 2 and 155 at b = 1.06,
+        # and 22 solves at b = 1.06.
+        for b, max_solves, max_dual in [(2.0, 8, 9), (1.06, 14, 19)]:
+            calls.clear()
+            betas.clear()
+            dual.clear()
+            res = compute_beta_b(b)
+            solves = len(calls)
+            assert res.status == STATUS_FINITE
+            assert solves <= max_solves
+            assert solves == 2 * res.solved_points
+            assert sum(dual) <= max_dual
+            assert BETA_MAX not in betas
+            assert res.screened_points >= 263 - res.solved_points
+            assert 0.0 <= res.max_gap <= 1e-4
 
-    @pytest.mark.parametrize("b", [1.3, 2.0, 2.9])
+    @pytest.mark.parametrize("b", [1.03, 1.06, 1.3, 2.0, 2.9])
     def test_floor_settles_top_of_bracket(self, monkeypatch, b):
-        # F >= beta^2 - 2/(b-1) (E + b/2) for the BVP value of J, which lies
-        # within the margin E of J >= 0; no beta above that root is solved.
+        # F >= beta^2 + 2/(b-1) (L(b) - E - b/2) = beta^2 - E3(b)^2 - 2E/(b-1)
+        # for the BVP value of J, which lies within the margin E of
+        # J >= L(b); no beta above that root is solved.  Above gamma that
+        # includes BETA_MAX, on the onset rows too.
         betas = []
         j = threshold.compute_j
 
@@ -162,21 +180,36 @@ class TestComputeBetaB:
 
         monkeypatch.setattr(threshold, "compute_j", recording)
         assert compute_beta_b(b).status == STATUS_FINITE
-        floor_from = (b + 2.0 * threshold._SCREEN_MARGIN) / (b - 1.0)
+        floor_from = estimate3(b).bound ** 2 + 2.0 / (b - 1.0) * threshold._SCREEN_MARGIN
         assert betas and all(beta * beta < floor_from for beta in betas)
+        assert BETA_MAX not in betas
 
-    @pytest.mark.parametrize("b", [1.28, 2.0, 2.9, 2.9999])
-    def test_degenerate_value_nonnegative(self, b):
-        # The floor's assumption at the degenerate point, which no margin
-        # test reaches: the value compute_j returns there is >= 0.
-        assert compute_j(b, BETA_MAX).value >= 0.0
+    @pytest.mark.parametrize("b", [1.01, 1.03, 1.28, 2.0, 2.9, 2.9999])
+    def test_floor_below_scan_values(self, b):
+        # The floor's assumption, J >= L(b) = J(b, BETA_MAX), for the value
+        # compute_j returns at every scan point, the degenerate point
+        # included, which no margin test reaches.
+        floor = estimates.extreme_weight_j(b) - threshold._SCREEN_MARGIN / 10.0
+        for beta in np.linspace(0.0, BETA_MAX, threshold._SCAN_POINTS):
+            assert compute_j(b, float(beta)).value >= floor, beta
 
-    def test_search_counts_without_solves(self):
+    def test_search_counts_without_solves(self, monkeypatch):
+        # Neither row solves a point or runs the dual: below the onset the
+        # upper bound proves every sign, and J(3, .) = 0 is exact.
+        dual = []
+        lower = variational.SpectralJ.lower
+
+        def dual_counting(self, beta):
+            dual.append(np.size(beta))
+            return lower(self, beta)
+
+        monkeypatch.setattr(variational.SpectralJ, "lower", dual_counting)
         infinite = compute_beta_b(1.0005)
         assert infinite.status == STATUS_INFINITE
         assert (infinite.solved_points, infinite.screened_points) == (0, 256)
         at_three = compute_beta_b(3.0)
         assert (at_three.solved_points, at_three.screened_points, at_three.max_gap) == (0, 0, None)
+        assert sum(dual) == 0
 
     def test_sign_reversal_recorded_between_onset_and_gamma(self):
         # Below gamma the discriminant turns negative again near the bracket
@@ -226,10 +259,13 @@ class TestScreenedSearch:
     # sweeps, 1.01007 its sign-reversal row, 1.0100 the FINITE onset.  The
     # BVP is least accurate at the ends of the b range: 1.00001, where
     # 2/(b-1) amplifies its error, and 2.9999, whose endpoint layers are
-    # narrower than the grid.  The floor J >= 0 first reaches BETA_MAX
-    # between 1.27 and 1.28.
-    @pytest.mark.parametrize("b", [1.00001, 1.0100, 1.01007, 1.011, 1.0403414285714285,
-                                   1.27, 1.28, 1.5, 2.0, 2.9, 2.9999, 3.0])
+    # narrower than the grid.  The floor J >= L(b) first reaches BETA_MAX
+    # between 1.0117 and 1.0118, on either side of gamma; the old floor
+    # J >= 0 did between 1.27 and 1.28.  At 2.999999 the Legendre series of
+    # L(b) overflows and the floor falls back to J >= 0.
+    @pytest.mark.parametrize("b", [1.00001, 1.0100, 1.01007, 1.011, 1.0117, 1.0118,
+                                   1.0403414285714285, 1.27, 1.28, 1.5, 2.0, 2.9, 2.9999,
+                                   2.999999, 3.0])
     def test_equals_unscreened_search(self, b):
         res = compute_beta_b(b)
         want = BetaBResult(b=b, **_unscreened_beta_b(b))

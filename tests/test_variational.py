@@ -8,6 +8,7 @@ from bfamily import (
     BetaOutOfRange,
     BOutOfRange,
     NotCoercive,
+    WeightProfile,
     check_convolution_bound,
     compute_j,
     compute_j_bvp,
@@ -202,6 +203,24 @@ class TestSearchGrid:
             full = compute_j_bvp(b, beta, n)
             assert full.value == _per_call_j(b, beta, n)
             assert compute_j(b, beta, n) == full
+
+    def test_grid_cache_holds_search_grids_only(self):
+        vmod._cached_grid.cache_clear()
+        compute_j_bvp(2.0, 0.5, 2**14)  # grids of 16384 and 8192 cells
+        assert vmod._cached_grid.cache_info().currsize == 0
+        fresh = solve_euler_lagrange(2.0, 0.5)  # builds and memoizes its grid
+        cached = solve_euler_lagrange(2.0, 0.5)
+        assert vmod._cached_grid.cache_info().hits == 1
+        assert (cached.flux0, cached.flux1) == (fresh.flux0, fresh.flux1)
+        assert np.array_equal(cached.v, fresh.v)
+        assert not cached.grid.flags.writeable
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_grid_weight_is_profile_weight(self, graded):
+        grid = vmod._cached_grid(4096, graded)
+        for beta in (-BETA_MAX, -1.0, 0.0, 0.5, BETA_MAX):
+            want = np.maximum(WeightProfile(beta).on_unit_interval(grid.x), 0.0)
+            assert np.array_equal(grid.weight(beta), want)
 
 
 class TestFaceWeights:
