@@ -5,14 +5,16 @@ b or sweep), ``estimates`` (analytic bounds over a sweep), ``simulate``
 (pseudo-spectral run with blow-up report).
 
 Conventions: CSV files are UTF-8 with LF line endings, a header row, comma
-delimiter, and floats rendered with Python's shortest round-trip repr; JSON
-objects have a fixed key order.  Exit codes: 0 success, 1 usage error,
-2 domain error, 3 internal error.  Relative output paths are resolved
-against ``BFAMILY_OUT_DIR`` when that variable is set.  Every invocation
-that writes files also writes a ``<stem>.manifest.json`` referencing them.
+delimiter, RFC 4180 quoting of a cell that holds a comma, and floats
+rendered with Python's shortest round-trip repr; JSON objects have a fixed
+key order.  Exit codes: 0 success, 1 usage error, 2 domain error,
+3 internal error.  Relative output paths are resolved against
+``BFAMILY_OUT_DIR`` when that variable is set.  Every invocation that writes
+files also writes a ``<stem>.manifest.json`` referencing them.
 """
 
 import argparse
+import csv
 import datetime
 import io
 import json
@@ -111,10 +113,12 @@ def _parse_sweep(text: str):
 
 
 def _csv_lines(header, rows) -> str:
+    # RFC 4180 quoting, so an ERROR: detail holding a comma stays one cell;
+    # cells without a comma, quote or line break are written bare.
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(cell) for cell in row) + "\n")
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
     return buf.getvalue()
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BOutOfRange, NoConvergence
-from .kernel import BETA_MAX
+from .kernel import BETA_MAX, check_b, is_b3
 from .legendre import degree_upsilon, legendre_ratio
 
 _E = math.e
@@ -42,28 +42,17 @@ class EstimateResult:
     threshold_note: str = ""
 
 
-@dataclass(frozen=True)
-class DeltaB:
-    b: float
-    value: float
-
-
-def delta_b(b: float) -> DeltaB:
+def delta_b(b: float) -> float:
     """delta_b = sqrt(3-b)/4 * (sqrt(3(1+b)) - sqrt(3-b)) for b in [-1, 3]."""
     if not -1.0 <= b <= 3.0:
         raise BOutOfRange(f"delta_b requires -1 <= b <= 3 (got b = {b})")
     root = math.sqrt(3.0 - b)
-    return DeltaB(b=b, value=0.25 * root * (math.sqrt(3.0 * (1.0 + b)) - root))
-
-
-def _check_b(b: float) -> None:
-    if not 1.0 < b <= 3.0:
-        raise BOutOfRange(f"estimates require 1 < b <= 3 (got b = {b})")
+    return 0.25 * root * (math.sqrt(3.0 * (1.0 + b)) - root)
 
 
 def estimate1(b: float) -> EstimateResult:
     """Bound sqrt(b/(b-1)); applicable for b >= alpha = (e+1)^2/(4e)."""
-    _check_b(b)
+    check_b(b)
     bound = math.sqrt(b / (b - 1.0))
     valid = b >= ALPHA - _VALID_TOL
     note = "" if valid else f"requires b >= alpha = {ALPHA:.6f}"
@@ -83,8 +72,8 @@ def estimate2(b: float) -> EstimateResult:
     and applies when phi lies in [1, (e+1)/(e-1)].  Validity is decided per b
     from the computed root, not from a precomputed b-range.
     """
-    _check_b(b)
-    d = delta_b(b).value
+    check_b(b)
+    d = delta_b(b)
 
     r = 2.0 / (b - 1.0) * (0.5 * b - d)
     if r <= 1.0 + _VALID_TOL:
@@ -111,15 +100,15 @@ def estimate2(b: float) -> EstimateResult:
 def extreme_weight_j(b: float) -> float:
     """L(b) = J(b, +-(e+1)/(e-1)), the variational value at the extreme
     weight, in closed form through the Legendre logarithmic derivative at
-    cosh(1); 0 at b = 3.
+    cosh(1); 0 at b = 3 (``kernel.is_b3``).
 
     J is concave and even in beta, so L(b) is also a lower bound on
     J(b, beta) for every admissible beta.  Raises ``NoConvergence`` just
     below b = 3, where the Legendre series overflows.
     """
-    if b == 3.0:
+    if is_b3(b):
         return 0.0
-    ratio = legendre_ratio(degree_upsilon(b).nu, _COSH1)
+    ratio = legendre_ratio(degree_upsilon(b), _COSH1)
     return (3.0 - b) / (4.0 * _E) * (_E + 1.0) ** 2 * ratio
 
 
@@ -135,7 +124,7 @@ def estimate3(b: float) -> EstimateResult:
     below b = 3 the degree exceeds ~1200 and the Legendre series overflows;
     there the bound is reported as unavailable, not raised.
     """
-    _check_b(b)
+    check_b(b)
     try:
         radicand = _e3_radicand(b)
     except NoConvergence:

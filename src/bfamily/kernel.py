@@ -1,17 +1,21 @@
-"""Fundamental solution of 1 - d^2/dx^2 on the unit torus and its weights.
+"""Fundamental solution of 1 - d^2/dx^2 on the unit torus, its weights, and
+the admissible (b, beta) set.
 
 The kernel is p(x) = cosh(x - [x] - 1/2) / (2 sinh(1/2)); the weighted
 variants w = p + beta*p' stay nonnegative exactly for |beta| <= (e+1)/(e-1).
 Convolutions with p and p' are done spectrally: on the period-1 torus the
 Fourier multipliers are 1/(1+(2*pi*k)^2) and 2*pi*i*k/(1+(2*pi*k)^2).
+
+The family parameter ranges over 1 < b <= 3 (``check_b``), and a b within
+1e-12 of 3 counts as 3 (``is_b3``); beta ranges over |beta| <= (e+1)/(e-1),
+to 1e-12 (``check_beta``).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BetaOutOfRange, GridTooSmall
+from .errors import BetaOutOfRange, BOutOfRange, GridTooSmall
 
 #: Largest |beta| for which p + beta*p' is nonnegative on the torus.
 BETA_MAX = (math.e + 1.0) / (math.e - 1.0)
@@ -38,7 +42,23 @@ def eval_dp(x):
     return np.sinh(y) / _TWO_SINH_HALF
 
 
-def _check_beta(beta: float) -> None:
+def is_b3(b: float) -> bool:
+    """Whether b counts as 3: within 1e-12 of it."""
+    return abs(b - 3.0) <= 1e-12
+
+
+def check_b(b: float, *, open_top: bool = False) -> None:
+    """Raise ``BOutOfRange`` unless 1 < b <= 3, or 1 < b < 3 with
+    ``open_top`` (the boundary-value solver and the spectral bounds)."""
+    if open_top:
+        if not 1.0 < b < 3.0:
+            raise BOutOfRange(f"b = {b} is outside 1 < b < 3")
+    elif not 1.0 < b <= 3.0:
+        raise BOutOfRange(f"b = {b} is outside 1 < b <= 3")
+
+
+def check_beta(beta: float) -> None:
+    """Raise ``BetaOutOfRange`` unless |beta| <= (e+1)/(e-1) + 1e-12."""
     if not abs(beta) <= BETA_MAX + _BETA_TOL:
         raise BetaOutOfRange(
             f"|beta| = {abs(beta)} exceeds (e+1)/(e-1) = {BETA_MAX}; "
@@ -46,49 +66,29 @@ def _check_beta(beta: float) -> None:
         )
 
 
+def unit_weight(beta: float, x):
+    """Weight w = p + beta*p' at x in [0, 1], continued from the open
+    interval and clipped at 0 against rounding.
+
+    Unlike the mod-1 evaluation this distinguishes w(1-) from w(0+), which
+    is what boundary-value solvers on (0, 1) need.  It integrates to 1 for
+    every beta and vanishes at one endpoint at beta = +-(e+1)/(e-1).
+    """
+    check_beta(beta)
+    y = np.asarray(x, dtype=np.float64) - 0.5
+    return np.maximum((np.cosh(y) + beta * np.sinh(y)) / _TWO_SINH_HALF, 0.0)
+
+
 def eval_w(beta: float, x):
-    """Weight w = p + beta*p' at torus coordinate(s) x in (0, 1)."""
-    _check_beta(beta)
+    """Weight w = p + beta*p' at torus coordinate(s) x (reduced mod 1)."""
     x = np.asarray(x, dtype=np.float64)
-    y = x - np.floor(x) - 0.5
-    return (np.cosh(y) + beta * np.sinh(y)) / _TWO_SINH_HALF
+    return unit_weight(beta, x - np.floor(x))
 
 
 def is_degenerate(beta):
     """Whether w = p + beta*p' vanishes at an endpoint, |beta| within 1e-9 of
     (e+1)/(e-1); elementwise for an array of beta."""
     return abs(abs(beta) - BETA_MAX) <= 1e-9
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """The weight w = p + beta*p' on (0, 1), with |beta| <= (e+1)/(e-1).
-
-    The profile integrates to 1 regardless of beta, and degenerates (vanishes
-    at one endpoint) exactly at beta = +-(e+1)/(e-1).
-    """
-
-    beta: float
-
-    def __post_init__(self):
-        _check_beta(self.beta)
-
-    def __call__(self, x):
-        return eval_w(self.beta, x)
-
-    def on_unit_interval(self, x):
-        """w on [0, 1] as the continuous extension from the open interval.
-
-        Unlike the mod-1 evaluation this distinguishes w(1-) from w(0+),
-        which is what boundary-value solvers on (0, 1) need.
-        """
-        y = np.asarray(x, dtype=np.float64) - 0.5
-        return (np.cosh(y) + self.beta * np.sinh(y)) / _TWO_SINH_HALF
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the weight vanishes at an endpoint (|beta| at the limit)."""
-        return is_degenerate(self.beta)
 
 
 def trig_polynomial(cos_coeffs, sin_coeffs, x):

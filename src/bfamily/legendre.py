@@ -7,8 +7,6 @@ z = cosh(1) ~ 1.543.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import BOutOfRange, DegreeSingular, DivisionNearZero, NoConvergence
 
@@ -16,22 +14,13 @@ _SERIES_RTOL = 1e-13
 _SERIES_MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class LegendreDegree:
-    """Real Legendre degree, optionally remembering the b it came from."""
-
-    nu: float
-    b_origin: Optional[float] = None
-
-
-def degree_upsilon(b: float) -> LegendreDegree:
+def degree_upsilon(b: float) -> float:
     """Degree nu(b) = -1/2 + sqrt(1 + 4*b/(3-b))/2 for b in (1, 3)."""
     if b >= 3.0:
         raise DegreeSingular(f"degree map is singular at b = 3 (got b = {b})")
     if b <= 1.0:
         raise BOutOfRange(f"degree map requires b > 1 (got b = {b})")
-    nu = -0.5 + 0.5 * math.sqrt(1.0 + 4.0 * b / (3.0 - b))
-    return LegendreDegree(nu=nu, b_origin=b)
+    return -0.5 + 0.5 * math.sqrt(1.0 + 4.0 * b / (3.0 - b))
 
 
 def _series(nu: float, z: float) -> float:

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import dp_multiplier, trig_polynomial
+from .kernel import check_b, dp_multiplier, trig_polynomial
 
 _TAIL_LIMIT = 1e-2
 _OVERFLOW_LIMIT = 1e8
@@ -103,8 +103,7 @@ class SimConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if not 1.0 < self.b <= 3.0:
-            raise ValueError(f"b must be in (1, 3] (got {self.b})")
+        check_b(self.b)
         if self.t_max <= 0.0 or self.cfl <= 0.0 or self.blowup_slope_threshold <= 0.0:
             raise ValueError("t_max, cfl and blowup_slope_threshold must be positive")
 

@@ -32,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BFamilyError, BOutOfRange, NoConvergence
+from .errors import BFamilyError, NoConvergence
 from .estimates import EstimateResult, estimate1, estimate2, estimate3, extreme_weight_j
-from .kernel import BETA_MAX
+from .kernel import BETA_MAX, check_b, is_b3
 from .variational import _DEFAULT_N, JResult, SpectralJ, compute_j
 
 _DEFAULT_TOL = 1e-4
@@ -108,7 +108,7 @@ class _Search:
     def __init__(self, b: float):
         self.b = b
         # J(3, .) = 0 exactly and costs no solve; the dual needs b < 3.
-        self.spec = None if abs(b - 3.0) <= 1e-12 else SpectralJ(b)
+        self.spec = None if is_b3(b) else SpectralJ(b)
         if self.spec is not None:
             # J is concave and even in beta, so J >= J(b, BETA_MAX) = L(b) on
             # the bracket.  Where the Legendre series of L(b) overflows (b
@@ -180,8 +180,7 @@ def compute_beta_b(b: float, tol: float = _DEFAULT_TOL) -> BetaBResult:
 
     ``tol`` is the certified width of the crossing (>= 1e-6).
     """
-    if not 1.0 < b <= 3.0:
-        raise BOutOfRange(f"threshold is computed for b in (1, 3] (got b = {b})")
+    check_b(b)
     if tol < 1e-6:
         raise ValueError(f"tol must be >= 1e-6 (got {tol})")
 
@@ -258,10 +257,10 @@ def sweep(b_min: float, b_max: float, steps: int, tol: float = _DEFAULT_TOL) -> 
     recorded on its row and the sweep continues; any other exception is a bug
     and propagates.
     """
-    if not (1.0 < b_min <= b_max <= 3.0):
-        raise BOutOfRange(
-            f"sweep range must satisfy 1 < b_min <= b_max <= 3 (got [{b_min}, {b_max}])"
-        )
+    check_b(b_min)
+    check_b(b_max)
+    if b_min > b_max:
+        raise ValueError(f"sweep range needs b_min <= b_max (got {b_min} > {b_max})")
     if steps < 1:
         raise ValueError("steps must be >= 1")
 

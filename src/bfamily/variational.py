@@ -49,10 +49,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .errors import BetaOutOfRange, BOutOfRange, LinearSolveFailure, NotCoercive
+from .errors import BOutOfRange, LinearSolveFailure, NotCoercive
 from .kernel import (
-    _TWO_SINH_HALF, BETA_MAX, WeightProfile, convolve_dp, convolve_p, eval_dp, eval_p,
-    is_degenerate, trig_polynomial,
+    _TWO_SINH_HALF, check_b, check_beta, convolve_dp, convolve_p, eval_dp, eval_p, is_b3,
+    is_degenerate, trig_polynomial, unit_weight,
 )
 
 _DEFAULT_N = 4096
@@ -90,21 +90,6 @@ class JResult:
     value: float
     method: str  # "BVP_FLUX" | "DIRECT_MIN" | "SPECIAL_B3"
     error_estimate: float
-
-
-def _check_params(b: float, beta: float, *, b_open_top: bool) -> None:
-    if b_open_top:
-        if not 1.0 < b < 3.0:
-            raise BOutOfRange(f"boundary-value solver requires 1 < b < 3 (got b = {b})")
-    else:
-        if not 1.0 < b <= 3.0:
-            raise BOutOfRange(f"requires 1 < b <= 3 (got b = {b})")
-    _check_beta(beta)
-
-
-def _check_beta(beta: float) -> None:
-    if not abs(beta) <= BETA_MAX + 1e-12:
-        raise BetaOutOfRange(f"|beta| = {abs(beta)} outside the weight bracket {BETA_MAX}")
 
 
 def spd_solve(diag, off, rhs):
@@ -152,8 +137,8 @@ class _Grid:
     sinh: np.ndarray
 
     def weight(self, beta: float) -> np.ndarray:
-        # The operations of WeightProfile.on_unit_interval, so the same bits,
-        # in one array.
+        # The operations of kernel.unit_weight, so the same bits, in one
+        # array.
         w = beta * self.sinh
         w += self.cosh
         w /= _TWO_SINH_HALF
@@ -185,7 +170,7 @@ def _grid_arrays(n: int, graded: bool, b: float, beta: float):
         w = grid.weight(beta)
         return grid.x, grid.h, w, b * w[1:-1] * grid.share
     x = _nodes(n, graded)
-    w = np.maximum(WeightProfile(beta).on_unit_interval(x), 0.0)
+    w = unit_weight(beta, x)
     h = np.diff(x)
     return x, h, w, b * w[1:-1] * (0.5 * (h[:-1] + h[1:]))
 
@@ -221,7 +206,8 @@ def _end_flux(x0: float, x, wf, h, v) -> float:
 
 def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSolution:
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
-    _check_params(b, beta, b_open_top=True)
+    check_b(b, open_top=True)
+    check_beta(beta)
     graded = bool(is_degenerate(beta))
     x, h, w, q = _grid_arrays(n, graded, b, beta)
 
@@ -278,17 +264,15 @@ def _j_direct_value(b: float, beta: float, n: int) -> float:
     # to the positive-definiteness check, which reports it as NotCoercive.
     if not b > 1.0:
         raise BOutOfRange(f"direct minimization requires b > 1 (got b = {b})")
-    _check_beta(beta)
-    profile = WeightProfile(beta)
-    x = _nodes(n, profile.degenerate)
+    x = _nodes(n, is_degenerate(beta))
     h = np.diff(x)
 
     # Two-point Gauss rule per element for the w-weighted integrals.
     ofs = 0.5 / math.sqrt(3.0)
     g1 = x[:-1] + h * (0.5 - ofs)
     g2 = x[:-1] + h * (0.5 + ofs)
-    w1 = np.maximum(profile.on_unit_interval(g1), 0.0)
-    w2 = np.maximum(profile.on_unit_interval(g2), 0.0)
+    w1 = unit_weight(beta, g1)
+    w2 = unit_weight(beta, g2)
     pl1, pl2 = 0.5 + ofs, 0.5 - ofs          # left hat at the two Gauss points
     pr1, pr2 = 0.5 - ofs, 0.5 + ofs
 
@@ -335,8 +319,9 @@ def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     its Richardson error estimate (``compute_j_bvp``), which stays second
     order on the graded grid of the degenerate weight.
     """
-    _check_params(b, beta, b_open_top=False)
-    if abs(b - 3.0) <= 1e-12:
+    check_b(b)
+    check_beta(beta)
+    if is_b3(b):
         # At b = 3 the gradient penalty vanishes: thin layers at the endpoints
         # drive the weighted mass of u to zero at no cost, so J = 0.  The
         # direct-minimization refinement sequence is the guard for this value.
@@ -409,8 +394,7 @@ class SpectralJ:
     """
 
     def __init__(self, b: float):
-        if not 1.0 < b < 3.0:
-            raise BOutOfRange(f"spectral bounds require 1 < b < 3 (got b = {b})")
+        check_b(b, open_top=True)
         (g0, m0, s0), (g1, m1, s1) = _spectral_forms()[0]
         l_inv = np.linalg.inv(np.linalg.cholesky(b * m0 + (3.0 - b) * s0))
         lam, vec = np.linalg.eigh(l_inv @ (b * m1 + (3.0 - b) * s1) @ l_inv.T)
@@ -482,7 +466,7 @@ def compute_j_spectral(b: float, beta: float) -> tuple[float, float]:
     quadrature has not converged.  Both are computed in floating point, so
     they hold to a rounding allowance of 1024 ulp of max(|J|, 1).
     """
-    _check_beta(beta)
+    check_beta(beta)
     spec = SpectralJ(b)
     return float(spec.upper(beta)), float(spec.lower(beta)[0])
 

@@ -32,8 +32,8 @@ def _beta_grid_9():
 
 
 def test_c01_delta_two_exact():
-    ok = abs(bf.delta_b(2.0).value - 0.5) <= 1e-15
-    _report("C01 delta_2 = 1/2", ok, f"value {bf.delta_b(2.0).value!r}")
+    ok = abs(bf.delta_b(2.0) - 0.5) <= 1e-15
+    _report("C01 delta_2 = 1/2", ok, f"value {bf.delta_b(2.0)!r}")
 
 
 def test_c02_estimate1_threshold_and_value():
@@ -45,7 +45,7 @@ def test_c02_estimate1_threshold_and_value():
 
 
 def test_c03_estimate3_at_two_closed_form():
-    assert bf.degree_upsilon(2.0).nu == pytest.approx(1.0, abs=1e-15)
+    assert bf.degree_upsilon(2.0) == pytest.approx(1.0, abs=1e-15)
     closed = math.sqrt(2.0 - (E + 1.0) ** 2 / (E * E + 1.0))
     got = bf.estimate3(2.0).bound
     _report("C03 estimate-3 at b=2 vs closed form", abs(got - closed) <= 1e-10,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfamily import BETA_MAX, cli, threshold
+from bfamily import BETA_MAX, LinearSolveFailure, cli, threshold
 from bfamily.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -83,6 +84,15 @@ class TestJ:
         assert payload["method"] == "BVP_FLUX"
         exact = (math.e + 1.0) ** 2 / (4.0 * math.e * math.cosh(1.0))
         assert abs(payload["value"] - exact) <= 1.1 * payload["error_estimate"]
+
+    @pytest.mark.parametrize("method, want", [
+        ("auto", "BVP_FLUX"), ("bvp", "BVP_FLUX"), ("direct", "DIRECT_MIN"),
+    ])
+    def test_method_selects_route(self, capsys, method, want):
+        code, out, _ = run_cli(capsys, "j", "--b", "2", "--beta", "0.5", "--grid", "256",
+                               "--method", method)
+        assert code == 0
+        assert json.loads(out)["method"] == want
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "j", "--b", "0.5", "--beta", "0")
@@ -163,6 +173,28 @@ class TestBetaB:
         for field in ("solved_points", "screened_points", "max_gap"):
             assert field not in manifest_text
 
+    @pytest.mark.parametrize("failing, want_code", [({2.0}, 0), ({1.5, 2.0, 2.5}, 2)])
+    def test_error_detail_with_commas_stays_one_cell(self, capsys, tmp_path, monkeypatch,
+                                                     failing, want_code):
+        detail = "tridiagonal system singular at b=2.0, beta=0.5, n=4096"
+        compute = threshold.compute_beta_b
+
+        def fail_at(b, **kwargs):
+            if b in failing:
+                raise LinearSolveFailure(detail)
+            return compute(b, **kwargs)
+
+        monkeypatch.setattr(threshold, "compute_beta_b", fail_at)
+        target = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "beta-b", "--sweep", "1.5:2.5:3", "--out", str(target))
+        assert code == want_code
+        with open(target, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 7 and [len(row) for row in rows] == [7, 7, 7]
+        assert rows[1][2] == f"ERROR:LinearSolveFailure: {detail}"
+        statuses = json.loads((tmp_path / "rows.manifest.json").read_text())["row_status"]
+        assert [s["status"] == "error" for s in statuses] == [b in failing for b in (1.5, 2.0, 2.5)]
+
     def test_internal_error_exit_3(self, capsys, monkeypatch):
         def broken(b, **kwargs):
             raise TypeError("a bug, not a domain failure")
@@ -240,6 +272,14 @@ class TestEstimates:
         assert all(r[1] and r[3] for r in rows)                  # E1 and E2 kept
         assert [(r[5], r[6]) for r in rows[:2]] == [("", "false")] * 2
         assert rows[2][6] == "true"                              # b = 3: sqrt(3/2)
+
+    def test_out_file_and_manifest(self, capsys, tmp_path):
+        target = tmp_path / "est.csv"
+        code, _, _ = run_cli(capsys, "estimates", "--sweep", "1.0:2:2", "--out", str(target))
+        assert code == 0
+        manifest = json.loads((tmp_path / "est.manifest.json").read_text())
+        assert manifest["outputs"] == [str(target)]
+        assert [r["status"] for r in manifest["row_status"]] == ["error", "ok"]
 
     def test_out_of_domain_rows_reported(self, capsys):
         code, out, _ = run_cli(capsys, "estimates", "--sweep", "1.0:1.1:2")
@@ -322,6 +362,19 @@ class TestSimulate:
             capsys, "simulate", "--b", "2", "--ic", "fourier", "--coeffs", "a,b",
         )
         assert code == 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["j", "--b", "3", "--beta", "0.5", "--method", "bvp"], 2),
+    (["simulate", "--b", "2.5", "--ic", "oddsine", "--amp", "0.1", "--n", "64",
+      "--t-max", "0.01"], 0),
+    (["simulate", "--b", "2", "--ic", "fourier"], 1),
+    (["simulate", "--b", "3.5", "--ic", "cos"], 2),
+    (["beta-b", "--sweep", "1.3:3:0"], 1),
+    (["beta-b", "--sweep", "a:b:3"], 1),
+])
+def test_exit_code(capsys, argv, want):
+    assert run_cli(capsys, *argv)[0] == want
 
 
 def _checkout_env():

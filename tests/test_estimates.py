@@ -19,17 +19,17 @@ E = math.e
 
 class TestDeltaB:
     def test_exact_half_at_two(self):
-        assert delta_b(2.0).value == pytest.approx(0.5, abs=1e-15)
+        assert delta_b(2.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_at_three(self):
-        assert delta_b(3.0).value == 0.0
+        assert delta_b(3.0) == 0.0
 
     def test_zero_at_zero(self):
-        assert delta_b(0.0).value == pytest.approx(0.0, abs=1e-15)
+        assert delta_b(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_sign_matches_b_sign(self):
-        assert delta_b(-0.5).value < 0.0
-        assert delta_b(1.7).value > 0.0
+        assert delta_b(-0.5) < 0.0
+        assert delta_b(1.7) > 0.0
 
     def test_range_errors(self):
         for b in (-1.5, 3.5):
@@ -86,11 +86,11 @@ class TestEstimate2:
         # The small-beta condition r(b) <= 1 holds only at b = 2, where the
         # function r(b) = (2/(b-1))(b/2 - delta_b) attains its minimum 1.
         bs = np.linspace(1.001, 3.0, 2000)
-        r = 2.0 / (bs - 1.0) * (bs / 2.0 - np.vectorize(lambda b: delta_b(b).value)(bs))
+        r = 2.0 / (bs - 1.0) * (bs / 2.0 - np.vectorize(delta_b)(bs))
         assert r.min() >= 1.0 - 1e-9
         inside = np.abs(bs - 2.0) > 0.05
         assert np.all(r[inside] > 1.0 + 1e-6)
-        r2 = 2.0 / (2.0 - 1.0) * (1.0 - delta_b(2.0).value)
+        r2 = 2.0 / (2.0 - 1.0) * (1.0 - delta_b(2.0))
         assert r2 == pytest.approx(1.0, abs=1e-14)
 
 

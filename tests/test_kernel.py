@@ -7,14 +7,19 @@ from scipy.integrate import quad
 from bfamily import (
     BETA_MAX,
     BetaOutOfRange,
+    BOutOfRange,
     GridTooSmall,
-    WeightProfile,
+    compute_j,
     convolve_dp,
     convolve_p,
+    estimate3,
     eval_dp,
     eval_p,
     eval_w,
+    unit_weight,
 )
+from bfamily.estimates import extreme_weight_j
+from bfamily.kernel import check_b, check_beta, is_b3, is_degenerate
 
 E = math.e
 
@@ -107,20 +112,44 @@ class TestEvalW:
 
 
 class TestWeightProfile:
+    # The weight on the unit interval, unit_weight.
     def test_distinguishes_endpoint_limits(self):
-        prof = WeightProfile(1.0)
-        left = prof.on_unit_interval(0.0)
-        right = prof.on_unit_interval(1.0)
+        left = unit_weight(1.0, 0.0)
+        right = unit_weight(1.0, 1.0)
         assert left != pytest.approx(right, abs=1e-3)
         assert left == pytest.approx(float(eval_w(1.0, 1e-14)), abs=1e-12)
 
     def test_degenerate_flag(self):
-        assert WeightProfile(BETA_MAX).degenerate
-        assert not WeightProfile(2.0).degenerate
+        assert is_degenerate(BETA_MAX)
+        assert not is_degenerate(2.0)
 
     def test_rejects_bad_beta(self):
         with pytest.raises(BetaOutOfRange):
-            WeightProfile(-BETA_MAX - 1e-3)
+            unit_weight(-BETA_MAX - 1e-3, 0.5)
+
+
+class TestDomain:
+    def test_b_range(self):
+        check_b(3.0)
+        check_b(1.0 + 1e-12, open_top=True)
+        for b, open_top in [(1.0, False), (3.0 + 1e-9, False), (3.0, True), (math.nan, False)]:
+            with pytest.raises(BOutOfRange):
+                check_b(b, open_top=open_top)
+
+    def test_beta_range_tolerance(self):
+        check_beta(-BETA_MAX - 1e-13)
+        with pytest.raises(BetaOutOfRange):
+            check_beta(BETA_MAX + 1e-11)
+
+    def test_one_b3_rule(self):
+        # J, L(b) and estimate 3 all take b within 1e-12 of 3 as 3.
+        b = 3.0 - 1e-13
+        assert is_b3(b) and not is_b3(3.0 - 1e-11)
+        assert compute_j(b, 0.5).method == "SPECIAL_B3"
+        assert extreme_weight_j(b) == 0.0
+        res = estimate3(b)
+        assert res.valid
+        assert res.bound == pytest.approx(math.sqrt(b / (b - 1.0)), abs=1e-12)
 
 
 class TestConvolutions:

@@ -23,16 +23,16 @@ P_FRACTIONAL_ORACLE = 1.255456480494249876998925
 
 class TestDegreeUpsilon:
     def test_b2_is_one(self):
-        assert degree_upsilon(2.0).nu == pytest.approx(1.0, abs=1e-15)
+        assert degree_upsilon(2.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_b_three_halves(self):
         golden = (math.sqrt(5.0) - 1.0) / 2.0
-        assert degree_upsilon(1.5).nu == pytest.approx(golden, abs=1e-15)
+        assert degree_upsilon(1.5) == pytest.approx(golden, abs=1e-15)
 
     def test_boundary_value_documented(self):
         # b = 1 itself is rejected, but the limit value is (sqrt(3)-1)/2.
         limit = (math.sqrt(3.0) - 1.0) / 2.0
-        assert degree_upsilon(1.0 + 1e-12).nu == pytest.approx(limit, abs=1e-9)
+        assert degree_upsilon(1.0 + 1e-12) == pytest.approx(limit, abs=1e-9)
         with pytest.raises(BOutOfRange):
             degree_upsilon(1.0)
 
@@ -42,12 +42,9 @@ class TestDegreeUpsilon:
 
     def test_strictly_increasing_and_divergent(self):
         bs = np.linspace(1.01, 2.999, 200)
-        nus = [degree_upsilon(float(b)).nu for b in bs]
+        nus = [degree_upsilon(float(b)) for b in bs]
         assert np.all(np.diff(nus) > 0.0)
-        assert degree_upsilon(2.999).nu > 50.0
-
-    def test_remembers_origin(self):
-        assert degree_upsilon(2.5).b_origin == 2.5
+        assert degree_upsilon(2.999) > 50.0
 
 
 class TestLegendreP:

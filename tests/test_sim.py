@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bfamily import (
+    BOutOfRange,
     SimConfig,
     TorusField,
     check_criterion,
@@ -38,6 +39,19 @@ def gauss_convolve_dp(f, xs, order=96):
             acc += 0.5 * (b - a) * np.sum(weights * dp_closed(s) * f(y))
         out[i] = acc
     return out
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("b", [1.0, 3.5])
+    def test_b_outside_domain(self, b):
+        with pytest.raises(BOutOfRange):
+            SimConfig(b=b, t_max=1.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["t_max", "cfl", "blowup_slope_threshold"])
+    def test_run_parameters_positive(self, name, value):
+        with pytest.raises(ValueError):
+            SimConfig(**{"b": 2.0, "t_max": 1.0, name: value})
 
 
 class TestTorusField:

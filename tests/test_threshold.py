@@ -319,6 +319,8 @@ class TestSweep:
         with pytest.raises(BOutOfRange):
             sweep(0.9, 2.0, 5)
         with pytest.raises(ValueError):
+            sweep(2.0, 1.5, 5)
+        with pytest.raises(ValueError):
             sweep(1.5, 2.0, 0)
 
     def test_solver_failure_recorded_on_row(self, monkeypatch):

@@ -8,7 +8,6 @@ from bfamily import (
     BetaOutOfRange,
     BOutOfRange,
     NotCoercive,
-    WeightProfile,
     check_convolution_bound,
     compute_j,
     compute_j_bvp,
@@ -16,6 +15,7 @@ from bfamily import (
     compute_j_spectral,
     legendre_ratio,
     solve_euler_lagrange,
+    unit_weight,
 )
 from bfamily import threshold
 from bfamily import variational as vmod
@@ -52,15 +52,12 @@ class TestEulerLagrange:
         # nodes, with finite-difference derivatives of the computed v.
         b, beta, n = 2.0, 0.5, 4096
         sol = solve_euler_lagrange(b, beta, n)
-        from bfamily.kernel import WeightProfile
-
-        prof = WeightProfile(beta)
         x = sol.grid[1:-1]
         h = 1.0 / n
         v = sol.v
         vx = (v[2:] - v[:-2]) / (2.0 * h)
         vxx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-        w = prof.on_unit_interval(x)
+        w = unit_weight(beta, x)
         wx = (np.sinh(x - 0.5) + beta * np.cosh(x - 0.5)) / (2.0 * math.sinh(0.5))
         res = (3 - b) * w * vxx + (3 - b) * wx * vx - b * w * v[1:-1] - b * w
         assert np.abs(res).max() < 1e-4
@@ -219,8 +216,7 @@ class TestSearchGrid:
     def test_grid_weight_is_profile_weight(self, graded):
         grid = vmod._cached_grid(4096, graded)
         for beta in (-BETA_MAX, -1.0, 0.0, 0.5, BETA_MAX):
-            want = np.maximum(WeightProfile(beta).on_unit_interval(grid.x), 0.0)
-            assert np.array_equal(grid.weight(beta), want)
+            assert np.array_equal(grid.weight(beta), unit_weight(beta, grid.x))
 
 
 class TestFaceWeights:
