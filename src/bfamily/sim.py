@@ -104,7 +104,8 @@ class SimConfig:
 
     def __post_init__(self):
         check_b(self.b)
-        if self.t_max <= 0.0 or self.cfl <= 0.0 or self.blowup_slope_threshold <= 0.0:
+        # written so that NaN fails too
+        if not (self.t_max > 0.0 and self.cfl > 0.0 and self.blowup_slope_threshold > 0.0):
             raise ValueError("t_max, cfl and blowup_slope_threshold must be positive")
 
 

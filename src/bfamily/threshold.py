@@ -21,12 +21,17 @@ bounds on J, widened by a fixed margin that covers the BVP error, prove most
 of those signs without a solve: the floor J >= L(b), which settles the top
 of the bracket, and a spectral enclosure of J (``variational.SpectralJ``).
 L(b) = J(b, (e+1)/(e-1)) is estimate 3's closed form; it bounds J from below
-on the whole bracket because J is concave and even in beta.  Only the points
-the bounds leave open are solved, by ``compute_j``.  The two bracket ends
-the verdict rests on are always solved, so the verdict and its certificate
-are the BVP's.
+on the whole bracket because J is concave and even in beta.  The scan is
+screened in one vectorised pass of the floor, the Ritz upper bound and the
+dual lower bound.  A bisection midpoint runs no dual: the floor and the
+Ritz bound are scalar tests, and the lower bound there is the chord between
+the lower bounds at the scan bracket's two ends, which concavity puts below
+J.  Only the points the bounds leave open are solved, by ``compute_j``.  The
+two bracket ends the verdict rests on are always solved, so the verdict and
+its certificate are the BVP's.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,13 +69,16 @@ class BetaBResult:
     on; they are None when the search ended before a bracket was certified.
 
     ``solved_points`` counts the betas whose J the search took from
-    ``compute_j``: the scan and bisection points the floor J >= L(b) and
-    the spectral enclosure left open and the two bracket ends (none at
-    b = 3).  Each costs two tridiagonal solves, on 4096 cells and on 2048
-    for its Richardson companion.  ``screened_points`` counts the scan and
-    bisection points whose sign the floor or the enclosure proved, and
-    ``max_gap`` is the largest enclosure gap such a proof used (None when no
-    proof used a lower bound).  The CLI writes none of these fields.
+    ``compute_j``: the scan and bisection points the bounds left open and
+    the two bracket ends (none at b = 3).  Each costs two tridiagonal
+    solves, on 4096 cells and on 2048 for its Richardson companion.
+    ``screened_points`` counts the points whose sign a bound proved: on the
+    scan the floor J >= L(b) or the spectral enclosure, at a bisection
+    midpoint the floor, the Ritz upper bound or the chord of the lower
+    bounds at the scan bracket's ends.  ``max_gap`` is the largest gap
+    between the Ritz bound and the lower bound a proof of F >= 0 used, the
+    dual on the scan and the chord at a midpoint (None when no proof used a
+    lower bound).  The CLI writes none of these fields.
     """
 
     b: float
@@ -101,12 +109,17 @@ def _band(b: float, res: JResult) -> float:
 
 
 class _Search:
-    """The signs of F at one b for the BVP value of J: proved by the floor
-    J >= L(b) or the spectral enclosure where they can, solved where they
-    cannot.  Solved values are kept for the bracket ends."""
+    """The signs of F at one b for the BVP value of J: proved by bounds on J
+    where they can, solved by ``compute_j`` where they cannot.  Solved
+    values are kept for the bracket ends.
+
+    The scan is screened in one vectorised pass, each bisection midpoint by
+    scalar tests (see the module docstring); the dual runs at the scan
+    bracket's ends once, when the first midpoint needs the chord."""
 
     def __init__(self, b: float):
         self.b = b
+        self.amp, self.half_b = 2.0 / (b - 1.0), 0.5 * b
         # J(3, .) = 0 exactly and costs no solve; the dual needs b < 3.
         self.spec = None if is_b3(b) else SpectralJ(b)
         if self.spec is not None:
@@ -118,6 +131,8 @@ class _Search:
             except NoConvergence:
                 self.floor = 0.0
         self.values = {}
+        self.ends = None
+        self._end_lower = None
         self.solved_points = 0
         self.screened_points = 0
         self.max_gap = None
@@ -130,12 +145,63 @@ class _Search:
         return res
 
     def nonneg(self, betas: np.ndarray) -> np.ndarray:
-        """Whether F(b, beta) >= 0 at each beta."""
+        """Whether F(b, beta) >= 0 at each beta of the scan."""
         known = self._screen(betas)
         signs = known > 0
         for k in np.flatnonzero(known == 0):
             signs[k] = _f(self.b, self.j(float(betas[k]))) >= 0.0
         return signs
+
+    def bisect(self, lo: float, hi: float, tol: float) -> tuple[float, float]:
+        """Halve the scan bracket [lo, hi], F(lo) < 0 <= F(hi), to width
+        ``tol``; returns the final bracket."""
+        self.ends = (lo, hi)
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            known = self._known_mid(mid)
+            if known:
+                self.screened_points += 1
+                nonneg = known > 0
+            else:
+                nonneg = _f(self.b, self.j(mid)) >= 0.0
+            if nonneg:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    def chord(self, beta: float) -> float:
+        """The chord between the lower bounds on J at the scan bracket's
+        ends, each the larger of the dual and the floor, at ``beta`` between
+        them.  J is concave, so the chord bounds it from below there."""
+        if self._end_lower is None:
+            self._end_lower = np.maximum(self.spec.lower(np.array(self.ends)),
+                                         self.floor).tolist()
+        (a, c), (lower_a, lower_c) = self.ends, self._end_lower
+        t = (beta - a) / (c - a)
+        return (1.0 - t) * lower_a + t * lower_c
+
+    def _known_mid(self, mid: float) -> int:
+        # +1 (-1) where the floor, the Ritz bound or the chord, widened by the
+        # margin, proves F >= 0 (F < 0) at a bisection midpoint; 0 where none
+        # does.
+        if self.spec is None:
+            return 0
+        amp, half_b, mid2 = self.amp, self.half_b, mid * mid
+        if mid2 + amp * (self.floor - _SCREEN_MARGIN - half_b) >= 0.0:
+            return 1
+        upper = float(self.spec.upper(mid))
+        if mid2 + amp * (upper + _SCREEN_MARGIN - half_b) < 0.0:
+            return -1
+        # chord <= J <= upper, so the chord can prove F >= 0 only where the
+        # upper bound, less the margin, already gives it.
+        if mid2 + amp * (upper - _SCREEN_MARGIN - half_b) < 0.0:
+            return 0
+        chord = self.chord(mid)
+        if mid2 + amp * (chord - _SCREEN_MARGIN - half_b) >= 0.0:
+            self._gap(upper - chord)
+            return 1
+        return 0
 
     def _screen(self, betas: np.ndarray) -> np.ndarray:
         # +1 (-1) where the floor or the enclosure, widened by the margin,
@@ -143,7 +209,7 @@ class _Search:
         known = np.zeros(betas.shape, dtype=int)
         if self.spec is None:
             return known
-        amp, half_b = 2.0 / (self.b - 1.0), 0.5 * self.b
+        amp, half_b = self.amp, self.half_b
         # The floor J >= L(b) proves F >= 0 with no dual, also at the
         # degenerate weight, where the dual gives no bound.
         floor = betas * betas + amp * (self.floor - _SCREEN_MARGIN - half_b) >= 0.0
@@ -158,10 +224,12 @@ class _Search:
         proved = betas[rest] ** 2 + amp * (lower - _SCREEN_MARGIN - half_b) >= 0.0
         if proved.any():
             known[rest[proved]] = 1
-            gap = float(np.max(upper[rest[proved]] - lower[proved]))
-            self.max_gap = gap if self.max_gap is None else max(self.max_gap, gap)
+            self._gap(float(np.max(upper[rest[proved]] - lower[proved])))
         self.screened_points += int(np.count_nonzero(known))
         return known
+
+    def _gap(self, gap: float) -> None:
+        self.max_gap = gap if self.max_gap is None else max(self.max_gap, gap)
 
     def counts(self) -> dict:
         return dict(solved_points=self.solved_points, screened_points=self.screened_points,
@@ -178,11 +246,11 @@ def compute_beta_b(b: float, tol: float = _DEFAULT_TOL) -> BetaBResult:
     BVP value of J on 4096 cells, most of them proved without a solve (see
     the module docstring).
 
-    ``tol`` is the certified width of the crossing (>= 1e-6).
+    ``tol`` is the certified width of the crossing (finite, >= 1e-6).
     """
     check_b(b)
-    if tol < 1e-6:
-        raise ValueError(f"tol must be >= 1e-6 (got {tol})")
+    if not (math.isfinite(tol) and tol >= 1e-6):
+        raise ValueError(f"tol must be finite and >= 1e-6 (got {tol})")
 
     search = _Search(b)
     betas = np.linspace(0.0, BETA_MAX, _SCAN_POINTS)
@@ -201,13 +269,7 @@ def compute_beta_b(b: float, tol: float = _DEFAULT_TOL) -> BetaBResult:
         return BetaBResult(b=b, status=STATUS_UNDETERMINED, sign_reversal_above=reversal,
                            **search.counts())
 
-    lo, hi = float(betas[i - 1]), float(betas[i])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if search.nonneg(np.array([mid]))[0]:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = search.bisect(float(betas[i - 1]), float(betas[i]), tol)
 
     lo_res, hi_res = search.j(lo), search.j(hi)
     f_lo, band_lo = float(_f(b, lo_res)), float(_band(b, lo_res))

@@ -372,6 +372,17 @@ class TestSimulate:
     (["simulate", "--b", "3.5", "--ic", "cos"], 2),
     (["beta-b", "--sweep", "1.3:3:0"], 1),
     (["beta-b", "--sweep", "a:b:3"], 1),
+    # NaN is neither a valid tol nor a valid run parameter: a domain error,
+    # not a row at the scan width or a run of NaN steps.
+    (["beta-b", "--b", "2", "--tol", "nan"], 2),
+    (["beta-b", "--sweep", "1.5:2:2", "--tol", "nan"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b-tol", "nan"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--cfl", "nan",
+      "--beta-b", "0.51328"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--t-max", "nan",
+      "--beta-b", "0.51328"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--slope-threshold", "nan",
+      "--beta-b", "0.51328"], 2),
 ])
 def test_exit_code(capsys, argv, want):
     assert run_cli(capsys, *argv)[0] == want

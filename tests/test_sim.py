@@ -47,7 +47,7 @@ class TestSimConfig:
         with pytest.raises(BOutOfRange):
             SimConfig(b=b, t_max=1.0)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("name", ["t_max", "cfl", "blowup_slope_threshold"])
     def test_run_parameters_positive(self, name, value):
         with pytest.raises(ValueError):

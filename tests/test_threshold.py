@@ -73,6 +73,13 @@ class TestComputeBetaB:
         with pytest.raises(ValueError):
             compute_beta_b(2.0, tol=1e-8)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # NaN passed the old `tol < 1e-6` guard and skipped the bisection,
+        # so a FINITE verdict came back at the scan width.
+        with pytest.raises(ValueError):
+            compute_beta_b(2.0, tol=tol)
+
     @pytest.mark.parametrize("f_below, status", [(-1.0, STATUS_FINITE),
                                                  (-1e-3, STATUS_UNDETERMINED)])
     def test_lower_bracket_end_certified(self, monkeypatch, f_below, status):
@@ -164,6 +171,65 @@ class TestComputeBetaB:
             assert BETA_MAX not in betas
             assert res.screened_points >= 263 - res.solved_points
             assert 0.0 <= res.max_gap <= 1e-4
+
+    def test_dual_calls_per_threshold(self, monkeypatch):
+        # The dual runs once on the scan points the floor and the Ritz bound
+        # leave open, and at most once more, on the two ends of the scan
+        # bracket, for the chord that decides bisection midpoints; no
+        # midpoint runs it.  Most main rows of the benchmark's sweep need the
+        # chord (1.953846 is one), some rows none (b = 2: every midpoint is
+        # proved negative, or its Ritz bound leaves no positive proof).  With
+        # tol above the scan spacing there is no bisection and no second call.
+        sizes = []
+        lower = variational.SpectralJ.lower
+
+        def recording(self, beta):
+            sizes.append(np.size(beta))
+            return lower(self, beta)
+
+        monkeypatch.setattr(variational.SpectralJ, "lower", recording)
+        for b, chord in [(1.06, False), (1.0448642857142858, True), (1.953846, True),
+                         (2.0, False), (2.9, True)]:
+            sizes.clear()
+            compute_beta_b(b)
+            assert sizes[1:] == ([2] if chord else []), b
+        spacing = BETA_MAX / (threshold._SCAN_POINTS - 1)
+        for b in (1.0448642857142858, 1.953846, 2.9):
+            sizes.clear()
+            res = compute_beta_b(b, tol=1.01 * spacing)
+            assert res.status == STATUS_FINITE
+            assert res.uncertainty > spacing / 2
+            assert len(sizes) == 1, b
+
+    @pytest.mark.parametrize("b", [1.0100, 1.01007, 1.011, 1.0403414285714285, 1.5, 2.0,
+                                   2.9, 2.9999, 2.999999])
+    def test_chord_below_midpoint_values(self, monkeypatch, b):
+        # The chord's assumption, J >= chord on the scan bracket, at every
+        # bisection midpoint: below the value compute_j returns, within a
+        # tenth of the margin, and below the Ritz upper bound, within the
+        # dual's rounding allowance.
+        searches, mids = [], []
+        bisect, known_mid = threshold._Search.bisect, threshold._Search._known_mid
+
+        def recording_bisect(self, lo, hi, tol):
+            searches.append(self)
+            return bisect(self, lo, hi, tol)
+
+        def recording_mid(self, mid):
+            mids.append(mid)
+            return known_mid(self, mid)
+
+        monkeypatch.setattr(threshold._Search, "bisect", recording_bisect)
+        monkeypatch.setattr(threshold._Search, "_known_mid", recording_mid)
+        compute_beta_b(b)
+        (search,) = searches
+        assert len(mids) == 7
+        eps = np.finfo(np.float64).eps
+        for mid in mids:
+            chord = search.chord(mid)
+            upper = float(search.spec.upper(mid))
+            assert chord <= compute_j(b, mid).value + threshold._SCREEN_MARGIN / 10.0, mid
+            assert chord <= upper + variational._ROUNDING_ULPS * eps * max(abs(upper), 1.0), mid
 
     @pytest.mark.parametrize("b", [1.03, 1.06, 1.3, 2.0, 2.9])
     def test_floor_settles_top_of_bracket(self, monkeypatch, b):
