@@ -15,9 +15,11 @@ files also writes a ``<stem>.manifest.json`` referencing them.
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
+import math
 import os
 import sys
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
@@ -28,7 +30,7 @@ from . import estimates as est_mod
 from . import sim as sim_mod
 from . import threshold as thr_mod
 from .errors import BFamilyError
-from .variational import _DEFAULT_N, compute_j, compute_j_bvp, compute_j_direct
+from .variational import _DEFAULT_N, compute_j
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,6 +68,7 @@ def _fmt(value) -> str:
 
 
 def _resolve_out(path: str) -> str:
+    # Once per output path: the result is final, never resolved again.
     base = os.environ.get("BFAMILY_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -89,14 +92,18 @@ def _write_manifest(stem: str, command: str, params: dict, outputs: list, rows=N
     }
     if rows is not None:
         manifest["row_status"] = rows
-    path = stem + ".manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_text(stem + ".manifest.json", _dump_json(manifest))
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, already resolved, as UTF-8 with LF endings;
+    every file the CLI writes goes through here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _parse_sweep(text: str):
@@ -127,8 +134,7 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
         return None
     path = _resolve_out(out)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, text)
     return path
 
 
@@ -136,20 +142,7 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_j(args) -> int:
-    if args.method == "bvp":
-        res = compute_j_bvp(args.b, args.beta, n=args.grid)
-    elif args.method == "direct":
-        res = compute_j_direct(args.b, args.beta, n=args.grid)
-    else:
-        res = compute_j(args.b, args.beta, n=args.grid)
-    payload = {
-        "b": res.b,
-        "beta": res.beta,
-        "value": res.value,
-        "method": res.method,
-        "error_estimate": res.error_estimate,
-    }
-    text = _dump_json(payload)
+    text = _dump_json(dataclasses.asdict(compute_j(args.b, args.beta, n=args.grid)))
     sys.stdout.write(text)
     if args.json:
         path = _emit(text, args.json)
@@ -239,6 +232,8 @@ def _initial_condition(args) -> sim_mod.TorusField:
             vals = [float(tok) for tok in args.coeffs.split(",")]
         except ValueError as exc:
             raise _UsageError(f"bad --coeffs: {exc}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"--coeffs must be finite (got {args.coeffs!r})")
         # a0, a1, b1, a2, b2, ...: cosine and sine amplitudes per mode
         cos_c = [vals[0]] + vals[1::2]
         sin_c = [0.0] + vals[2::2]
@@ -247,6 +242,12 @@ def _initial_condition(args) -> sim_mod.TorusField:
 
 
 def _cmd_simulate(args) -> int:
+    # Checked here, not in TorusField: a run may end on a non-finite state,
+    # but its inputs must be finite for report.json to be valid JSON.
+    if not math.isfinite(args.amp):
+        raise ValueError(f"--amp must be finite (got {args.amp})")
+    if args.beta_b is not None and not (math.isfinite(args.beta_b) and args.beta_b > 0.0):
+        raise ValueError(f"--beta-b must be finite and > 0 (got {args.beta_b})")
     u0 = _initial_condition(args)
     cfg = sim_mod.SimConfig(
         b=args.b, t_max=args.t_max, cfl=args.cfl,
@@ -285,9 +286,8 @@ def _cmd_simulate(args) -> int:
 
     if args.out:
         stem = _resolve_out(args.out)
-        report_path = stem + ".report.json"
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        report_path, series_path = stem + ".report.json", stem + ".series.csv"
+        _write_text(report_path, text)
         series_rows = [
             [t, s, m, h, q]
             for (t, s), m, h, q in zip(
@@ -295,11 +295,8 @@ def _cmd_simulate(args) -> int:
                 trajectory.h1_history, trajectory.tail_history,
             )
         ]
-        series_text = _csv_lines(["t", "min_slope", "mean", "h1_energy", "tail_fraction"],
-                                 series_rows)
-        series_path = stem + ".series.csv"
-        with open(series_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(series_text)
+        _write_text(series_path, _csv_lines(
+            ["t", "min_slope", "mean", "h1_energy", "tail_fraction"], series_rows))
         _write_manifest(stem, "simulate", _params(args), [report_path, series_path])
     return EXIT_OK
 
@@ -313,7 +310,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--grid", type=int, default=_DEFAULT_N)
-    p.add_argument("--method", choices=["auto", "bvp", "direct"], default="auto")
     p.add_argument("--json", help="also write the JSON result to this path")
     p.set_defaults(fn=_cmd_j)
 

@@ -44,7 +44,7 @@ Discretization notes (constraints, not style):
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -63,7 +63,6 @@ _SPECTRAL_MODES = 16  # Legendre modes K of both spectral bounds
 # The dual's rounding error is absolute, about 1e-14 even where J is small
 # (b near 3).
 _ROUNDING_ULPS = 1024
-_DUAL_CHUNK = 64  # betas per batched dual solve; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -342,9 +341,13 @@ def _spectral_forms():
     int w phi phi^T and int w phi' phi'^T over phi_k = x(1-x) P_k(2x-1),
     k < K = _SPECTRAL_MODES, by the Q-point Gauss-Legendre rule,
     Q = max(2K + 16, 64), which is exact for the polynomial factors.  Dual,
-    for the Q- and the 2Q-point rule: p, p' and the weights at the nodes,
-    and per node the entries of P P^T and P' P'^T bordered by a zero row and
-    column.
+    for the Q- and the 2Q-point rule: p, p' and the weights at the nodes;
+    per node the entries of P P^T stacked over those of P' P'^T, each
+    bordered by a zero row and column; and the border, e_k = P_k(1) -
+    P_k(-1) in the last row and column with a corner of 7.  Bordered by e,
+    the Cholesky factor's last row starts with L_B^-1 e whatever the corner;
+    the corner only keeps the bordered matrix definite, and exceeds
+    e^T B^-1 e = 2 max(dual) <= 2 J <= b < 3.
     """
     legendre = np.polynomial.legendre
     modes = _SPECTRAL_MODES
@@ -364,13 +367,16 @@ def _spectral_forms():
         qw = q * part
         ritz.append((qw @ phi, phi.T @ (qw[:, None] * phi), dphi.T @ (qw[:, None] * dphi)))
 
+    border = np.zeros((modes + 1, modes + 1))
+    border[modes, :modes] = border[:modes, modes] = 1.0 - (-1.0) ** np.arange(modes)
+    border[modes, modes] = 7.0
     dual = []
     for points in (quad, 2 * quad):
         x, q = _gauss(points)
         p, dp = (np.pad(a, ((0, 0), (0, 1))) for a in basis(x))
-        dual.append((eval_p(x), eval_dp(x), q,
-                     np.einsum("qi,qj->qij", p, p).reshape(points, -1),
-                     np.einsum("qi,qj->qij", dp, dp).reshape(points, -1)))
+        forms = np.concatenate((np.einsum("qi,qj->qij", p, p).reshape(points, -1),
+                                np.einsum("qi,qj->qij", dp, dp).reshape(points, -1)))
+        dual.append((eval_p(x), eval_dp(x), q, forms, border))
     return ritz, dual
 
 
@@ -389,8 +395,10 @@ class SpectralJ:
     L^-1 A1 L^-T, with numpy's LAPACK routines, which the Gauss rules and
     the lower bound load anyway.  Lower bound: the maximum over
     sigma = sum d_k P_k(2x-1) of the dual functional, 1/2 e^T B(beta)^-1 e
-    with e_k = P_k(1) - P_k(-1); it needs one Cholesky factorisation per
-    beta, batched.
+    with e_k = P_k(1) - P_k(-1) and B(beta) = int (P P^T/(3-b) + P' P'^T/b)/w.
+    Each call builds B from the b-free forms of ``_spectral_forms``, so the
+    instance keeps no dual state; it needs one Cholesky factorisation per
+    beta, all betas in one batch.
     """
 
     def __init__(self, b: float):
@@ -410,24 +418,13 @@ class SpectralJ:
         h = self._h0 + beta * self._h1
         return 0.5 * self.b - 0.5 * np.sum(h * h / (1.0 + beta * self._lam), axis=-1)
 
-    @cached_property
-    def _dual_forms(self):
-        b, k = self.b, _SPECTRAL_MODES
-        # Bordered by e, the Cholesky factor's last row starts with L_B^-1 e,
-        # so max(dual) = 1/2 e^T B^-1 e is half its squared norm.  The corner
-        # only keeps the bordered matrix definite: e^T B^-1 e = 2 max(dual)
-        # <= 2 J <= b.
-        border = np.zeros((k + 1, k + 1))
-        border[k, :k] = border[:k, k] = 1.0 - (-1.0) ** np.arange(k)
-        border[k, k] = 2.0 * b + 1.0
-        rules = [(p, dp, q, pp / (3.0 - b) + dd / b)
-                 for p, dp, q, pp, dd in _spectral_forms()[1]]
-        return border, rules
-
-    def _dual(self, beta, rule, border):
-        p, dp, q, form = rule
-        w = p + beta[:, None] * dp
-        mats = ((q / w) @ form).reshape(-1, *border.shape) + border
+    def _dual(self, beta, rule):
+        # B(beta) = int (q/w) (P P^T / (3-b) + P' P'^T / b), bordered by e:
+        # the b-free forms, weighted per node and beta.
+        p, dp, q, forms, border = rule
+        qw = q / (p + beta[:, None] * dp)
+        weights = np.concatenate((qw / (3.0 - self.b), qw / self.b), axis=1)
+        mats = (weights @ forms).reshape(-1, *border.shape) + border
         row = np.linalg.cholesky(mats)[:, -1, :-1]
         return 0.5 * np.einsum("ij,ij->i", row, row)
 
@@ -435,23 +432,22 @@ class SpectralJ:
         """The dual lower bound at each beta of a 1-d array; -inf at the
         degenerate weight, and wherever doubling the quadrature moves the
         bound, or the bound exceeds the upper one, by more than the rounding
-        allowance."""
+        allowance.  All betas are one batched call: a failed factorisation
+        leaves every bound of the call at -inf."""
         beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
         upper = self.upper(beta)
         allowance = _ROUNDING_ULPS * np.finfo(np.float64).eps * np.maximum(np.abs(upper), 1.0)
         lower = np.full(beta.shape, -np.inf)
         # the 1/w quadrature needs w > 0 on [0, 1]
-        regular = np.flatnonzero(~is_degenerate(beta))
-        border, (coarse_rule, fine_rule) = self._dual_forms
-        for start in range(0, regular.size, _DUAL_CHUNK):
-            idx = regular[start:start + _DUAL_CHUNK]
-            try:
-                coarse = self._dual(beta[idx], coarse_rule, border)
-                fine = self._dual(beta[idx], fine_rule, border)
-            except np.linalg.LinAlgError:
-                continue
-            ok = (np.abs(fine - coarse) <= allowance[idx]) & (fine <= upper[idx] + allowance[idx])
-            lower[idx[ok]] = fine[ok]
+        idx = np.flatnonzero(~is_degenerate(beta))
+        coarse_rule, fine_rule = _spectral_forms()[1]
+        try:
+            coarse = self._dual(beta[idx], coarse_rule)
+            fine = self._dual(beta[idx], fine_rule)
+        except np.linalg.LinAlgError:
+            return lower
+        ok = (np.abs(fine - coarse) <= allowance[idx]) & (fine <= upper[idx] + allowance[idx])
+        lower[idx[ok]] = fine[ok]
         return lower
 
 

@@ -3,8 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import csv
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +288,25 @@ def test_c12_odd_data_scenario():
     ok = rep.detected and rep.t_detect < 50.0
     _report("C12 odd-data blow-up (b=2.5)", ok,
             f"detected {rep.detected} at {rep.t_detect}")
+
+
+def test_c13_threshold_above_tanh_half():
+    # Momentum m0 = u0 - u0'' >= 0 keeps its sign and bounds |u_x| by
+    # tanh(1/2) u for all time (Escher & Yin 2008), and near-peakon data of
+    # that kind bring -u0'/|u0| as close to tanh(1/2) as wanted.  A valid
+    # threshold therefore cannot lie below tanh(1/2).  The minimum of beta_b
+    # over b is near b = 1.53; the smallest margin on this grid is 6.4e-4.
+    # The FINITE rows of the golden sweeps are checked too.
+    bound = math.tanh(0.5)
+    margins = []
+    for row in bf.sweep(1.50, 1.58, 81):
+        res = row.result
+        assert res is not None and res.status == bf.STATUS_FINITE, row.b
+        margins.append((res.beta_b - res.uncertainty - bound, row.b))
+    for path in sorted((Path(__file__).parent / "data").glob("beta_b_sweep_*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            margins += [(float(r["beta_b"]) - float(r["uncertainty"]) - bound, float(r["b"]))
+                        for r in csv.DictReader(fh) if r["status"] == bf.STATUS_FINITE]
+    worst, b_worst = min(margins)
+    _report("C13 beta_b - uncertainty >= tanh(1/2)", worst >= 0.0,
+            f"smallest margin {worst:.2e} at b = {b_worst:.4f}, {len(margins)} rows")

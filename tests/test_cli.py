@@ -85,15 +85,6 @@ class TestJ:
         exact = (math.e + 1.0) ** 2 / (4.0 * math.e * math.cosh(1.0))
         assert abs(payload["value"] - exact) <= 1.1 * payload["error_estimate"]
 
-    @pytest.mark.parametrize("method, want", [
-        ("auto", "BVP_FLUX"), ("bvp", "BVP_FLUX"), ("direct", "DIRECT_MIN"),
-    ])
-    def test_method_selects_route(self, capsys, method, want):
-        code, out, _ = run_cli(capsys, "j", "--b", "2", "--beta", "0.5", "--grid", "256",
-                               "--method", method)
-        assert code == 0
-        assert json.loads(out)["method"] == want
-
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "j", "--b", "0.5", "--beta", "0")
         assert code == 2
@@ -357,6 +348,29 @@ class TestSimulate:
         assert len(got_rows) == len(want_rows)
         _assert_close(got_rows, want_rows)
 
+    @pytest.mark.parametrize("bad", ["--amp=nan", "--beta-b=-inf"])
+    def test_bad_input_writes_no_file(self, capsys, tmp_path, bad):
+        code, out, _ = run_cli(capsys, "simulate", "--b", "2", "--ic", "cos", "--n", "64",
+                               bad, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_relative_out_dir_env(self, capsys, tmp_path, monkeypatch):
+        # A relative BFAMILY_OUT_DIR is joined to each output path once: the
+        # three files land under it, not under out/out.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("BFAMILY_OUT_DIR", "out")
+        code, _, _ = run_cli(capsys, "simulate", "--b", "2", "--ic", "cos", "--n", "64",
+                             "--t-max", "0.01", "--beta-b", "0.51328", "--out", "run")
+        assert code == 0
+        files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert files == [os.path.join("out", f"run.{ext}")
+                         for ext in ("manifest.json", "report.json", "series.csv")]
+        manifest = json.loads((tmp_path / "out" / "run.manifest.json").read_text())
+        assert manifest["outputs"] == [os.path.join("out", "run.report.json"),
+                                       os.path.join("out", "run.series.csv")]
+
     def test_bad_coeffs_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--b", "2", "--ic", "fourier", "--coeffs", "a,b",
@@ -365,7 +379,7 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["j", "--b", "3", "--beta", "0.5", "--method", "bvp"], 2),
+    (["j", "--b", "3.5", "--beta", "0.5"], 2),
     (["simulate", "--b", "2.5", "--ic", "oddsine", "--amp", "0.1", "--n", "64",
       "--t-max", "0.01"], 0),
     (["simulate", "--b", "2", "--ic", "fourier"], 1),
@@ -383,6 +397,16 @@ class TestSimulate:
       "--beta-b", "0.51328"], 2),
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--slope-threshold", "nan",
       "--beta-b", "0.51328"], 2),
+    # j takes no --method: compute_j is its one route.
+    (["j", "--b", "2", "--beta", "0.5", "--method", "direct"], 1),
+    # Non-finite data or threshold: refused before integrating, where the
+    # report would have held NaN or Infinity, which is not JSON.
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--amp", "nan"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--amp", "inf"], 2),
+    (["simulate", "--b", "2", "--ic", "fourier", "--n", "64", "--coeffs", "0.1,nan,0.2"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "nan"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "inf"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "-1"], 2),
 ])
 def test_exit_code(capsys, argv, want):
     assert run_cli(capsys, *argv)[0] == want

@@ -254,6 +254,21 @@ def _direct_ritz_j(b, beta, modes, points=96):
     return 0.5 * b * qw.sum() - 0.5 * g @ np.linalg.solve(a, g)
 
 
+def _direct_dual_j(b, beta, modes, points):
+    # The dual maximum 1/2 e^T B^-1 e, B = int (P P^T/(3-b) + P' P'^T/b)/w
+    # and e_k = P_k(1) - P_k(-1), by one K x K solve at this b and beta,
+    # written out as the reference for the bordered, b-free batch.
+    t, q = np.polynomial.legendre.leggauss(points)
+    x, q = 0.5 * (t + 1.0), 0.5 * q
+    p = np.polynomial.legendre.legvander(2.0 * x - 1.0, modes - 1)
+    dp = 2.0 * np.polynomial.legendre.legval(
+        2.0 * x - 1.0, np.polynomial.legendre.legder(np.eye(modes))).T
+    qw = q / ((np.cosh(x - 0.5) + beta * np.sinh(x - 0.5)) / (2.0 * math.sinh(0.5)))
+    a = p.T @ (qw[:, None] * p) / (3.0 - b) + dp.T @ (qw[:, None] * dp) / b
+    e = 1.0 - (-1.0) ** np.arange(modes)
+    return 0.5 * e @ np.linalg.solve(a, e)
+
+
 class TestSpectralEnclosure:
     # C05's 9x9 (b, beta) grid
     B_GRID = np.linspace(1.2, 3.0, 11)[1:-1]
@@ -300,11 +315,36 @@ class TestSpectralEnclosure:
         assert np.allclose(spec.upper(-betas), spec.upper(betas), rtol=0, atol=1e-13)
         assert np.allclose(spec.lower(-betas), spec.lower(betas), rtol=0, atol=1e-13)
 
-    def test_chunks_agree_with_single_points(self):
+    def test_batch_agrees_with_single_points(self):
         spec = SpectralJ(2.0)
-        betas = np.linspace(0.0, 2.0, 300)   # more than one chunk
+        betas = np.linspace(0.0, 2.0, 300)   # one batched call
         single = np.array([spec.lower(np.array([t]))[0] for t in betas[::37]])
         assert np.allclose(spec.lower(betas)[::37], single, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("b", [1.01, 2.0, 2.9])
+    def test_dual_is_the_complementary_maximum(self, b):
+        # The b-free forms, scaled per call, and the constant corner give the
+        # dual that a direct solve at this b gives, on both rules.
+        spec = SpectralJ(b)
+        betas = np.array([0.0, 0.5, -1.3, 2.0])
+        for rule in vmod._spectral_forms()[1]:
+            points = rule[2].shape[0]
+            want = [_direct_dual_j(b, t, vmod._SPECTRAL_MODES, points) for t in betas]
+            assert np.allclose(spec._dual(betas, rule), want, rtol=1e-12, atol=0)
+
+    def test_no_dual_state_per_b(self):
+        # An instance keeps the Ritz pencil only, also after a dual call.
+        spec = SpectralJ(2.0)
+        spec.lower(np.array([0.3, 0.7]))
+        assert set(vars(spec)) == {"b", "_lam", "_h0", "_h1"}
+
+    def test_failed_factorisation_fails_the_call(self, monkeypatch):
+        def singular(beta, rule):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        spec = SpectralJ(2.0)
+        monkeypatch.setattr(spec, "_dual", singular)
+        assert np.all(spec.lower(np.array([0.2, 0.9, 1.5])) == -math.inf)
 
     def test_no_lower_bound_at_degenerate_weight(self):
         upper, lower = compute_j_spectral(2.0, BETA_MAX)
@@ -317,9 +357,9 @@ class TestSpectralEnclosure:
         # so the point gets no lower bound rather than an unchecked one.
         beta = BETA_MAX * 254 / 255
         spec = SpectralJ(2.0)
-        border, (coarse, fine) = spec._dual_forms
+        coarse, fine = vmod._spectral_forms()[1]
         at = np.array([beta])
-        moved = abs(spec._dual(at, coarse, border)[0] - spec._dual(at, fine, border)[0])
+        moved = abs(spec._dual(at, coarse)[0] - spec._dual(at, fine)[0])
         assert moved > 1e3 * vmod._ROUNDING_ULPS * np.finfo(float).eps
         assert spec.lower(at)[0] == -math.inf
 
