@@ -116,6 +116,9 @@ def _parse_sweep(text: str):
         raise _UsageError(f"bad sweep range {text!r}: {exc}") from exc
     if steps < 1:
         raise _UsageError("sweep steps must be >= 1")
+    # a domain error for both commands, before a grid of NaN rows is built
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"sweep ends must be finite (got {text!r})")
     return lo, hi, steps
 
 

@@ -75,8 +75,28 @@ def unit_weight(beta: float, x):
     every beta and vanishes at one endpoint at beta = +-(e+1)/(e-1).
     """
     check_beta(beta)
-    y = np.asarray(x, dtype=np.float64) - 0.5
-    return np.maximum((np.cosh(y) + beta * np.sinh(y)) / _TWO_SINH_HALF, 0.0)
+    x = np.asarray(x, dtype=np.float64)
+    w = _offset_weight(x.reshape(-1) - 0.5, beta)
+    return w.reshape(x.shape)[()]  # a scalar for a scalar x, as from a ufunc
+
+
+def _offset_weight(y, beta: float) -> np.ndarray:
+    # The weight at x = y + 1/2 from the 1-d float64 array y, which it
+    # overwrites with beta sinh(y): two arrays in all.
+    w = np.cosh(y)
+    y = np.sinh(y, out=y)
+    y *= beta
+    return _weight_from_terms(w, y)
+
+
+def _weight_from_terms(w, term) -> np.ndarray:
+    # (cosh(y) + beta sinh(y)) / (2 sinh 1/2), clipped at 0, from its two
+    # terms: one in the float64 array w, which holds the result, the other
+    # in term.  Every weight array is finished here, so all have the bits of
+    # the same operations (a + b and b + a round alike).
+    w += term
+    w /= _TWO_SINH_HALF
+    return np.maximum(w, 0.0, out=w)
 
 
 def eval_w(beta: float, x):

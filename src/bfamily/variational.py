@@ -15,7 +15,12 @@ independent routes are provided:
   J = b/2 + T(v_min).
 
 The BVP route is the production path, also at the degenerate weight; the
-direct minimization is kept as an independent oracle.
+direct minimization is kept as an independent oracle.  Above the threshold
+search's n = 4096, whose grids are memoized, both routes build their
+full-length arrays per call and in place: a few buffers are reused, in the
+order of operations of the plain array expressions, so the bits are those
+of the expressions; at most seven such arrays are alive at once, the
+solver's copies included, and none outlives the call.
 
 ``compute_j_spectral`` encloses J between two spectral bounds (Prager and
 Synge's two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
@@ -51,11 +56,12 @@ from scipy.linalg.lapack import dptsv
 
 from .errors import BOutOfRange, LinearSolveFailure, NotCoercive
 from .kernel import (
-    _TWO_SINH_HALF, check_b, check_beta, convolve_dp, convolve_p, eval_dp, eval_p, is_b3,
-    is_degenerate, trig_polynomial, unit_weight,
+    _offset_weight, _weight_from_terms, check_b, check_beta, convolve_dp, convolve_p, eval_dp,
+    eval_p, is_b3, is_degenerate, trig_polynomial, unit_weight,
 )
 
 _DEFAULT_N = 4096
+_GAUSS_OFS = 0.5 / math.sqrt(3.0)  # the two-point Gauss rule's offset from a cell's middle
 
 _SPECTRAL_MODES = 16  # Legendre modes K of both spectral bounds
 # A lower bound counts only where it agrees with itself under a doubled
@@ -118,9 +124,23 @@ def spd_solve(diag, off, rhs):
 def _nodes(n: int, graded: bool) -> np.ndarray:
     if n < 64:
         raise ValueError(f"need n >= 64 grid cells (got {n})")
-    if graded:
-        return 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
-    return np.linspace(0.0, 1.0, n + 1)
+    if not graded:
+        return np.linspace(0.0, 1.0, n + 1)
+    # 0.5 (1 - cos(pi i / n)), built in one array
+    x = np.arange(n + 1, dtype=np.float64)
+    x *= np.pi
+    x /= n
+    np.cos(x, out=x)
+    np.subtract(1.0, x, out=x)
+    x *= 0.5
+    return x
+
+
+def _node_shares(h: np.ndarray) -> np.ndarray:
+    # 0.5 (h[:-1] + h[1:]): the lumped mass of each interior node
+    share = h[:-1] + h[1:]
+    share *= 0.5
+    return share
 
 
 @dataclass(frozen=True)
@@ -136,12 +156,7 @@ class _Grid:
     sinh: np.ndarray
 
     def weight(self, beta: float) -> np.ndarray:
-        # The operations of kernel.unit_weight, so the same bits, in one
-        # array.
-        w = beta * self.sinh
-        w += self.cosh
-        w /= _TWO_SINH_HALF
-        return np.maximum(w, 0.0, out=w)
+        return _weight_from_terms(beta * self.sinh, self.cosh)
 
 
 # The threshold search solves on n = 4096 and 2048 cells, uniform or graded:
@@ -152,37 +167,55 @@ def _cached_grid(n: int, graded: bool) -> _Grid:
     x = _nodes(n, graded)
     h = np.diff(x)
     y = x - 0.5
-    arrays = (x, h, 0.5 * (h[:-1] + h[1:]), np.cosh(y), np.sinh(y))
+    arrays = (x, h, _node_shares(h), np.cosh(y), np.sinh(y))
     for a in arrays:
         a.flags.writeable = False  # shared by every solve on this grid
     return _Grid(*arrays)
 
 
-def _grid_arrays(n: int, graded: bool, b: float, beta: float):
-    # Nodes x, widths h, the weight w at beta and the interior node masses
-    # q = b w share.  A grid above the memo's n is built with as few arrays
-    # alive at once as the solve allows: at n = 2^20 each fresh 8 MB array
-    # costs about 3 ms of page faults, and holding cosh, sinh and the
-    # shares through the solve made it 3-10% slower.
-    if n <= _DEFAULT_N:
-        grid = _cached_grid(n, graded)
-        w = grid.weight(beta)
-        return grid.x, grid.h, w, b * w[1:-1] * grid.share
-    x = _nodes(n, graded)
-    w = unit_weight(beta, x)
-    h = np.diff(x)
-    return x, h, w, b * w[1:-1] * (0.5 * (h[:-1] + h[1:]))
-
-
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
+    # The harmonic means 2 wl wr / (wl + wr), and 0 on a face whose two
+    # nodes carry no weight, built in the array of the products.
     wl, wr = w_nodes[:-1], w_nodes[1:]
     s = wl + wr
+    wf = 2.0 * wl
+    wf *= wr
     if s.min() > 0.0:  # every face of a regular weight
-        return 2.0 * wl * wr / s
-    out = np.zeros_like(s)
+        wf /= s
+        return wf
     pos = s > 0.0
-    out[pos] = 2.0 * wl[pos] * wr[pos] / s[pos]
-    return out
+    np.divide(wf, s, out=wf, where=pos)
+    wf[~pos] = 0.0
+    return wf
+
+
+def _assemble(b: float, beta: float, n: int, graded: bool):
+    # The nodes x, the tridiagonal system (diag, off, rhs) of the BVP and,
+    # for the end fluxes, the face weights and widths of the three faces at
+    # each end.  Grids up to the search's n come from the memo.  Larger ones
+    # are built here, and the system reuses the arrays of the weight and the
+    # face weights, so the solve holds four full-length arrays besides its
+    # own copies: at n = 2^20 each fresh 8 MB array costs about 3 ms of page
+    # faults.
+    if n <= _DEFAULT_N:
+        grid = _cached_grid(n, graded)
+        x, h, share, w = grid.x, grid.h, grid.share, grid.weight(beta)
+    else:
+        x = _nodes(n, graded)
+        h = np.diff(x)
+        share = _node_shares(h)
+        w = unit_weight(beta, x)
+
+    a = _face_weights(w)
+    ends = a[:3].tolist(), h[:3].tolist(), a[-3:].tolist(), h[-3:].tolist()
+    a *= 3.0 - b
+    a /= h                                      # face conductances
+    q = w[1:-1]                                 # interior node masses b w share
+    q *= b
+    q *= share
+    diag = a[:-1] + a[1:]
+    diag += q
+    return x, diag, np.negative(a[1:-1], out=a[1:-1]), np.negative(q, out=q), ends
 
 
 def _extrapolate_to(x0: float, xs, ys) -> float:
@@ -208,25 +241,17 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     check_b(b, open_top=True)
     check_beta(beta)
     graded = bool(is_degenerate(beta))
-    x, h, w, q = _grid_arrays(n, graded, b, beta)
-
-    wf = _face_weights(w)
-    a = (3.0 - b) * wf / h                      # face conductances
-
-    diag = a[:-1] + a[1:] + q
-    off = -a[1:-1]
+    x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n, graded)
     try:
-        v = spd_solve(diag, off, -q)
+        v = spd_solve(diag, off, rhs)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(
             f"tridiagonal system singular at b={b}, beta={beta}, n={n}"
         ) from exc
 
     # The three faces at each end, closed by v(0) = v(1) = 0.
-    flux0 = _end_flux(0.0, x[:4].tolist(), wf[:3].tolist(), h[:3].tolist(),
-                      [0.0] + v[:3].tolist())
-    flux1 = _end_flux(1.0, x[-4:].tolist(), wf[-3:].tolist(), h[-3:].tolist(),
-                      v[-3:].tolist() + [0.0])
+    flux0 = _end_flux(0.0, x[:4].tolist(), wf0, h0, [0.0] + v[:3].tolist())
+    flux1 = _end_flux(1.0, x[-4:].tolist(), wf1, h1, v[-3:].tolist() + [0.0])
     return ELSolution(
         b=b, beta=beta, grid=x[1:-1], v=v,
         flux0=flux0, flux1=flux1, singular_weight=graded,
@@ -258,41 +283,83 @@ def compute_j_bvp(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     )
 
 
+def _gauss_weights(beta: float, n: int):
+    # The cell widths h and the weight at the two Gauss points
+    # x + (1/2 -+ 1/(2 sqrt 3)) h of each cell; the nodes die with the call.
+    x = _nodes(n, is_degenerate(beta))
+    h = np.diff(x)
+    weights = []
+    for c in (0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS):
+        y = h * c
+        y += x[:-1]                             # the Gauss point
+        y -= 0.5
+        weights.append(_offset_weight(y, beta))
+    return h, *weights
+
+
+def _gauss_sum(half_h, w1, c1, w2, c2, d1=None, d2=None):
+    # The element integral 0.5 h (w1 c1 d1 + w2 c2 d2), or without the d's,
+    # by the two-point rule; one array besides its result.
+    t = w1 * c1
+    u = w2 * c2
+    if d1 is not None:
+        t *= d1
+        u *= d2
+    t += u
+    t *= half_h
+    return t
+
+
+def _direct_system(b: float, beta: float, n: int):
+    # The P1 system of the direct route, with s = 3 - b,
+    #   diag = b (m_rr[:-1] + m_ll[1:]) + s (k[:-1] + k[1:]),
+    #   off = b m_lr[1:-1] - s k[1:-1],   f = b (f_r[:-1] + f_l[1:]),
+    # and its right-hand side -f.  Each element matrix or load is summed
+    # into the system once it is complete, and the weights' arrays hold the
+    # last one, so at most seven full-length arrays are alive at once.
+    h, w1, w2 = _gauss_weights(beta, n)
+    pl1, pl2 = 0.5 + _GAUSS_OFS, 0.5 - _GAUSS_OFS   # left hat at the two Gauss points
+    pr1, pr2 = 0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS
+    s = 3.0 - b
+
+    k = w1 + w2                              # local stiffness (sign applied below)
+    k *= 0.5
+    k /= h
+    h *= 0.5
+    diag = _gauss_sum(h, w1, pr1, w2, pr2, pr1, pr2)[:-1]      # m_rr
+    diag += _gauss_sum(h, w1, pl1, w2, pl2, pl1, pl2)[1:]      # m_ll
+    diag *= b
+    diag += s * (k[:-1] + k[1:])
+    off = _gauss_sum(h, w1, pl1, w2, pl2, pr1, pr2)[1:-1]     # m_lr
+    off *= b
+    k *= s
+    off -= k[1:-1]
+    del k                                     # spent: one array fewer for the loads
+    fvec = _gauss_sum(h, w1, pr1, w2, pr2)[:-1]                # f_r
+    w1 *= pl1                                                   # f_l
+    w2 *= pl2
+    w1 += w2
+    w1 *= h
+    fvec += w1[1:]
+    fvec *= b
+    return diag, off, np.negative(fvec, out=fvec)
+
+
 def _j_direct_value(b: float, beta: float, n: int) -> float:
     # Only the lower end of the b range is authoritative here: b > 3 is left
     # to the positive-definiteness check, which reports it as NotCoercive.
     if not b > 1.0:
         raise BOutOfRange(f"direct minimization requires b > 1 (got b = {b})")
-    x = _nodes(n, is_degenerate(beta))
-    h = np.diff(x)
-
-    # Two-point Gauss rule per element for the w-weighted integrals.
-    ofs = 0.5 / math.sqrt(3.0)
-    g1 = x[:-1] + h * (0.5 - ofs)
-    g2 = x[:-1] + h * (0.5 + ofs)
-    w1 = unit_weight(beta, g1)
-    w2 = unit_weight(beta, g2)
-    pl1, pl2 = 0.5 + ofs, 0.5 - ofs          # left hat at the two Gauss points
-    pr1, pr2 = 0.5 - ofs, 0.5 + ofs
-
-    k_diag = 0.5 * (w1 + w2) / h             # local stiffness (sign applied below)
-    m_ll = 0.5 * h * (w1 * pl1 * pl1 + w2 * pl2 * pl2)
-    m_rr = 0.5 * h * (w1 * pr1 * pr1 + w2 * pr2 * pr2)
-    m_lr = 0.5 * h * (w1 * pl1 * pr1 + w2 * pl2 * pr2)
-    f_l = 0.5 * h * (w1 * pl1 + w2 * pl2)
-    f_r = 0.5 * h * (w1 * pr1 + w2 * pr2)
-
-    s = 3.0 - b
-    diag = b * (m_rr[:-1] + m_ll[1:]) + s * (k_diag[:-1] + k_diag[1:])
-    off = b * m_lr[1:-1] - s * k_diag[1:-1]
-    fvec = b * (f_r[:-1] + f_l[1:])
+    diag, off, rhs = _direct_system(b, beta, n)
     try:
-        v = spd_solve(diag, off, -fvec)
+        v = spd_solve(diag, off, rhs)
     except np.linalg.LinAlgError as exc:
         raise NotCoercive(
             f"quadratic form not positive definite at b={b}, beta={beta}"
         ) from exc
-    return 0.5 * b + 0.5 * float(fvec @ v)
+    # 0.5 b + 0.5 f.v with f = -rhs, to the bit: negation commutes with every
+    # rounding of the sum.
+    return 0.5 * b - 0.5 * float(rhs @ v)
 
 
 def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:

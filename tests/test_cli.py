@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,20 @@ class TestEstimates:
         assert rows[0].split(",")[-1].startswith("ERROR:")
         assert rows[1].split(",")[-1] == "ok"
 
+    @pytest.mark.parametrize("command", ["estimates", "beta-b"])
+    @pytest.mark.parametrize("spec", ["nan:2:3", "1.5:inf:3"])
+    def test_non_finite_sweep_writes_nothing(self, capsys, tmp_path, command, spec):
+        # A non-finite end is a domain error before any grid is built: no
+        # NaN rows, no numpy RuntimeWarning from the grid, no file.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--sweep", spec,
+                                     "--out", str(tmp_path / "rows.csv"))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_constant_no_detection(self, capsys):
@@ -407,6 +422,10 @@ class TestSimulate:
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "nan"], 2),
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "inf"], 2),
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "-1"], 2),
+    # A non-finite sweep end is a domain error for both sweeping commands.
+    (["beta-b", "--sweep", "nan:2:3"], 2),
+    (["estimates", "--sweep", "nan:2:3"], 2),
+    (["estimates", "--sweep", "1.5:inf:3"], 2),
 ])
 def test_exit_code(capsys, argv, want):
     assert run_cli(capsys, *argv)[0] == want

@@ -127,6 +127,37 @@ class TestWeightProfile:
         with pytest.raises(BetaOutOfRange):
             unit_weight(-BETA_MAX - 1e-3, 0.5)
 
+    def test_keeps_input_shape(self):
+        # Built in place, but returned as a ufunc would: a scalar for a
+        # scalar or a 0-d array, an array of the input's shape otherwise.
+        for x in (0.25, np.float64(0.25), np.array(0.25)):
+            w = unit_weight(0.5, x)
+            assert type(w) is np.float64 and w == unit_weight(0.5, [0.25])[0]
+        assert unit_weight(0.5, [0.0, 0.5, 1.0]).shape == (3,)
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        kept = grid.copy()
+        assert np.array_equal(unit_weight(0.5, grid).ravel(), unit_weight(0.5, kept.ravel()))
+        assert np.array_equal(grid, kept)  # the input is not overwritten
+
+    @pytest.mark.parametrize("beta, end", [(BETA_MAX, 0.0), (-BETA_MAX, 1.0),
+                                           (BETA_MAX + 1e-12, 0.0)])
+    def test_clipped_at_degenerate_endpoint(self, beta, end):
+        # The unclipped formula rounds below zero at the vanishing end; the
+        # weight is +0 there.
+        y = end - 0.5
+        assert (math.cosh(y) + beta * math.sinh(y)) / (2.0 * math.sinh(0.5)) < 0.0
+        w = unit_weight(beta, end)
+        assert w == 0.0 and math.copysign(1.0, w) == 1.0
+
+    @pytest.mark.parametrize("beta", [-BETA_MAX, -1.3, 0.0, 0.5, 2.0, BETA_MAX])
+    def test_bits_of_the_formula(self, beta):
+        graded = 0.5 * (1.0 - np.cos(np.pi * np.arange(8193) / 8192))
+        rng = np.random.default_rng(5)
+        for x in (np.linspace(0.0, 1.0, 8193), graded, rng.uniform(0.0, 1.0, 1000)):
+            y = x - 0.5
+            want = np.maximum((np.cosh(y) + beta * np.sinh(y)) / (2.0 * math.sinh(0.5)), 0.0)
+            assert np.array_equal(unit_weight(beta, x), want)
+
 
 class TestDomain:
     def test_b_range(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,14 +172,27 @@ class TestComputeJ:
             compute_j_direct(3.5, 0.0, 256)
 
 
-def _per_call_j(b, beta, n):
-    # The BVP value on the uniform grid, every array written out from the
-    # nodes, as the reference for solve_euler_lagrange's assembly.
-    x = np.linspace(0.0, 1.0, n + 1)
+def _written_out_nodes(n, graded):
+    if graded:
+        return 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+    return np.linspace(0.0, 1.0, n + 1)
+
+
+def _written_out_weight(beta, x):
     y = x - 0.5
-    w = np.maximum((np.cosh(y) + beta * np.sinh(y)) / (2.0 * math.sinh(0.5)), 0.0)
+    return np.maximum((np.cosh(y) + beta * np.sinh(y)) / (2.0 * math.sinh(0.5)), 0.0)
+
+
+def _per_call_j(b, beta, n, graded=False):
+    # The BVP value, every array written out from the nodes, as the
+    # reference for solve_euler_lagrange's assembly.
+    x = _written_out_nodes(n, graded)
+    w = _written_out_weight(beta, x)
     h = np.diff(x)
-    wf = vmod._face_weights(w)
+    wl, wr = w[:-1], w[1:]
+    wf = np.zeros_like(h)
+    pos = wl + wr > 0.0
+    wf[pos] = 2.0 * wl[pos] * wr[pos] / (wl + wr)[pos]
     a = (3.0 - b) * wf / h
     hbar = 0.5 * (h[:-1] + h[1:])
     q = b * w[1:-1] * hbar
@@ -188,6 +202,29 @@ def _per_call_j(b, beta, n):
     flux0 = vmod._extrapolate_to(0.0, mid[:3], flux[:3])
     flux1 = vmod._extrapolate_to(1.0, mid[-3:], flux[-3:])
     return 0.5 * (3.0 - b) * (flux1 - flux0)
+
+
+def _per_call_j_direct(b, beta, n, graded=False):
+    # The direct route's value, written out: P1 elements, the two-point
+    # Gauss rule per element, one expression per element matrix and load.
+    x = _written_out_nodes(n, graded)
+    h = np.diff(x)
+    ofs = 0.5 / math.sqrt(3.0)
+    w1 = _written_out_weight(beta, x[:-1] + h * (0.5 - ofs))
+    w2 = _written_out_weight(beta, x[:-1] + h * (0.5 + ofs))
+    pl1, pl2 = 0.5 + ofs, 0.5 - ofs
+    pr1, pr2 = 0.5 - ofs, 0.5 + ofs
+    k = 0.5 * (w1 + w2) / h
+    m_ll = 0.5 * h * (w1 * pl1 * pl1 + w2 * pl2 * pl2)
+    m_rr = 0.5 * h * (w1 * pr1 * pr1 + w2 * pr2 * pr2)
+    m_lr = 0.5 * h * (w1 * pl1 * pr1 + w2 * pl2 * pr2)
+    f_l = 0.5 * h * (w1 * pl1 + w2 * pl2)
+    f_r = 0.5 * h * (w1 * pr1 + w2 * pr2)
+    s = 3.0 - b
+    diag = b * (m_rr[:-1] + m_ll[1:]) + s * (k[:-1] + k[1:])
+    off = b * m_lr[1:-1] - s * k[1:-1]
+    f = b * (f_r[:-1] + f_l[1:])
+    return 0.5 * b + 0.5 * float(f @ vmod.spd_solve(diag, off, -f))
 
 
 class TestSearchGrid:
@@ -216,7 +253,44 @@ class TestSearchGrid:
     def test_grid_weight_is_profile_weight(self, graded):
         grid = vmod._cached_grid(4096, graded)
         for beta in (-BETA_MAX, -1.0, 0.0, 0.5, BETA_MAX):
-            assert np.array_equal(grid.weight(beta), unit_weight(beta, grid.x))
+            assert np.array_equal(grid.weight(beta), _written_out_weight(beta, grid.x))
+
+
+class TestLargeGrid:
+    # Above the memo's n both routes build every array in place; the values
+    # and Richardson bands must be the bits of the written-out assembly.
+    @pytest.mark.parametrize("n", [8192, 5001, 2**14])
+    @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (1.01, -1.3), (2.9, BETA_MAX - 1e-8),
+                                         (2.5, BETA_MAX), (1.5, -BETA_MAX)])
+    def test_bit_identical_to_written_out_assembly(self, b, beta, n):
+        graded = bool(abs(abs(beta) - BETA_MAX) <= 1e-9)
+        for compute, oracle in ((compute_j_bvp, _per_call_j),
+                                (compute_j_direct, _per_call_j_direct)):
+            value = oracle(b, beta, n, graded)
+            band = (1.0 / 3.0) * abs(value - oracle(b, beta, n // 2, graded))
+            res = compute(b, beta, n)
+            assert (res.value, res.error_estimate) == (value, band), compute.__name__
+
+    @pytest.mark.parametrize("compute", [compute_j_bvp, compute_j_direct])
+    @pytest.mark.parametrize("beta", [0.5, BETA_MAX])
+    def test_peak_full_length_arrays(self, compute, beta):
+        # Deterministic, unlike a timing: at most seven (n+1)-float arrays
+        # are alive at once, the solve's three LAPACK copies included
+        # (twelve for the BVP and nineteen for the direct route when every
+        # step built a fresh array).
+        n = 2**16
+        compute(2.0, beta, n)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compute(2.0, beta, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / (8 * (n + 1)) < 7.5
 
 
 class TestFaceWeights:
