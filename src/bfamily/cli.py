@@ -4,6 +4,10 @@ Subcommands: ``j`` (one variational constant), ``beta-b`` (threshold, single
 b or sweep), ``estimates`` (analytic bounds over a sweep), ``simulate``
 (pseudo-spectral run with blow-up report).
 
+Sweeps are ``min:max:steps``, inclusive; ``beta-b`` takes exactly one of
+``--b B`` (the one-row sweep ``B:B:1``) and ``--sweep``.  Both sweep commands
+refuse a non-finite or reversed range (exit 2) before any row is built.
+
 Conventions: CSV files are UTF-8 with LF line endings, a header row, comma
 delimiter, RFC 4180 quoting of a cell that holds a comma, and floats
 rendered with Python's shortest round-trip repr; JSON objects have a fixed
@@ -107,6 +111,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _parse_sweep(text: str):
+    # the one range check of both sweep commands
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"sweep must be min:max:steps (got {text!r})")
@@ -116,9 +121,9 @@ def _parse_sweep(text: str):
         raise _UsageError(f"bad sweep range {text!r}: {exc}") from exc
     if steps < 1:
         raise _UsageError("sweep steps must be >= 1")
-    # a domain error for both commands, before a grid of NaN rows is built
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"sweep ends must be finite (got {text!r})")
+    # a domain error, before a grid of NaN or descending rows is built
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"sweep ends must be finite with min <= max (got {text!r})")
     return lo, hi, steps
 
 
@@ -139,6 +144,14 @@ def _emit(text: str, out: str | None):
     path = _resolve_out(out)
     _write_text(path, text)
     return path
+
+
+def _write_table(args, header, rows, statuses) -> int:
+    # The CSV to stdout or --out (with its manifest); exit 0 if any row is ok.
+    path = _emit(_csv_lines(header, rows), args.out)
+    if path:
+        _write_manifest(os.path.splitext(path)[0], args.command, _params(args), [path], statuses)
+    return EXIT_OK if any(s["status"] != "error" for s in statuses) else EXIT_DOMAIN
 
 
 # ---------------------------------------------------------------- commands
@@ -163,32 +176,19 @@ def _est_cell(e):
 
 
 def _cmd_beta_b(args) -> int:
-    if (args.b is None) == (args.sweep is None):
-        raise _UsageError("give exactly one of --b or --sweep")
-    if args.b is not None:
-        rows_src = thr_mod.sweep(args.b, args.b, 1, tol=args.tol)
-    else:
-        lo, hi, steps = _parse_sweep(args.sweep)
-        rows_src = thr_mod.sweep(lo, hi, steps, tol=args.tol)
-
-    rows, statuses, ok = [], [], 0
-    for row in rows_src:
-        if row.result is None:
+    # --b B is the one-row sweep B:B:1
+    lo, hi, steps = (args.b, args.b, 1) if args.sweep is None else _parse_sweep(args.sweep)
+    rows, statuses = [], []
+    for row in thr_mod.sweep(lo, hi, steps, tol=args.tol):
+        r = row.result
+        if r is None:
             rows.append([row.b, None, f"ERROR:{row.error}", None, None, None, None])
             statuses.append({"b": row.b, "status": "error", "detail": row.error})
-            continue
-        ok += 1
-        r = row.result
-        rows.append([
-            row.b, r.beta_b, r.status, r.uncertainty,
-            _est_cell(row.est1), _est_cell(row.est2), _est_cell(row.est3),
-        ])
-        statuses.append({"b": row.b, "status": r.status})
-    text = _csv_lines(_BETAB_HEADER, rows)
-    path = _emit(text, args.out)
-    if path:
-        _write_manifest(os.path.splitext(path)[0], "beta-b", _params(args), [path], statuses)
-    return EXIT_OK if ok or not rows else EXIT_DOMAIN
+        else:
+            rows.append([row.b, r.beta_b, r.status, r.uncertainty,
+                         _est_cell(row.est1), _est_cell(row.est2), _est_cell(row.est3)])
+            statuses.append({"b": row.b, "status": r.status})
+    return _write_table(args, _BETAB_HEADER, rows, statuses)
 
 
 _EST_HEADER = [
@@ -200,7 +200,7 @@ _EST_HEADER = [
 def _cmd_estimates(args) -> int:
     lo, hi, steps = _parse_sweep(args.sweep)
     th = est_mod.thresholds()
-    rows, statuses, ok = [], [], 0
+    rows, statuses = [], []
     for b in thr_mod.sweep_grid(lo, hi, steps):
         try:
             e1, e2, e3 = est_mod.estimate1(b), est_mod.estimate2(b), est_mod.estimate3(b)
@@ -209,16 +209,11 @@ def _cmd_estimates(args) -> int:
                 th["alpha"], th["gamma"], "ok",
             ])
             statuses.append({"b": b, "status": "ok"})
-            ok += 1
         except BFamilyError as exc:
             rows.append([b, None, None, None, None, None, None,
                          th["alpha"], th["gamma"], f"ERROR:{exc}"])
             statuses.append({"b": b, "status": "error", "detail": str(exc)})
-    text = _csv_lines(_EST_HEADER, rows)
-    path = _emit(text, args.out)
-    if path:
-        _write_manifest(os.path.splitext(path)[0], "estimates", _params(args), [path], statuses)
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return _write_table(args, _EST_HEADER, rows, statuses)
 
 
 def _initial_condition(args) -> sim_mod.TorusField:
@@ -228,20 +223,19 @@ def _initial_condition(args) -> sim_mod.TorusField:
         return sim_mod.TorusField.cosine(args.amp, args.n)
     if args.ic == "oddsine":
         return sim_mod.TorusField.odd_sine(args.amp, args.n)
-    if args.ic == "fourier":
-        if not args.coeffs:
-            raise _UsageError("--ic fourier requires --coeffs")
-        try:
-            vals = [float(tok) for tok in args.coeffs.split(",")]
-        except ValueError as exc:
-            raise _UsageError(f"bad --coeffs: {exc}") from exc
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"--coeffs must be finite (got {args.coeffs!r})")
-        # a0, a1, b1, a2, b2, ...: cosine and sine amplitudes per mode
-        cos_c = [vals[0]] + vals[1::2]
-        sin_c = [0.0] + vals[2::2]
-        return sim_mod.TorusField.from_coefficients(cos_c, sin_c, args.n)
-    raise _UsageError(f"unknown initial condition {args.ic!r}")
+    # fourier, the last of argparse's choices
+    if not args.coeffs:
+        raise _UsageError("--ic fourier requires --coeffs")
+    try:
+        vals = [float(tok) for tok in args.coeffs.split(",")]
+    except ValueError as exc:
+        raise _UsageError(f"bad --coeffs: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"--coeffs must be finite (got {args.coeffs!r})")
+    # a0, a1, b1, a2, b2, ...: cosine and sine amplitudes per mode
+    cos_c = [vals[0]] + vals[1::2]
+    sin_c = [0.0] + vals[2::2]
+    return sim_mod.TorusField.from_coefficients(cos_c, sin_c, args.n)
 
 
 def _cmd_simulate(args) -> int:
@@ -317,8 +311,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_j)
 
     p = sub.add_parser("beta-b", help="compute the blow-up threshold")
-    p.add_argument("--b", type=float)
-    p.add_argument("--sweep", help="b range as min:max:steps (inclusive)")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--b", type=float)
+    one.add_argument("--sweep", help="b range as min:max:steps (inclusive)")
     p.add_argument("--tol", type=float, default=thr_mod._DEFAULT_TOL)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(fn=_cmd_beta_b)

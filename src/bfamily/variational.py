@@ -174,19 +174,14 @@ def _cached_grid(n: int, graded: bool) -> _Grid:
 
 
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
-    # The harmonic means 2 wl wr / (wl + wr), and 0 on a face whose two
-    # nodes carry no weight, built in the array of the products.
+    # The harmonic means 2 wl wr / (wl + wr), built in the array of the
+    # products.  A face whose two nodes carry no weight keeps its product,
+    # 2 * 0 * 0 = 0: the weights are clipped at +0.
     wl, wr = w_nodes[:-1], w_nodes[1:]
     s = wl + wr
     wf = 2.0 * wl
     wf *= wr
-    if s.min() > 0.0:  # every face of a regular weight
-        wf /= s
-        return wf
-    pos = s > 0.0
-    np.divide(wf, s, out=wf, where=pos)
-    wf[~pos] = 0.0
-    return wf
+    return np.divide(wf, s, out=wf, where=s > 0.0)
 
 
 def _assemble(b: float, beta: float, n: int, graded: bool):

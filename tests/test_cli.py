@@ -426,9 +426,33 @@ class TestSimulate:
     (["beta-b", "--sweep", "nan:2:3"], 2),
     (["estimates", "--sweep", "nan:2:3"], 2),
     (["estimates", "--sweep", "1.5:inf:3"], 2),
+    # So is a reversed range.
+    (["beta-b", "--sweep", "2:1.5:3"], 2),
+    (["estimates", "--sweep", "2:1.5:3"], 2),
 ])
 def test_exit_code(capsys, argv, want):
     assert run_cli(capsys, *argv)[0] == want
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("1.5:2:2", 0),
+    ("2:1.5:3", 2), ("nan:2:3", 2), ("1.5:inf:3", 2),
+    ("1.5:2:0", 1), ("1.5:2", 1), ("a:b:3", 1),
+])
+def test_sweep_commands_share_range_check(capsys, tmp_path, spec, want):
+    # beta-b and estimates give one spec the same exit code, and a refused
+    # range writes nothing, to stdout or to --out.  An out-of-range b is not
+    # in this table: there estimates writes ERROR: rows and beta-b exits 2.
+    for command in ("beta-b", "estimates"):
+        code, out, _ = run_cli(capsys, command, "--sweep", spec)
+        assert code == want, command
+        assert bool(out) == (want == 0), command
+        target = tmp_path / f"{command}.csv"
+        code, out, _ = run_cli(capsys, command, "--sweep", spec, "--out", str(target))
+        assert (code, out) == (want, ""), command
+        assert target.exists() == (want == 0), command
+    if want:
+        assert list(tmp_path.iterdir()) == []
 
 
 def _checkout_env():
