@@ -17,10 +17,11 @@ independent routes are provided:
 The BVP route is the production path, also at the degenerate weight; the
 direct minimization is kept as an independent oracle.  Above the threshold
 search's n = 4096, whose grids are memoized, both routes build their
-full-length arrays per call and in place: a few buffers are reused, in the
-order of operations of the plain array expressions, so the bits are those
-of the expressions; at most seven such arrays are alive at once, the
-solver's copies included, and none outlives the call.
+tridiagonal system per call, block by block from slices of the nodes, with
+the operations of the plain array expressions in their order, so the bits
+are those of the expressions.  The solver overwrites the system in place,
+so four full-length arrays are alive at once besides a few block-sized
+temporaries, and a J evaluation keeps none of them.
 
 ``compute_j_spectral`` encloses J between two spectral bounds (Prager and
 Synge's two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
@@ -52,12 +53,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .errors import BOutOfRange, LinearSolveFailure, NotCoercive
 from .kernel import (
     _offset_weight, _weight_from_terms, check_b, check_beta, convolve_dp, convolve_p, eval_dp,
-    eval_p, is_b3, is_degenerate, trig_polynomial, unit_weight,
+    eval_p, is_b3, is_degenerate, trig_polynomial,
 )
 
 _DEFAULT_N = 4096
@@ -97,13 +97,23 @@ class JResult:
     error_estimate: float
 
 
-def spd_solve(diag, off, rhs):
+@lru_cache(maxsize=None)
+def _dptsv():
+    # LAPACK's dptsv, with scipy loaded at the first solve: simulate and the
+    # closed-form estimates never solve, so their start-up does not pay it.
+    from scipy.linalg.lapack import dptsv
+    return dptsv
+
+
+def spd_solve(diag, off, rhs, overwrite=False):
     """Solve the symmetric positive-definite tridiagonal system.
 
     ``diag`` (n,) is the main diagonal, ``off`` (n-1,) the first off-diagonal,
-    ``rhs`` (n,) the right-hand side; none is modified.  LAPACK ``dptsv``
-    factors the matrix as L D L^T.  Raises ``numpy.linalg.LinAlgError`` when
-    the matrix is not positive definite.
+    ``rhs`` (n,) the right-hand side; none is modified unless ``overwrite``
+    is true, when the solver may use all three as its workspace (contiguous
+    float64 arrays are overwritten, and the solution is then ``rhs``
+    itself).  LAPACK ``dptsv`` factors the matrix as L D L^T.  Raises
+    ``numpy.linalg.LinAlgError`` when the matrix is not positive definite.
     """
     diag = np.asarray(diag, dtype=np.float64)
     off = np.asarray(off, dtype=np.float64)
@@ -115,7 +125,8 @@ def spd_solve(diag, off, rhs):
         if not np.all(diag > 0.0):
             raise np.linalg.LinAlgError("leading minor 1 not positive definite")
         return rhs / diag
-    _, _, x, info = dptsv(diag, off, rhs)
+    _, _, x, info = _dptsv()(diag, off, rhs, overwrite_d=overwrite, overwrite_e=overwrite,
+                             overwrite_b=overwrite)
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
     return x
@@ -136,17 +147,32 @@ def _nodes(n: int, graded: bool) -> np.ndarray:
     return x
 
 
-def _node_shares(h: np.ndarray) -> np.ndarray:
-    # 0.5 (h[:-1] + h[1:]): the lumped mass of each interior node
-    share = h[:-1] + h[1:]
-    share *= 0.5
-    return share
+# Unknowns per assembly block above the memoized grids: the temporaries of a
+# block stay cache-sized, and fewer, larger blocks pay less per-call
+# overhead.  Assembly at n = 2^20 in ms (BVP uniform, BVP graded, direct;
+# medians of 21 interleaved runs on a 2-core x86-64 host): 2^12: 31, 47, 57;
+# 2^13: 27, 42, 46; 2^14: 25, 39, 41; 2^15: 27, 41, 41; 2^16: 30, 44, 53;
+# 2^17: 35, 50, 66; one full-length pass: 33, 47, 79.
+_BLOCK = 2**14
+
+
+def _blocks(n: int, size: int):
+    # (j0, j1) for each block of the n - 1 unknowns: unknowns j0 .. j1-1,
+    # which are the nodes j0+1 .. j1, so the block reads the nodes j0 .. j1+1
+    # and the cells j0 .. j1, one cell shared with the block before.  A last
+    # block of one unknown is joined to the one before it: every block has at
+    # least three cells, as the end fluxes read at each end.
+    j0 = 0
+    while j0 < n - 1:
+        j1 = j0 + size if j0 + size < n - 2 else n - 1
+        yield j0, j1
+        j0 = j1
 
 
 @dataclass(frozen=True)
 class _Grid:
-    """The beta-independent arrays of the BVP on n cells: nodes x, cell
-    widths h, the node shares 0.5 (h[:-1] + h[1:]) of the interior nodes,
+    """The beta-independent arrays of the BVP on a run of cells: nodes x,
+    cell widths h, the node shares 0.5 (h[:-1] + h[1:]) of the inner nodes,
     and cosh(x - 1/2), sinh(x - 1/2), from which every weight is built."""
 
     x: np.ndarray
@@ -159,18 +185,23 @@ class _Grid:
         return _weight_from_terms(beta * self.sinh, self.cosh)
 
 
+def _grid(x: np.ndarray) -> _Grid:
+    h = np.diff(x)
+    share = h[:-1] + h[1:]
+    share *= 0.5
+    y = x - 0.5
+    return _Grid(x, h, share, np.cosh(y), np.sinh(y))
+
+
 # The threshold search solves on n = 4096 and 2048 cells, uniform or graded:
 # four grids of ~160 kB each.  Larger grids are not kept, so a refinement
 # study does not pin them in memory.
 @lru_cache(maxsize=4)
 def _cached_grid(n: int, graded: bool) -> _Grid:
-    x = _nodes(n, graded)
-    h = np.diff(x)
-    y = x - 0.5
-    arrays = (x, h, _node_shares(h), np.cosh(y), np.sinh(y))
-    for a in arrays:
+    grid = _grid(_nodes(n, graded))
+    for a in vars(grid).values():
         a.flags.writeable = False  # shared by every solve on this grid
-    return _Grid(*arrays)
+    return grid
 
 
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
@@ -184,33 +215,47 @@ def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
     return np.divide(wf, s, out=wf, where=s > 0.0)
 
 
+def _bvp_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
+    # The rows of the BVP's system for the unknowns of one block, written
+    # into the block's slices of diag, off and rhs from the block's grid.
+    # Returns the face weights and widths of the three faces at each end of
+    # the block.
+    w = grid.weight(beta)
+    a = _face_weights(w)
+    ends = a[:3].tolist(), grid.h[:3].tolist(), a[-3:].tolist(), grid.h[-3:].tolist()
+    a *= 3.0 - b
+    a /= grid.h                                 # face conductances
+    q = w[1:-1]                                 # inner node masses b w share
+    q *= b
+    q *= grid.share
+    np.add(a[:-1], a[1:], out=diag)
+    diag += q
+    np.negative(a[1:off.size + 1], out=off)
+    np.negative(q, out=rhs)
+    return ends
+
+
 def _assemble(b: float, beta: float, n: int, graded: bool):
     # The nodes x, the tridiagonal system (diag, off, rhs) of the BVP and,
     # for the end fluxes, the face weights and widths of the three faces at
-    # each end.  Grids up to the search's n come from the memo.  Larger ones
-    # are built here, and the system reuses the arrays of the weight and the
-    # face weights, so the solve holds four full-length arrays besides its
-    # own copies: at n = 2^20 each fresh 8 MB array costs about 3 ms of page
-    # faults.
+    # each end.  Grids up to the search's n come from the memo, as one
+    # block.  Larger ones are built block by block (``_blocks``) into the
+    # system, so only x and the system are full-length, and the solver may
+    # overwrite the system: at n = 2^20 each fresh 8 MB array costs about
+    # 3 ms of page faults.
     if n <= _DEFAULT_N:
         grid = _cached_grid(n, graded)
-        x, h, share, w = grid.x, grid.h, grid.share, grid.weight(beta)
+        x, blocks = grid.x, [(0, n - 1)]
     else:
-        x = _nodes(n, graded)
-        h = np.diff(x)
-        share = _node_shares(h)
-        w = unit_weight(beta, x)
-
-    a = _face_weights(w)
-    ends = a[:3].tolist(), h[:3].tolist(), a[-3:].tolist(), h[-3:].tolist()
-    a *= 3.0 - b
-    a /= h                                      # face conductances
-    q = w[1:-1]                                 # interior node masses b w share
-    q *= b
-    q *= share
-    diag = a[:-1] + a[1:]
-    diag += q
-    return x, diag, np.negative(a[1:-1], out=a[1:-1]), np.negative(q, out=q), ends
+        grid, x = None, _nodes(n, graded)
+        blocks = _blocks(n, _BLOCK)
+    diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
+    for j0, j1 in blocks:
+        ends = _bvp_block(b, beta, _grid(x[j0:j1 + 2]) if grid is None else grid,
+                          diag[j0:j1], off[j0:j1], rhs[j0:j1])
+        if j0 == 0:
+            head = ends[:2]
+    return x, diag, off, rhs, (*head, *ends[2:])
 
 
 def _extrapolate_to(x0: float, xs, ys) -> float:
@@ -238,7 +283,7 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     graded = bool(is_degenerate(beta))
     x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n, graded)
     try:
-        v = spd_solve(diag, off, rhs)
+        v = spd_solve(diag, off, rhs, overwrite=True)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(
             f"tridiagonal system singular at b={b}, beta={beta}, n={n}"
@@ -278,10 +323,9 @@ def compute_j_bvp(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     )
 
 
-def _gauss_weights(beta: float, n: int):
-    # The cell widths h and the weight at the two Gauss points
-    # x + (1/2 -+ 1/(2 sqrt 3)) h of each cell; the nodes die with the call.
-    x = _nodes(n, is_degenerate(beta))
+def _gauss_weights(beta: float, x: np.ndarray):
+    # The cell widths h of the nodes x and the weight at the two Gauss
+    # points x + (1/2 -+ 1/(2 sqrt 3)) h of each cell.
     h = np.diff(x)
     weights = []
     for c in (0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS):
@@ -305,31 +349,27 @@ def _gauss_sum(half_h, w1, c1, w2, c2, d1=None, d2=None):
     return t
 
 
-def _direct_system(b: float, beta: float, n: int):
-    # The P1 system of the direct route, with s = 3 - b,
-    #   diag = b (m_rr[:-1] + m_ll[1:]) + s (k[:-1] + k[1:]),
-    #   off = b m_lr[1:-1] - s k[1:-1],   f = b (f_r[:-1] + f_l[1:]),
-    # and its right-hand side -f.  Each element matrix or load is summed
-    # into the system once it is complete, and the weights' arrays hold the
-    # last one, so at most seven full-length arrays are alive at once.
-    h, w1, w2 = _gauss_weights(beta, n)
+def _direct_block(b: float, beta: float, x, diag, off, rhs):
+    # The rows of the direct route's system for the unknowns of one block,
+    # from the block's nodes x, written into the block's slices of diag, off
+    # and rhs; each element matrix or load is summed in once it is complete.
+    h, w1, w2 = _gauss_weights(beta, x)
     pl1, pl2 = 0.5 + _GAUSS_OFS, 0.5 - _GAUSS_OFS   # left hat at the two Gauss points
     pr1, pr2 = 0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS
     s = 3.0 - b
+    m = off.size
 
     k = w1 + w2                              # local stiffness (sign applied below)
     k *= 0.5
     k /= h
     h *= 0.5
-    diag = _gauss_sum(h, w1, pr1, w2, pr2, pr1, pr2)[:-1]      # m_rr
-    diag += _gauss_sum(h, w1, pl1, w2, pl2, pl1, pl2)[1:]      # m_ll
+    np.add(_gauss_sum(h, w1, pr1, w2, pr2, pr1, pr2)[:-1],        # m_rr
+           _gauss_sum(h, w1, pl1, w2, pl2, pl1, pl2)[1:], out=diag)  # m_ll
     diag *= b
     diag += s * (k[:-1] + k[1:])
-    off = _gauss_sum(h, w1, pl1, w2, pl2, pr1, pr2)[1:-1]     # m_lr
-    off *= b
+    np.multiply(_gauss_sum(h, w1, pl1, w2, pl2, pr1, pr2)[1:m + 1], b, out=off)  # m_lr
     k *= s
-    off -= k[1:-1]
-    del k                                     # spent: one array fewer for the loads
+    off -= k[1:m + 1]
     fvec = _gauss_sum(h, w1, pr1, w2, pr2)[:-1]                # f_r
     w1 *= pl1                                                   # f_l
     w2 *= pl2
@@ -337,7 +377,21 @@ def _direct_system(b: float, beta: float, n: int):
     w1 *= h
     fvec += w1[1:]
     fvec *= b
-    return diag, off, np.negative(fvec, out=fvec)
+    np.negative(fvec, out=rhs)
+
+
+def _direct_system(b: float, beta: float, n: int):
+    # The P1 system of the direct route, with s = 3 - b,
+    #   diag = b (m_rr[:-1] + m_ll[1:]) + s (k[:-1] + k[1:]),
+    #   off = b m_lr[1:-1] - s k[1:-1],   f = b (f_r[:-1] + f_l[1:]),
+    # and its right-hand side -f, built block by block (``_blocks``), so
+    # only the nodes and the system are full-length; the nodes die with the
+    # call.
+    x = _nodes(n, is_degenerate(beta))
+    diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
+    for j0, j1 in _blocks(n, _BLOCK):
+        _direct_block(b, beta, x[j0:j1 + 2], diag[j0:j1], off[j0:j1], rhs[j0:j1])
+    return diag, off, rhs
 
 
 def _j_direct_value(b: float, beta: float, n: int) -> float:
@@ -347,7 +401,7 @@ def _j_direct_value(b: float, beta: float, n: int) -> float:
         raise BOutOfRange(f"direct minimization requires b > 1 (got b = {b})")
     diag, off, rhs = _direct_system(b, beta, n)
     try:
-        v = spd_solve(diag, off, rhs)
+        v = spd_solve(diag, off, rhs.copy(), overwrite=True)   # rhs . v reads rhs
     except np.linalg.LinAlgError as exc:
         raise NotCoercive(
             f"quadratic form not positive definite at b={b}, beta={beta}"

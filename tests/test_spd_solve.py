@@ -77,3 +77,12 @@ def test_inputs_unmodified(n):
     spd_solve(*system)
     for a, before in zip(system, copies):
         assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("n", [2, 4095, 2**16])
+def test_overwrite_gives_the_copying_bits(n):
+    rng = np.random.default_rng(200 + n)
+    system = random_spd_system(rng, n)
+    want = spd_solve(*system)
+    got = spd_solve(*(a.copy() for a in system), overwrite=True)
+    assert np.array_equal(got, want)

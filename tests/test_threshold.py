@@ -140,9 +140,9 @@ class TestComputeBetaB:
         calls, betas, dual = [], [], []
         solve, j, lower = variational.spd_solve, threshold.compute_j, variational.SpectralJ.lower
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         def recording(b, beta, n):
             betas.append(beta)

@@ -257,9 +257,12 @@ class TestSearchGrid:
 
 
 class TestLargeGrid:
-    # Above the memo's n both routes build every array in place; the values
-    # and Richardson bands must be the bits of the written-out assembly.
-    @pytest.mark.parametrize("n", [8192, 5001, 2**14])
+    # Above the memo's n both routes build the system block by block; the
+    # values and Richardson bands must be the bits of the written-out
+    # assembly.  3 * 2^14 + 5 cells make four blocks, the last one short;
+    # 2^15 + 2 make two, the last unknown joined to the second block, and
+    # n/2 = 16385 is odd.
+    @pytest.mark.parametrize("n", [8192, 5001, 2**14, 3 * 2**14 + 5, 2**15 + 2])
     @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (1.01, -1.3), (2.9, BETA_MAX - 1e-8),
                                          (2.5, BETA_MAX), (1.5, -BETA_MAX)])
     def test_bit_identical_to_written_out_assembly(self, b, beta, n):
@@ -271,14 +274,25 @@ class TestLargeGrid:
             res = compute(b, beta, n)
             assert (res.value, res.error_estimate) == (value, band), compute.__name__
 
+    @pytest.mark.parametrize("block", [2, 64])
+    @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (2.5, BETA_MAX)])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, b, beta, block):
+        # Blocks of two unknowns are the least the end fluxes allow; with
+        # 4097 unknowns both sizes join a last block of one to the one before.
+        n = 4098
+        graded = bool(abs(abs(beta) - BETA_MAX) <= 1e-9)
+        want = _per_call_j(b, beta, n, graded), _per_call_j_direct(b, beta, n, graded)
+        monkeypatch.setattr(vmod, "_BLOCK", block)
+        assert (vmod._j_bvp_value(b, beta, n), vmod._j_direct_value(b, beta, n)) == want
+
     @pytest.mark.parametrize("compute", [compute_j_bvp, compute_j_direct])
     @pytest.mark.parametrize("beta", [0.5, BETA_MAX])
     def test_peak_full_length_arrays(self, compute, beta):
-        # Deterministic, unlike a timing: at most seven (n+1)-float arrays
-        # are alive at once, the solve's three LAPACK copies included
-        # (twelve for the BVP and nineteen for the direct route when every
-        # step built a fresh array).
-        n = 2**16
+        # Deterministic, unlike a timing: besides a few block-sized
+        # temporaries, four (n+1)-float arrays are alive at once: the system,
+        # which the solver overwrites, and the nodes (in the direct route's
+        # solve, the copy of the right-hand side).
+        n = 2**20
         compute(2.0, beta, n)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -290,7 +304,7 @@ class TestLargeGrid:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak / (8 * (n + 1)) < 7.5
+        assert peak / (8 * (n + 1)) < 4.5
 
 
 class TestFaceWeights:
