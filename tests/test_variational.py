@@ -163,6 +163,8 @@ class TestComputeJ:
             compute_j(1.0, 0.0)
         with pytest.raises(BOutOfRange):
             compute_j(3.5, 0.0)
+        with pytest.raises(BOutOfRange):
+            compute_j_direct(1.0, 0.5)
         with pytest.raises(BetaOutOfRange):
             compute_j(2.0, 3.0)
 
