@@ -7,12 +7,13 @@ two-thirds-rule dealiasing, time stepping is classical RK4 with a CFL-scaled
 step.
 
 The RK4 state is the spectrum S = rfft(u).  Each stage transforms the band
-of S back to u and u_x in one inverse FFT of two rows, and the two products
-forward in one FFT of two rows; the u and u_x of a new step serve both its
-record and its first stage, so a step costs 8 FFT calls on 16 rows.  The
-batched calls give the same bits as one call per row.  Modes above the band
-never evolve: their physical part is computed once and added back for the
-CFL amplitude and the final state.
+of S back to u and u_x in one inverse FFT of two rows (``_Stepper.fields``,
+the stepper's one transform to the grid) and the two products forward in
+one FFT of two rows; the u and u_x of a new step serve both its record and
+its first stage, so a step costs 8 FFT calls on 16 rows.  The batched calls
+give the same bits as one call per row.  Modes above the band never evolve:
+their physical part is computed once and added back for the CFL amplitude
+and the final state.
 
 Blow-up here means wave breaking: the solution stays bounded while
 inf_x u_x runs to -infinity.  Detection is on min_x u_x crossing a large
@@ -165,24 +166,22 @@ def _deriv_symbol(n: int) -> np.ndarray:
     return sym
 
 
-def _band_limit(n: int, dealias: bool) -> int:
-    return (n // 3) if dealias else (n // 2)
-
-
 class _Stepper:
     """RK4 for one b on the band S[:k+1] of the spectrum S = rfft(u) of an
     n-point grid, k the two-thirds cutoff (n/2 without dealiasing).
 
-    Transforms run in pairs on workspaces: ``spectra`` holds a band spectrum
-    and its derivative in two zero-padded rows, so one inverse FFT gives u
-    and u_x; ``products`` holds u u_x and b/2 u^2 + (3-b)/2 u_x^2, so one
-    forward FFT gives both.  Tendencies are carried negated,
+    Transforms run in pairs on workspaces.  ``fields``, the one transform to
+    the grid, writes a band spectrum and its derivative into the two
+    zero-padded rows of ``spectra`` (where the slope spectrum stays until the
+    next call), so one inverse FFT gives u and u_x; ``products`` holds u u_x
+    and b/2 u^2 + (3-b)/2 u_x^2, so one forward FFT gives both.  Tendencies
+    are carried negated,
     T = rfft(u u_x) + (p') * rfft(b/2 u^2 + (3-b)/2 u_x^2), and subtracted,
     which rounds exactly as adding -T.  Returned arrays are fresh."""
 
     def __init__(self, n: int, b: float, dealias: bool):
         self.n = n
-        self.k = _band_limit(n, dealias)
+        self.k = (n // 3) if dealias else (n // 2)
         self.band = slice(0, self.k + 1)
         self.deriv = _deriv_symbol(n)[self.band]
         self.dp_mult = dp_multiplier(n)[self.band]
@@ -191,26 +190,11 @@ class _Stepper:
         self.products = np.empty((2, n))
         self.squares = np.empty((2, n))
 
-    @property
-    def slope_spectrum(self) -> np.ndarray:
-        """Band of rfft(u_x) for the spectrum last passed to ``fields``."""
-        return self.spectra[1, self.band]
-
-    def _inverse(self) -> np.ndarray:
-        # Rows u and u_x of the band spectrum in spectra[0]: 1 inverse FFT.
-        spec = self.spectra[0, self.band]
+    def fields(self, spec: np.ndarray) -> np.ndarray:
+        """Rows u and u_x on the grid of the band spectrum ``spec``."""
+        self.spectra[0, self.band] = spec
         np.multiply(spec, self.deriv, out=self.spectra[1, self.band])
         return np.fft.irfft(self.spectra, self.n)
-
-    def fields(self, spec: np.ndarray) -> np.ndarray:
-        """Rows u and u_x on the grid."""
-        self.spectra[0, self.band] = spec
-        return self._inverse()
-
-    def _stage_fields(self, spec: np.ndarray, h: float, t: np.ndarray) -> np.ndarray:
-        # fields(spec - h t), the stage spectrum written straight into the workspace.
-        np.subtract(spec, h * t, out=self.spectra[0, self.band])
-        return self._inverse()
 
     def tendency(self, uv: np.ndarray) -> np.ndarray:
         """Negated tendency T from the rows u, u_x: 1 FFT of both products."""
@@ -223,11 +207,12 @@ class _Stepper:
 
     def increment(self, spec: np.ndarray, dt: float, uv: np.ndarray) -> np.ndarray:
         """The negated RK4 increment of ``spec`` over dt; ``uv`` is ``fields(spec)``."""
-        half = 0.5 * dt
-        t1 = self.tendency(uv)
-        t2 = self.tendency(self._stage_fields(spec, half, t1))
-        t3 = self.tendency(self._stage_fields(spec, half, t2))
-        t4 = self.tendency(self._stage_fields(spec, dt, t3))
+        stage = self.spectra[0, self.band]  # each stage spectrum spec - h t goes here
+        tends = [self.tendency(uv)]
+        for h in (0.5 * dt, 0.5 * dt, dt):
+            np.subtract(spec, h * tends[-1], out=stage)
+            tends.append(self.tendency(self.fields(stage)))
+        t1, t2, t3, t4 = tends
         t2 *= 2.0
         t1 += t2
         t3 *= 2.0
@@ -279,15 +264,22 @@ def check_criterion(u0: TorusField, beta_b: float) -> list:
 
 def lifespan_bound(u0: TorusField, b: float, beta_b: float) -> Optional[float]:
     """Upper bound 2 / ((b-1) sqrt((u0')^2 - beta_b^2 u0^2)) minimized over
-    the criterion points; None when no point qualifies."""
+    the criterion points; None without a qualifying point or beyond float range."""
     return _bound_over_points(check_criterion(u0, beta_b), b, beta_b)
 
 
 def _bound_over_points(points: list, b: float, beta_b: float) -> Optional[float]:
+    # The root in its scale-free form |u0'| sqrt((1-r)(1+r)), r = beta_b |u0| / |u0'|
+    # < 1 at a criterion point, so no square of the datum under- or overflows.
     if not points:
         return None
-    best = max(p.du0 * p.du0 - beta_b * beta_b * p.u0 * p.u0 for p in points)
-    return 2.0 / ((b - 1.0) * math.sqrt(best))
+    root = 0.0
+    for p in points:
+        r = beta_b * abs(p.u0) / abs(p.du0)
+        root = max(root, abs(p.du0) * math.sqrt((1.0 - r) * (1.0 + r)))
+    scale = (b - 1.0) * root
+    bound = 2.0 / scale if scale > 0.0 else math.inf
+    return bound if 0.0 < bound < math.inf else None
 
 
 def _classify_tail_stop(min_slope: float, initial_min_slope: float) -> bool:
@@ -299,6 +291,8 @@ def _classify_tail_stop(min_slope: float, initial_min_slope: float) -> bool:
     return diverged
 
 
+# Huge data overflow in the transforms and squares; the overflow stop covers them.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     u0: TorusField,
     cfg: SimConfig,
@@ -328,7 +322,7 @@ def integrate(
     rows = []  # (t, min u_x, mean u, mean(u^2 + u_x^2), tail fraction)
 
     def record():
-        energy = np.abs(stepper.slope_spectrum[1:]) ** 2
+        energy = np.abs(stepper.spectra[1, 1 : stepper.k + 1]) ** 2  # u_x spectrum
         total = float(energy.sum())
         tail = float(energy[k_lo - 1 :].sum()) / total if total > 0.0 else 0.0
         rows.append((t, float(ux.min()), float(u.mean()),
@@ -336,8 +330,7 @@ def integrate(
 
     record()
     stop_reason = "t_max"
-    steps = 0
-    dt_min = dt_max = None
+    dts = []  # the step sizes taken
     while t < t_end - 1e-14:
         amp = float(np.max(np.abs(u + hi)))
         if not math.isfinite(amp) or amp > _OVERFLOW_LIMIT:
@@ -347,9 +340,7 @@ def integrate(
         spec -= stepper.increment(spec, dt, uv)
         u, ux = uv = stepper.fields(spec)
         t += dt
-        steps += 1
-        dt_min = dt if dt_min is None else min(dt_min, dt)
-        dt_max = dt if dt_max is None else max(dt_max, dt)
+        dts.append(dt)
         record()
         if rows[-1][1] < -cfg.blowup_slope_threshold:
             stop_reason = "slope_threshold"
@@ -357,7 +348,7 @@ def integrate(
         if rows[-1][4] > _TAIL_LIMIT:
             stop_reason = "tail"
             break
-        if steps >= cfg.max_steps:
+        if len(dts) >= cfg.max_steps:
             stop_reason = "max_steps"
             break
 
@@ -377,23 +368,24 @@ def integrate(
         if stop_reason != "overflow":
             t_detect += 2.0 / ((cfg.b - 1.0) * abs(min_slope))
 
+    with_criterion = beta_b is not None and math.isfinite(beta_b)
+    points = check_criterion(u0, beta_b) if with_criterion else []
     history = np.asarray(rows)
     report = BlowupReport(
         detected=detected,
         t_detect=t_detect,
         min_slope_history=history[:, :2],
+        criterion_points=points,
+        lifespan_bound=_bound_over_points(points, cfg.b, beta_b),
         resolution_loss=resolution_loss,
         stop_reason=stop_reason,
         t_stop=t_stop,
-        steps=steps,
-        dt_min=dt_min,
-        dt_max=dt_max,
+        steps=len(dts),
+        dt_min=min(dts, default=None),
+        dt_max=max(dts, default=None),
     )
-    if beta_b is not None and math.isfinite(beta_b):
-        report.criterion_points = check_criterion(u0, beta_b)
-        report.lifespan_bound = _bound_over_points(report.criterion_points, cfg.b, beta_b)
 
-    final = u0.values.copy() if steps == 0 else u + hi
+    final = u + hi if dts else u0.values.copy()
     trajectory = Trajectory(
         times=history[:, 0],
         mean_history=history[:, 2],

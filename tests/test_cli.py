@@ -318,6 +318,23 @@ class TestSimulate:
         assert payload["criterion_points"] == []
         assert payload["lifespan_bound"] is None
 
+    @pytest.mark.parametrize("amp", ["1e-320", "1e-300", "1e154", "1e308"])
+    def test_extreme_amplitudes_quiet(self, amp):
+        # Tiny data: a lifespan bound beyond float range is null, not a
+        # division by zero.  Huge data: the run stops on overflow without a
+        # numpy warning, which -W error would turn into exit 3.
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "bfamily", "simulate", "--b", "2",
+             "--ic", "cos", "--n", "64", "--beta-b", "0.5", "--amp", amp,
+             "--t-max", "0.01"],
+            capture_output=True, text=True, env=_checkout_env(),
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        payload = json.loads(out.stdout, parse_constant=_reject_constant)
+        assert payload["lifespan_bound"] != 0.0
+        if float(amp) > 1e8:
+            assert payload["stop_reason"] == "overflow"
+
     def test_cosine_detection_with_outputs(self, capsys, tmp_path):
         stem = tmp_path / "run"
         code, out, _ = run_cli(

@@ -141,6 +141,20 @@ class TestCriterion:
     def test_lifespan_none_without_points(self):
         assert lifespan_bound(TorusField.constant(1.0, 128), 2.0, 1.0) is None
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e160])
+    def test_lifespan_scale_free(self, scale):
+        # bound(scale u0) = bound(u0) / scale; the squares of the datum
+        # underflow to 0 at 1e-300 and overflow at 1e160.
+        u0 = TorusField.cosine(1.0, 1024)
+        scaled = lifespan_bound(TorusField(scale * u0.values), 2.0, 0.51)
+        assert scale * scaled == pytest.approx(lifespan_bound(u0, 2.0, 0.51), rel=1e-12)
+
+    def test_lifespan_none_beyond_float_range(self):
+        # The points qualify, but 2 / ((b-1) |u0'|) exceeds the largest float.
+        u0 = TorusField.cosine(1e-320, 64)
+        assert check_criterion(u0, 0.5)
+        assert lifespan_bound(u0, 2.0, 0.5) is None
+
 
 class TestIntegrate:
     def test_constant_data_flat(self):
@@ -232,6 +246,18 @@ class TestIntegrate:
         assert np.array_equal(traj.final.values, u0.values)
         assert traj.final.values is not u0.values
         assert traj.final.time == u0.time
+
+    @pytest.mark.parametrize("amp", [1e154, 1e308])
+    def test_huge_data_stop_on_overflow_quietly(self, amp):
+        # The transforms of such data overflow (u_x^2 at 1e154, the first
+        # rfft at 1e308); the overflow stop covers that, so no numpy warning
+        # escapes, and the suite makes every warning an error.
+        u0 = TorusField.cosine(amp, 64)
+        traj, rep = integrate(u0, SimConfig(b=2.0, t_max=0.01), beta_b=0.5)
+        assert rep.stop_reason == "overflow"
+        assert rep.steps == 0
+        assert np.array_equal(traj.final.values, u0.values)
+        assert rep.lifespan_bound is None or 0.0 < rep.lifespan_bound < math.inf
 
 
 def _physical_rk4(vals, b, cfl, steps, dealias):
