@@ -16,10 +16,10 @@ _SERIES_MAX_TERMS = 100_000
 
 def degree_upsilon(b: float) -> float:
     """Degree nu(b) = -1/2 + sqrt(1 + 4*b/(3-b))/2 for b in (1, 3)."""
-    if b >= 3.0:
-        raise DegreeSingular(f"degree map is singular at b = 3 (got b = {b})")
-    if b <= 1.0:
+    if not b > 1.0:
         raise BOutOfRange(f"degree map requires b > 1 (got b = {b})")
+    if not b < 3.0:
+        raise DegreeSingular(f"degree map is singular at b = 3 (got b = {b})")
     return -0.5 + 0.5 * math.sqrt(1.0 + 4.0 * b / (3.0 - b))
 
 
@@ -44,7 +44,7 @@ def legendre_p(nu: float, z: float) -> float:
     """P_nu(z) for real degree nu >= -1/2 and argument z > 1."""
     if not z > 1.0:
         raise BOutOfRange(f"argument must satisfy z > 1 (got z = {z})")
-    if nu < -0.5:
+    if not nu >= -0.5:
         raise BOutOfRange(f"degree must satisfy nu >= -1/2 (got nu = {nu})")
     return _series(nu, z)
 

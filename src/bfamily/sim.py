@@ -108,6 +108,8 @@ class SimConfig:
         # written so that NaN fails too
         if not (self.t_max > 0.0 and self.cfl > 0.0 and self.blowup_slope_threshold > 0.0):
             raise ValueError("t_max, cfl and blowup_slope_threshold must be positive")
+        if not self.max_steps >= 1:  # the cap is checked after each step
+            raise ValueError(f"max_steps must be at least 1 (got {self.max_steps})")
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,10 @@ def step(u: TorusField, b: float, dt: float, dealias: bool = True) -> TorusField
     return TorusField(values=u.values - du, time=u.time + dt)
 
 
+# Huge data overflow in the transform and the squares, as in ``integrate``:
+# these two diagnostics, and ``lifespan_bound`` through ``check_criterion``,
+# then return inf or nan, or no bound, without numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def conserved_quantities(u: TorusField, b: float) -> ConservedQuantities:
     """Spatial mean and the average of u^2 + u_x^2 (conserved only at b=2)."""
     ux = u.derivative_values()
@@ -248,6 +254,7 @@ def conserved_quantities(u: TorusField, b: float) -> ConservedQuantities:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_criterion(u0: TorusField, beta_b: float) -> list:
     """Grid points with u0'(x) < -beta_b |u0(x)|, with their margins."""
     du = u0.derivative_values()

@@ -15,12 +15,14 @@ independent routes are provided:
   J = b/2 + T(v_min).
 
 The BVP route is the production path, also at the degenerate weight; the
-direct minimization is kept as an independent oracle.  Above the threshold
-search's n = 4096, whose grids are memoized, both routes build their
-tridiagonal system per call, block by block from slices of the nodes, with
-the operations of the plain array expressions in their order, so the bits
-are those of the expressions.  The solver overwrites the system in place,
-so four full-length arrays are alive at once besides a few block-sized
+direct minimization is kept as an independent oracle.  Both return through
+one shell, which checks beta, solves at n and at the companion grid of the
+Richardson band, and builds the ``JResult``.  Above the threshold search's
+n = 4096, whose grids are memoized, both routes build their tridiagonal
+system per call, block by block from slices of the nodes, with the
+operations of the plain array expressions in their order, so the bits are
+those of the expressions.  The solver overwrites the system in place, so
+four full-length arrays are alive at once besides a few block-sized
 temporaries, and a J evaluation keeps none of them.
 
 ``compute_j_spectral`` encloses J between two spectral bounds (Prager and
@@ -303,24 +305,20 @@ def _j_bvp_value(b: float, beta: float, n: int) -> float:
     return 0.5 * (3.0 - b) * (sol.flux1 - sol.flux0)
 
 
-def _richardson_error(j_value, b: float, beta: float, n: int, value: float) -> float:
-    # Second-order scheme: solving at n/2 gives error(n) ~ |J_n - J_{n/2}| / 3.
-    # For small n the refinement runs upward instead.
-    if n // 2 >= 64:
-        n2, factor = n // 2, 1.0 / 3.0
-    else:
-        n2, factor = 2 * n, 4.0 / 3.0
-    return factor * abs(value - j_value(b, beta, n2))
+def _with_band(j_value, method: str, b: float, beta: float, n: int) -> JResult:
+    # Second-order scheme: error(n) ~ |J_n - J_{n/2}| / 3, or 4/3 |J_n - J_{2n}|
+    # where n/2 is below the 64-cell minimum.
+    check_beta(beta)
+    value = j_value(b, beta, n)
+    n2, factor = (n // 2, 1.0 / 3.0) if n // 2 >= 64 else (2 * n, 4.0 / 3.0)
+    return JResult(b=b, beta=beta, value=value, method=method,
+                   error_estimate=factor * abs(value - j_value(b, beta, n2)))
 
 
 def compute_j_bvp(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     """J via the Euler-Lagrange boundary-flux identity, with a grid-refinement
     error estimate."""
-    value = _j_bvp_value(b, beta, n)
-    return JResult(
-        b=b, beta=beta, value=value, method="BVP_FLUX",
-        error_estimate=_richardson_error(_j_bvp_value, b, beta, n, value),
-    )
+    return _with_band(_j_bvp_value, "BVP_FLUX", b, beta, n)
 
 
 def _gauss_weights(beta: float, x: np.ndarray):
@@ -420,11 +418,7 @@ def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     an order well below two, so its Richardson band there is not a bound:
     it understates the error (about 57x at b = 2.5, n = 2^20).
     """
-    value = _j_direct_value(b, beta, n)
-    return JResult(
-        b=b, beta=beta, value=value, method="DIRECT_MIN",
-        error_estimate=_richardson_error(_j_direct_value, b, beta, n, value),
-    )
+    return _with_band(_j_direct_value, "DIRECT_MIN", b, beta, n)
 
 
 def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:

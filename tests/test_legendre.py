@@ -80,6 +80,8 @@ class TestLegendreP:
             legendre_p(1.0, 1.0)
         with pytest.raises(BOutOfRange):
             legendre_p(-0.7, COSH1)
+        with pytest.raises(BOutOfRange):
+            legendre_p(math.nan, COSH1)
 
     def test_series_divergence_reported(self):
         # |1-z|/2 > 1 puts the series outside its disc of convergence.

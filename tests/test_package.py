@@ -1,9 +1,14 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bfamily
+
+NAN = math.nan
 
 
 def test_exports_unique_and_resolvable():
@@ -26,3 +31,46 @@ def test_import_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# Each exported callable that takes the family parameter b or the weight
+# parameter beta, with that one argument NaN and the others valid.
+@pytest.mark.parametrize("fn, args", [
+    pytest.param(fn, args, id=f"{fn.__name__}({', '.join(map(str, args))})") for fn, args in [
+        (bfamily.compute_j, (NAN, 0.5)),
+        (bfamily.compute_j, (2.0, NAN)),
+        (bfamily.compute_j, (3.0, NAN)),
+        (bfamily.compute_j_bvp, (NAN, 0.5)),
+        (bfamily.compute_j_bvp, (2.0, NAN)),
+        (bfamily.compute_j_direct, (NAN, 0.5)),
+        (bfamily.compute_j_direct, (2.0, NAN)),
+        (bfamily.compute_j_spectral, (NAN, 0.5)),
+        (bfamily.compute_j_spectral, (2.0, NAN)),
+        (bfamily.solve_euler_lagrange, (NAN, 0.5)),
+        (bfamily.solve_euler_lagrange, (2.0, NAN)),
+        (bfamily.check_convolution_bound, ([0.0, 1.0], [0.0, 0.0], NAN, 0.5)),
+        (bfamily.check_convolution_bound, ([0.0, 1.0], [0.0, 0.0], 2.0, NAN)),
+        (bfamily.f_discriminant, (NAN, 0.5)),
+        (bfamily.f_discriminant, (2.0, NAN)),
+        (bfamily.compute_beta_b, (NAN,)),
+        (bfamily.estimate1, (NAN,)),
+        (bfamily.estimate2, (NAN,)),
+        (bfamily.estimate3, (NAN,)),
+        (bfamily.delta_b, (NAN,)),
+        (bfamily.degree_upsilon, (NAN,)),
+        (bfamily.unit_weight, (NAN, 0.5)),
+        (bfamily.eval_w, (NAN, 0.5)),
+        (bfamily.SpectralJ, (NAN,)),
+        (bfamily.SimConfig, (NAN, 1.0)),
+    ]
+])
+def test_nan_b_or_beta_refused(fn, args):
+    with pytest.raises(bfamily.BFamilyError):
+        fn(*args)
+
+
+def test_direct_route_takes_beta_from_kernel():
+    # beta is checked before the solve, not left to the quadratic form's
+    # positive-definiteness check.
+    with pytest.raises(bfamily.BetaOutOfRange):
+        bfamily.compute_j_direct(2.0, 5.0)

@@ -48,7 +48,7 @@ class TestSimConfig:
             SimConfig(b=b, t_max=1.0)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("name", ["t_max", "cfl", "blowup_slope_threshold"])
+    @pytest.mark.parametrize("name", ["t_max", "cfl", "blowup_slope_threshold", "max_steps"])
     def test_run_parameters_positive(self, name, value):
         with pytest.raises(ValueError):
             SimConfig(**{"b": 2.0, "t_max": 1.0, name: value})
@@ -154,6 +154,20 @@ class TestCriterion:
         u0 = TorusField.cosine(1e-320, 64)
         assert check_criterion(u0, 0.5)
         assert lifespan_bound(u0, 2.0, 0.5) is None
+
+    @pytest.mark.parametrize("amp", [1e154, 1e308])
+    @pytest.mark.parametrize("call", [
+        lambda u0: lifespan_bound(u0, 2.0, 0.5),
+        lambda u0: check_criterion(u0, 0.5),
+        lambda u0: conserved_quantities(u0, 2.0),
+    ], ids=["lifespan_bound", "check_criterion", "conserved_quantities"])
+    def test_huge_data_quiet(self, call, amp):
+        # The rfft overflows at 1e308 and u_x^2 at 1e154, quietly as in
+        # integrate (the suite makes every warning an error); the caller's
+        # numpy error state is left as it was.
+        before = np.geterr()
+        call(TorusField.cosine(amp, 64))
+        assert np.geterr() == before
 
 
 class TestIntegrate:
