@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import numpy as np
@@ -284,6 +285,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Built once per process, as parsing leaves the parser as it was: building
+# it takes about a millisecond, which every main call paid.
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bfamily",
                      description="Blow-up thresholds for the periodic b-family of equations")

@@ -226,6 +226,7 @@ class _Stepper:
 
 def rhs(u: TorusField, b: float, dealias: bool = True) -> TorusField:
     """Right-hand side -u u_x - (p') * (b/2 u^2 + (3-b)/2 u_x^2)."""
+    check_b(b)
     stepper = _Stepper(u.n, b, dealias)
     t = stepper.tendency(stepper.fields(u.spectrum()[stepper.band]))
     return TorusField(values=-np.fft.irfft(t, u.n), time=u.time)
@@ -233,6 +234,7 @@ def rhs(u: TorusField, b: float, dealias: bool = True) -> TorusField:
 
 def step(u: TorusField, b: float, dt: float, dealias: bool = True) -> TorusField:
     """One RK4 step of size dt (dt < 0 steps backward)."""
+    check_b(b)
     stepper = _Stepper(u.n, b, dealias)
     spec = u.spectrum()[stepper.band]
     # The negated increment is subtracted on the grid, so u itself makes no
@@ -247,6 +249,7 @@ def step(u: TorusField, b: float, dt: float, dealias: bool = True) -> TorusField
 @np.errstate(over="ignore", invalid="ignore")
 def conserved_quantities(u: TorusField, b: float) -> ConservedQuantities:
     """Spatial mean and the average of u^2 + u_x^2 (conserved only at b=2)."""
+    check_b(b)
     ux = u.derivative_values()
     return ConservedQuantities(
         mean=float(u.values.mean()),
@@ -272,6 +275,7 @@ def check_criterion(u0: TorusField, beta_b: float) -> list:
 def lifespan_bound(u0: TorusField, b: float, beta_b: float) -> Optional[float]:
     """Upper bound 2 / ((b-1) sqrt((u0')^2 - beta_b^2 u0^2)) minimized over
     the criterion points; None without a qualifying point or beyond float range."""
+    check_b(b)
     return _bound_over_points(check_criterion(u0, beta_b), b, beta_b)
 
 

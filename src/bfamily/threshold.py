@@ -16,19 +16,25 @@ reported as a warning rather than silently ignored.  Near b = 1 the factor
 F error band and a crossing that cannot be certified against the band is
 returned as UNDETERMINED instead of being rounded to a verdict.
 
-Every decision of the search is the sign of F for the BVP value of J.  Two
-bounds on J, widened by a fixed margin that covers the BVP error, prove most
-of those signs without a solve: the floor J >= L(b), which settles the top
-of the bracket, and a spectral enclosure of J (``variational.SpectralJ``).
-L(b) = J(b, (e+1)/(e-1)) is estimate 3's closed form; it bounds J from below
-on the whole bracket because J is concave and even in beta.  The scan is
-screened in one vectorised pass of the floor, the Ritz upper bound and the
-dual lower bound.  A bisection midpoint runs no dual: the floor and the
-Ritz bound are scalar tests, and the lower bound there is the chord between
-the lower bounds at the scan bracket's two ends, which concavity puts below
-J.  Only the points the bounds leave open are solved, by ``compute_j``.  The
-two bracket ends the verdict rests on are always solved, so the verdict and
-its certificate are the BVP's.
+Every decision of the search is the sign of F for the BVP value of J on
+4096 cells.  Two bounds on J, widened by a fixed margin that covers the BVP
+error, prove most of those signs without a solve: the floor J >= L(b), which
+settles the top of the bracket, and a spectral enclosure of J
+(``variational.SpectralJ``).  L(b) = J(b, (e+1)/(e-1)) is estimate 3's
+closed form; it bounds J from below on the whole bracket because J is
+concave and even in beta.  The scan is screened in one vectorised pass of
+the floor, the Ritz upper bound and a lower bound.  The dual gives that
+lower bound at three anchors, the first scan point the Ritz bound leaves
+open and its two neighbours.  Above them the lower bound is the scan
+chord from the last anchor to (BETA_MAX, L(b)), which concavity puts below
+J; a point the chord leaves open goes to the dual.  A bisection midpoint
+runs no dual: the floor and the Ritz bound are scalar tests, and the lower
+bound there is the chord between the lower bounds at the scan bracket's two
+ends, the anchors' when the ends are anchors.  Only the points the bounds
+leave open are solved, and on 4096 cells alone: a sign needs no error band.
+The two bracket ends the verdict rests on are always solved, with their
+Richardson companion on 2048 cells, so the verdict and its certificate are
+``compute_j``'s, bit for bit.
 """
 
 import math
@@ -40,7 +46,7 @@ import numpy as np
 from .errors import BFamilyError, NoConvergence
 from .estimates import EstimateResult, estimate1, estimate2, estimate3, extreme_weight_j
 from .kernel import BETA_MAX, check_b, is_b3
-from .variational import _DEFAULT_N, JResult, SpectralJ, compute_j
+from .variational import _DEFAULT_N, JResult, SpectralJ, _j_bvp_value, _with_band, compute_j
 
 _DEFAULT_TOL = 1e-4
 _SCAN_POINTS = 256
@@ -68,17 +74,21 @@ class BetaBResult:
     at the two ends of the final bracket, the certificate the verdict rests
     on; they are None when the search ended before a bracket was certified.
 
-    ``solved_points`` counts the betas whose J the search took from
-    ``compute_j``: the scan and bisection points the bounds left open and
-    the two bracket ends (none at b = 3).  Each costs two tridiagonal
-    solves, on 4096 cells and on 2048 for its Richardson companion.
+    ``solved_points`` counts the betas whose J the search solved on 4096
+    cells: the scan and bisection points the bounds left open and the two
+    bracket ends (none at b = 3).  The bracket ends add one solve each on
+    2048 cells for their Richardson companion, so below b = 3 a search that
+    reaches a final bracket makes ``solved_points + 2`` tridiagonal solves.
     ``screened_points`` counts the points whose sign a bound proved: on the
-    scan the floor J >= L(b) or the spectral enclosure, at a bisection
-    midpoint the floor, the Ritz upper bound or the chord of the lower
-    bounds at the scan bracket's ends.  ``max_gap`` is the largest gap
-    between the Ritz bound and the lower bound a proof of F >= 0 used, the
-    dual on the scan and the chord at a midpoint (None when no proof used a
-    lower bound).  The CLI writes none of these fields.
+    scan the floor J >= L(b), the Ritz upper bound or a lower bound (the
+    dual, or the scan chord above the anchors), at a bisection midpoint the
+    floor, the Ritz upper bound or the chord of the lower bounds at the scan
+    bracket's ends.  ``max_gap`` is the largest gap between the Ritz bound
+    and the lower bound a proof of F >= 0 used: the dual or the scan chord
+    on the scan, the chord at a midpoint (None when no proof used a lower
+    bound).  A scan chord's gap is J's bend between the last anchor and
+    BETA_MAX, up to about 4e-3; the dual's stay below 3e-5 on the
+    benchmark's sweep rows.  The CLI writes none of these fields.
     """
 
     b: float
@@ -108,14 +118,23 @@ def _band(b: float, res: JResult) -> float:
     return 2.0 / (b - 1.0) * res.error_estimate
 
 
+def _chord(beta, a: float, lower_a: float, c: float, lower_c: float):
+    # The line through (a, lower_a) and (c, lower_c) at beta, a < beta < c:
+    # below J there when lower_a and lower_c are below J(a) and J(c), since
+    # J is concave in beta.
+    t = (beta - a) / (c - a)
+    return (1.0 - t) * lower_a + t * lower_c
+
+
 class _Search:
-    """The signs of F at one b for the BVP value of J: proved by bounds on J
-    where they can, solved by ``compute_j`` where they cannot.  Solved
-    values are kept for the bracket ends.
+    """The signs of F at one b for the n = 4096 BVP value of J: proved by
+    bounds on J where they can, solved where they cannot.  Solved values are
+    kept, and a final bracket end reuses its value for its Richardson band.
 
     The scan is screened in one vectorised pass, each bisection midpoint by
-    scalar tests (see the module docstring); the dual runs at the scan
-    bracket's ends once, when the first midpoint needs the chord."""
+    scalar tests (see the module docstring).  Every lower bound the dual
+    gives is kept, so the bisection's chord runs the dual only at a scan
+    bracket end it has not run at."""
 
     def __init__(self, b: float):
         self.b = b
@@ -131,25 +150,45 @@ class _Search:
             except NoConvergence:
                 self.floor = 0.0
         self.values = {}
+        self.lower_bounds = {}
         self.ends = None
-        self._end_lower = None
         self.solved_points = 0
         self.screened_points = 0
         self.max_gap = None
 
-    def j(self, beta: float) -> JResult:
-        res = self.values.get(beta)
-        if res is None:
-            res = self.values[beta] = compute_j(self.b, beta, _DEFAULT_N)
-            self.solved_points += res.method != "SPECIAL_B3"
-        return res
+    def value(self, beta: float) -> float:
+        """The n = 4096 BVP value of J at beta, solved once (J = 0 exactly
+        at b = 3, with no solve)."""
+        if self.spec is None:
+            return compute_j(self.b, beta).value
+        value = self.values.get(beta)
+        if value is None:
+            value = self.values[beta] = _j_bvp_value(self.b, beta, _DEFAULT_N)
+            self.solved_points += 1
+        return value
+
+    def result(self, beta: float) -> JResult:
+        """``compute_j(b, beta)`` at a final bracket end, bit for bit: the
+        kept n = 4096 value and one solve on n/2 cells for its band."""
+        if self.spec is None:
+            return compute_j(self.b, beta)
+        value = self.value(beta)
+
+        def j_value(b, beta, n):
+            return value if n == _DEFAULT_N else _j_bvp_value(b, beta, n)
+
+        return _with_band(j_value, "BVP_FLUX", self.b, beta, _DEFAULT_N)
+
+    def nonneg_at(self, beta: float) -> bool:
+        """Whether F(b, beta) >= 0 for the solved value of J."""
+        return beta * beta + self.amp * (self.value(beta) - self.half_b) >= 0.0
 
     def nonneg(self, betas: np.ndarray) -> np.ndarray:
         """Whether F(b, beta) >= 0 at each beta of the scan."""
         known = self._screen(betas)
         signs = known > 0
         for k in np.flatnonzero(known == 0):
-            signs[k] = _f(self.b, self.j(float(betas[k]))) >= 0.0
+            signs[k] = self.nonneg_at(float(betas[k]))
         return signs
 
     def bisect(self, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -163,23 +202,36 @@ class _Search:
                 self.screened_points += 1
                 nonneg = known > 0
             else:
-                nonneg = _f(self.b, self.j(mid)) >= 0.0
+                nonneg = self.nonneg_at(mid)
             if nonneg:
                 hi = mid
             else:
                 lo = mid
         return lo, hi
 
+    def dual(self, betas: np.ndarray) -> np.ndarray:
+        """The lower bound on J at each beta, the larger of the dual and the
+        floor; kept for the chord of the bisection."""
+        lower = np.maximum(self.spec.lower(betas), self.floor)
+        self.lower_bounds.update(zip(betas.tolist(), lower.tolist()))
+        return lower
+
     def chord(self, beta: float) -> float:
         """The chord between the lower bounds on J at the scan bracket's
-        ends, each the larger of the dual and the floor, at ``beta`` between
-        them.  J is concave, so the chord bounds it from below there."""
-        if self._end_lower is None:
-            self._end_lower = np.maximum(self.spec.lower(np.array(self.ends)),
-                                         self.floor).tolist()
-        (a, c), (lower_a, lower_c) = self.ends, self._end_lower
-        t = (beta - a) / (c - a)
-        return (1.0 - t) * lower_a + t * lower_c
+        ends, at ``beta`` between them; the dual runs only at an end it has
+        not run at.  J is concave, so the chord bounds it from below there."""
+        missing = [end for end in self.ends if end not in self.lower_bounds]
+        if missing:
+            self.dual(np.array(missing))
+        a, c = self.ends
+        return _chord(beta, a, self.lower_bounds[a], c, self.lower_bounds[c])
+
+    def scan_chord(self, betas: np.ndarray, anchor: float, lower: float) -> np.ndarray:
+        """The chord from (anchor, lower) to (BETA_MAX, floor) at each beta
+        in (anchor, BETA_MAX).  J(b, BETA_MAX) = L(b), or >= 0 where the
+        floor falls back to 0, and J is concave, so the chord bounds J from
+        below where ``lower`` does at the anchor."""
+        return _chord(betas, anchor, lower, BETA_MAX, self.floor)
 
     def _known_mid(self, mid: float) -> int:
         # +1 (-1) where the floor, the Ritz bound or the chord, widened by the
@@ -204,29 +256,50 @@ class _Search:
         return 0
 
     def _screen(self, betas: np.ndarray) -> np.ndarray:
-        # +1 (-1) where the floor or the enclosure, widened by the margin,
-        # proves F >= 0 (F < 0); 0 where neither proves a sign.
+        # +1 (-1) where the floor or a bound on J, widened by the margin,
+        # proves F >= 0 (F < 0); 0 where none proves a sign.
         known = np.zeros(betas.shape, dtype=int)
         if self.spec is None:
             return known
-        amp, half_b = self.amp, self.half_b
+        amp, half_b, betas2 = self.amp, self.half_b, betas * betas
         # The floor J >= L(b) proves F >= 0 with no dual, also at the
         # degenerate weight, where the dual gives no bound.
-        floor = betas * betas + amp * (self.floor - _SCREEN_MARGIN - half_b) >= 0.0
+        floor = betas2 + amp * (self.floor - _SCREEN_MARGIN - half_b) >= 0.0
         known[floor] = 1
         upper = self.spec.upper(betas)
-        known[betas * betas + amp * (upper + _SCREEN_MARGIN - half_b) < 0.0] = -1
-        # lower <= upper, so the dual can prove F >= 0 only where the upper
-        # bound, less the margin, already gives it.
+        known[betas2 + amp * (upper + _SCREEN_MARGIN - half_b) < 0.0] = -1
+        # A lower bound <= upper can prove F >= 0 only where the upper bound,
+        # less the margin, already gives it.
         rest = np.flatnonzero(
-            ~floor & (betas * betas + amp * (upper - _SCREEN_MARGIN - half_b) >= 0.0))
-        lower = self.spec.lower(betas[rest])
-        proved = betas[rest] ** 2 + amp * (lower - _SCREEN_MARGIN - half_b) >= 0.0
-        if proved.any():
-            known[rest[proved]] = 1
-            self._gap(float(np.max(upper[rest[proved]] - lower[proved])))
+            ~floor & (betas2 + amp * (upper - _SCREEN_MARGIN - half_b) >= 0.0))
+        if rest.size:
+            lower = self._scan_lower(betas, betas2, rest)
+            proved = betas2[rest] + amp * (lower - _SCREEN_MARGIN - half_b) >= 0.0
+            if proved.any():
+                known[rest[proved]] = 1
+                self._gap(float(np.max(upper[rest[proved]] - lower[proved])))
         self.screened_points += int(np.count_nonzero(known))
         return known
+
+    def _scan_lower(self, betas: np.ndarray, betas2: np.ndarray,
+                    rest: np.ndarray) -> np.ndarray:
+        # Lower bounds on J at the scan points ``rest``: the dual at the
+        # anchors, rest[0] and its two scan neighbours; above them the scan
+        # chord, and the dual where the chord proves nothing.  At BETA_MAX
+        # the chord is the floor, which proves nothing there, and the dual
+        # gives no bound.
+        bound = np.full(betas.shape, -np.inf)
+        anchors = np.arange(max(rest[0] - 1, 0), min(rest[0] + 2, betas.size))
+        bound[anchors] = self.dual(betas[anchors])
+        above = rest[(rest > anchors[-1]) & (betas[rest] < BETA_MAX)]
+        if above.size:   # none when the last anchor is BETA_MAX: no 0/0
+            last = anchors[-1]
+            bound[above] = self.scan_chord(betas[above], float(betas[last]), float(bound[last]))
+            open_ = above[betas2[above] + self.amp * (bound[above] - _SCREEN_MARGIN
+                                                      - self.half_b) < 0.0]
+            if open_.size:
+                bound[open_] = self.dual(betas[open_])
+        return bound[rest]
 
     def _gap(self, gap: float) -> None:
         self.max_gap = gap if self.max_gap is None else max(self.max_gap, gap)
@@ -271,7 +344,7 @@ def compute_beta_b(b: float, tol: float = _DEFAULT_TOL) -> BetaBResult:
 
     lo, hi = search.bisect(float(betas[i - 1]), float(betas[i]), tol)
 
-    lo_res, hi_res = search.j(lo), search.j(hi)
+    lo_res, hi_res = search.result(lo), search.result(hi)
     f_lo, band_lo = float(_f(b, lo_res)), float(_band(b, lo_res))
     f_hi, band_hi = float(_f(b, hi_res)), float(_band(b, hi_res))
     certificate = dict(f_lo=f_lo, band_lo=band_lo, f_hi=f_hi, band_hi=band_hi)

@@ -497,6 +497,15 @@ def test_float_options_found():
     assert {command for command, _ in _float_options()} <= _GOOD_RUN.keys()
 
 
+def test_parser_built_once(capsys):
+    # One parser per process; a refused command leaves it fit for the next.
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["beta-b", "--b", "2", "--sweep", "1.5:2:3"]) == 1
+    capsys.readouterr()
+    assert main(["beta-b", "--b", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("3.0,")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, flag", _float_options())
 def test_non_finite_number_writes_nothing(capsys, tmp_path, command, flag, value):

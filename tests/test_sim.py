@@ -54,6 +54,20 @@ class TestSimConfig:
             SimConfig(**{"b": 2.0, "t_max": 1.0, name: value})
 
 
+@pytest.mark.parametrize("b", [math.nan, 5.0])
+@pytest.mark.parametrize("call", [
+    lambda u, b: rhs(u, b),
+    lambda u, b: step(u, b, 1e-3),
+    lambda u, b: lifespan_bound(u, b, 0.5),
+    lambda u, b: conserved_quantities(u, b),
+], ids=["rhs", "step", "lifespan_bound", "conserved_quantities"])
+def test_public_calls_check_b(call, b):
+    # As SimConfig does for integrate: NaN used to give an all-NaN field
+    # from rhs and step, and no bound from lifespan_bound.
+    with pytest.raises(BOutOfRange):
+        call(TorusField.cosine(1.0, 64), b)
+
+
 class TestTorusField:
     def test_grid_validation(self):
         with pytest.raises(ValueError):

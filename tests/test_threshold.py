@@ -8,7 +8,6 @@ from bfamily import (
     BETA_MAX,
     BetaBResult,
     BOutOfRange,
-    JResult,
     LinearSolveFailure,
     STATUS_FINITE,
     STATUS_INFINITE,
@@ -85,11 +84,11 @@ class TestComputeBetaB:
     def test_lower_bracket_end_certified(self, monkeypatch, f_below, status):
         # A step in F at beta = 1 with band 1e-2 everywhere: F(hi) = 1 clears
         # the band, and F(lo) must clear it too for the crossing to count.
-        # At b = 2, F = beta^2 + 2 (J - 1) and band = 2 * error_estimate.
+        # At b = 2, F = beta^2 + 2 (J - 1) and band = 2 * error_estimate =
+        # 2/3 |J_n - J_{n/2}|.
         def fake(b, beta, n):
             f = 1.0 if beta >= 1.0 else f_below
-            return JResult(b=b, beta=beta, value=1.0 + 0.5 * (f - beta * beta),
-                           method="BVP_FLUX", error_estimate=5e-3)
+            return 1.0 + 0.5 * (f - beta * beta) + (0.015 if n < 4096 else 0.0)
 
         class NoEnclosure:
             # proves no sign, so every J of the search comes from the fake
@@ -102,12 +101,13 @@ class TestComputeBetaB:
             def lower(self, beta):
                 return np.full(np.shape(beta), -np.inf)
 
-        monkeypatch.setattr(threshold, "compute_j", fake)
+        monkeypatch.setattr(threshold, "_j_bvp_value", fake)
         monkeypatch.setattr(threshold, "SpectralJ", NoEnclosure)
         # and no floor: L(b) would prove signs the fake's step contradicts
         monkeypatch.setattr(threshold, "extreme_weight_j", lambda b: -np.inf)
         res = compute_beta_b(2.0)
         assert res.status == status
+        assert [res.band_lo, res.band_hi] == pytest.approx([1e-2, 1e-2], rel=1e-9)
         if status == STATUS_FINITE:
             assert res.beta_b - res.uncertainty < 1.0 <= res.beta_b
 
@@ -133,16 +133,17 @@ class TestComputeBetaB:
         # Work-count guard: the search decides 263 signs (256 scan points, 7
         # bisection steps).  The floor J >= L(b) proves the top of the
         # bracket, the degenerate point beta = BETA_MAX included, and the
-        # spectral enclosure all but a few near the crossing; those and the
-        # two bracket ends are solved, each at n and at n/2 for its
-        # Richardson companion.  Solving every point took 266, and 526 with
-        # a companion each.
-        calls, betas, dual = [], [], []
-        solve, j, lower = variational.spd_solve, threshold.compute_j, variational.SpectralJ.lower
+        # spectral enclosure and its chords all but a few near the crossing;
+        # those are solved on n = 4096 cells alone, and only the two bracket
+        # ends add a Richardson companion on n/2.  Solving every point took
+        # 266 solves, and 526 with a companion each; a companion at every
+        # solved point took 8 at b = 2 and 14 at b = 1.06.
+        solves, betas, dual = [], [], []
+        solve, j, lower = variational.spd_solve, threshold._j_bvp_value, variational.SpectralJ.lower
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counting(diag, *args, **kwargs):
+            solves.append(len(diag) + 1)
+            return solve(diag, *args, **kwargs)
 
         def recording(b, beta, n):
             betas.append(beta)
@@ -153,33 +154,42 @@ class TestComputeBetaB:
             return lower(self, beta)
 
         monkeypatch.setattr(variational, "spd_solve", counting)
-        monkeypatch.setattr(threshold, "compute_j", recording)
+        monkeypatch.setattr(threshold, "_j_bvp_value", recording)
         monkeypatch.setattr(variational.SpectralJ, "lower", dual_counting)
-        # b: (solves, betas the dual ran on), a main and an onset row.  The
-        # floor J >= 0 left the dual 106 betas at b = 2 and 155 at b = 1.06,
-        # and 22 solves at b = 1.06.
-        for b, max_solves, max_dual in [(2.0, 8, 9), (1.06, 14, 19)]:
-            calls.clear()
+        # b: (status, n = 4096 solves at most), main and onset rows, and two
+        # with no bracket to certify or no solve at all.
+        for b, status, max_solves in [(2.0, STATUS_FINITE, 6), (1.06, STATUS_FINITE, 10),
+                                      (1.0005, STATUS_INFINITE, 0), (3.0, STATUS_FINITE, 0)]:
+            solves.clear()
             betas.clear()
             dual.clear()
             res = compute_beta_b(b)
-            solves = len(calls)
-            assert res.status == STATUS_FINITE
-            assert solves <= max_solves
-            assert solves == 2 * res.solved_points
-            assert sum(dual) <= max_dual
+            assert res.status == status
+            assert solves.count(threshold._DEFAULT_N) == res.solved_points <= max_solves
+            companions = 2 if status == STATUS_FINITE and b < 3.0 else 0
+            assert solves.count(threshold._DEFAULT_N // 2) == companions
+            assert len(solves) == res.solved_points + companions
             assert BETA_MAX not in betas
-            assert res.screened_points >= 263 - res.solved_points
-            assert 0.0 <= res.max_gap <= 1e-4
+            if companions:
+                assert res.screened_points >= 263 - res.solved_points
+                assert len(dual) == 1 and dual[0] <= 3
+                # the scan chord's gap, J's bend between an anchor and
+                # BETA_MAX, is wider than the dual's (below 3e-5 on the
+                # benchmark's rows); it must still leave F >= 0 proved
+                assert 0.0 <= res.max_gap <= 1e-2
+            else:
+                assert dual == []
 
     def test_dual_calls_per_threshold(self, monkeypatch):
-        # The dual runs once on the scan points the floor and the Ritz bound
-        # leave open, and at most once more, on the two ends of the scan
-        # bracket, for the chord that decides bisection midpoints; no
-        # midpoint runs it.  Most main rows of the benchmark's sweep need the
-        # chord (1.953846 is one), some rows none (b = 2: every midpoint is
-        # proved negative, or its Ritz bound leaves no positive proof).  With
-        # tol above the scan spacing there is no bisection and no second call.
+        # The dual runs once per threshold, on at most 3 scan points: the
+        # first the Ritz bound leaves open and its two neighbours (the
+        # anchors).  Above them the chord to (BETA_MAX, L(b)) proves the
+        # rest, and the bisection's chord reuses the anchors' bounds, the
+        # scan bracket's ends being anchors.  Where the scan chord leaves a
+        # point open it goes to the dual in a second call: on the benchmark's
+        # 1920 sweep rows only b = 1.01007 needs it, below gamma, where F
+        # turns negative again before BETA_MAX.  With tol above the scan
+        # spacing there is no bisection, and still one call.
         sizes = []
         lower = variational.SpectralJ.lower
 
@@ -188,18 +198,47 @@ class TestComputeBetaB:
             return lower(self, beta)
 
         monkeypatch.setattr(variational.SpectralJ, "lower", recording)
-        for b, chord in [(1.06, False), (1.0448642857142858, True), (1.953846, True),
-                         (2.0, False), (2.9, True)]:
+        for b, want in [(1.06, [3]), (1.0448642857142858, [3]), (1.953846, [3]), (2.0, [3]),
+                        (2.9, [3]), (1.01007, [3, 2])]:
             sizes.clear()
             compute_beta_b(b)
-            assert sizes[1:] == ([2] if chord else []), b
+            assert sizes == want, b
         spacing = BETA_MAX / (threshold._SCAN_POINTS - 1)
         for b in (1.0448642857142858, 1.953846, 2.9):
             sizes.clear()
             res = compute_beta_b(b, tol=1.01 * spacing)
             assert res.status == STATUS_FINITE
             assert res.uncertainty > spacing / 2
-            assert len(sizes) == 1, b
+            assert sizes == [3], b
+
+    @pytest.mark.parametrize("b", [1.0100, 1.01007, 1.0117, 1.0118, 1.5, 2.9, 2.9999, 2.999999])
+    def test_scan_chord_below_values(self, monkeypatch, b):
+        # The scan chord's assumption, J >= chord above the last anchor: below
+        # the value compute_j returns, within a tenth of the margin, and below
+        # the Ritz upper bound, within the dual's rounding allowance.  Checked
+        # at every scan point the chord is formed at, the points it proves
+        # F >= 0 at among them, so that a chord too high at its BETA_MAX end
+        # shows near that end.  1.0118 has the floor reach BETA_MAX, 1.0117
+        # not; at 2.9999 the last anchor is BETA_MAX, where no chord is formed
+        # (0/0); at 2.999999 the floor falls back to J >= 0.
+        chords = []
+        scan_chord = threshold._Search.scan_chord
+
+        def recording(self, betas, anchor, lower):
+            chord = scan_chord(self, betas, anchor, lower)
+            chords.extend((self, float(beta), float(c)) for beta, c in zip(betas, chord))
+            return chord
+
+        monkeypatch.setattr(threshold._Search, "scan_chord", recording)
+        compute_beta_b(b)
+        proved = [beta * beta + search.amp * (c - threshold._SCREEN_MARGIN - search.half_b) >= 0.0
+                  for search, beta, c in chords]
+        assert any(proved) == (b in (1.0117, 1.0118, 1.5, 2.9))
+        eps = np.finfo(np.float64).eps
+        for search, beta, chord in chords:
+            upper = float(search.spec.upper(beta))
+            assert chord <= compute_j(b, beta).value + threshold._SCREEN_MARGIN / 10.0, beta
+            assert chord <= upper + variational._ROUNDING_ULPS * eps * max(abs(upper), 1.0), beta
 
     @pytest.mark.parametrize("b", [1.0100, 1.01007, 1.011, 1.0403414285714285, 1.5, 2.0,
                                    2.9, 2.9999, 2.999999])
@@ -238,13 +277,13 @@ class TestComputeBetaB:
         # J >= L(b); no beta above that root is solved.  Above gamma that
         # includes BETA_MAX, on the onset rows too.
         betas = []
-        j = threshold.compute_j
+        j = threshold._j_bvp_value
 
         def recording(b, beta, n):
             betas.append(beta)
             return j(b, beta, n)
 
-        monkeypatch.setattr(threshold, "compute_j", recording)
+        monkeypatch.setattr(threshold, "_j_bvp_value", recording)
         assert compute_beta_b(b).status == STATUS_FINITE
         floor_from = estimate3(b).bound ** 2 + 2.0 / (b - 1.0) * threshold._SCREEN_MARGIN
         assert betas and all(beta * beta < floor_from for beta in betas)
