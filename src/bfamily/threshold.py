@@ -22,19 +22,20 @@ error, prove most of those signs without a solve: the floor J >= L(b), which
 settles the top of the bracket, and a spectral enclosure of J
 (``variational.SpectralJ``).  L(b) = J(b, (e+1)/(e-1)) is estimate 3's
 closed form; it bounds J from below on the whole bracket because J is
-concave and even in beta.  The scan is screened in one vectorised pass of
-the floor, the Ritz upper bound and a lower bound.  The dual gives that
-lower bound at three anchors, the first scan point the Ritz bound leaves
-open and its two neighbours.  Above them the lower bound is the scan
-chord from the last anchor to (BETA_MAX, L(b)), which concavity puts below
-J; a point the chord leaves open goes to the dual.  A bisection midpoint
-runs no dual: the floor and the Ritz bound are scalar tests, and the lower
-bound there is the chord between the lower bounds at the scan bracket's two
-ends, the anchors' when the ends are anchors.  Only the points the bounds
-leave open are solved, and on 4096 cells alone: a sign needs no error band.
-The two bracket ends the verdict rests on are always solved, with their
-Richardson companion on 2048 cells, so the verdict and its certificate are
-``compute_j``'s, bit for bit.
+concave and even in beta.  The lower bound is one interpolant: its knots
+are betas where a lower bound on J is known, starting from (BETA_MAX, L(b)),
+and concavity puts every chord between knots below J.  The scan is screened
+in one vectorised pass of the floor, the Ritz upper bound and the
+interpolant.  The dual makes knots of three anchors, the first scan point
+the Ritz bound leaves open and its two neighbours; above them the
+interpolant is the chord to (BETA_MAX, L(b)), and a point it leaves open
+goes to the dual.  A bisection midpoint is screened by scalar tests; where
+it needs the lower bound, the scan bracket's ends become knots, so the
+interpolant there is the chord between their lower bounds.  Only the
+points the bounds leave open are solved, and on 4096 cells alone: a sign
+needs no error band.  The two bracket ends the verdict rests on are always
+solved, with their Richardson companion on 2048 cells, so the verdict and
+its certificate are ``compute_j``'s, bit for bit.
 """
 
 import math
@@ -79,16 +80,13 @@ class BetaBResult:
     bracket ends (none at b = 3).  The bracket ends add one solve each on
     2048 cells for their Richardson companion, so below b = 3 a search that
     reaches a final bracket makes ``solved_points + 2`` tridiagonal solves.
-    ``screened_points`` counts the points whose sign a bound proved: on the
-    scan the floor J >= L(b), the Ritz upper bound or a lower bound (the
-    dual, or the scan chord above the anchors), at a bisection midpoint the
-    floor, the Ritz upper bound or the chord of the lower bounds at the scan
-    bracket's ends.  ``max_gap`` is the largest gap between the Ritz bound
-    and the lower bound a proof of F >= 0 used: the dual or the scan chord
-    on the scan, the chord at a midpoint (None when no proof used a lower
-    bound).  A scan chord's gap is J's bend between the last anchor and
-    BETA_MAX, up to about 4e-3; the dual's stay below 3e-5 on the
-    benchmark's sweep rows.  The CLI writes none of these fields.
+    ``screened_points`` counts the points whose sign a bound proved: the
+    floor J >= L(b), the Ritz upper bound or the interpolated lower bound.
+    ``max_gap`` is the largest gap between the Ritz bound and the lower
+    bound a proof of F >= 0 used (None when no proof used one).  At a knot
+    the dual's gap stays below 3e-5 on the benchmark's sweep rows; between
+    the last anchor and BETA_MAX the chord's gap is J's bend there, up to
+    about 4e-3.  The CLI writes none of these fields.
     """
 
     b: float
@@ -118,23 +116,12 @@ def _band(b: float, res: JResult) -> float:
     return 2.0 / (b - 1.0) * res.error_estimate
 
 
-def _chord(beta, a: float, lower_a: float, c: float, lower_c: float):
-    # The line through (a, lower_a) and (c, lower_c) at beta, a < beta < c:
-    # below J there when lower_a and lower_c are below J(a) and J(c), since
-    # J is concave in beta.
-    t = (beta - a) / (c - a)
-    return (1.0 - t) * lower_a + t * lower_c
-
-
 class _Search:
     """The signs of F at one b for the n = 4096 BVP value of J: proved by
-    bounds on J where they can, solved where they cannot.  Solved values are
-    kept, and a final bracket end reuses its value for its Richardson band.
-
-    The scan is screened in one vectorised pass, each bisection midpoint by
-    scalar tests (see the module docstring).  Every lower bound the dual
-    gives is kept, so the bisection's chord runs the dual only at a scan
-    bracket end it has not run at."""
+    bounds on J where they can, solved where they cannot (see the module
+    docstring).  Solved values are kept, and a final bracket end reuses its
+    value for its Richardson band.  ``knots`` maps beta to a lower bound on
+    J there, and ``lower`` interpolates them, the floor left of the first."""
 
     def __init__(self, b: float):
         self.b = b
@@ -149,12 +136,16 @@ class _Search:
                 self.floor = extreme_weight_j(b)
             except NoConvergence:
                 self.floor = 0.0
+            self.knots = {BETA_MAX: self.floor}
         self.values = {}
-        self.lower_bounds = {}
         self.ends = None
         self.solved_points = 0
         self.screened_points = 0
         self.max_gap = None
+
+    def f(self, beta, j):
+        """F(b, beta) for the value j of J."""
+        return beta * beta + self.amp * (j - self.half_b)
 
     def value(self, beta: float) -> float:
         """The n = 4096 BVP value of J at beta, solved once (J = 0 exactly
@@ -179,16 +170,13 @@ class _Search:
 
         return _with_band(j_value, "BVP_FLUX", self.b, beta, _DEFAULT_N)
 
-    def nonneg_at(self, beta: float) -> bool:
-        """Whether F(b, beta) >= 0 for the solved value of J."""
-        return beta * beta + self.amp * (self.value(beta) - self.half_b) >= 0.0
-
     def nonneg(self, betas: np.ndarray) -> np.ndarray:
         """Whether F(b, beta) >= 0 at each beta of the scan."""
         known = self._screen(betas)
         signs = known > 0
         for k in np.flatnonzero(known == 0):
-            signs[k] = self.nonneg_at(float(betas[k]))
+            beta = float(betas[k])
+            signs[k] = self.f(beta, self.value(beta)) >= 0.0
         return signs
 
     def bisect(self, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -202,56 +190,48 @@ class _Search:
                 self.screened_points += 1
                 nonneg = known > 0
             else:
-                nonneg = self.nonneg_at(mid)
+                nonneg = self.f(mid, self.value(mid)) >= 0.0
             if nonneg:
                 hi = mid
             else:
                 lo = mid
         return lo, hi
 
-    def dual(self, betas: np.ndarray) -> np.ndarray:
-        """The lower bound on J at each beta, the larger of the dual and the
-        floor; kept for the chord of the bisection."""
-        lower = np.maximum(self.spec.lower(betas), self.floor)
-        self.lower_bounds.update(zip(betas.tolist(), lower.tolist()))
-        return lower
+    def lower(self, betas):
+        """The lower bound on J at betas: the interpolant of the knots."""
+        xs = sorted(self.knots)
+        return np.interp(betas, xs, [self.knots[x] for x in xs], left=self.floor)
 
-    def chord(self, beta: float) -> float:
-        """The chord between the lower bounds on J at the scan bracket's
-        ends, at ``beta`` between them; the dual runs only at an end it has
-        not run at.  J is concave, so the chord bounds it from below there."""
-        missing = [end for end in self.ends if end not in self.lower_bounds]
-        if missing:
-            self.dual(np.array(missing))
-        a, c = self.ends
-        return _chord(beta, a, self.lower_bounds[a], c, self.lower_bounds[c])
-
-    def scan_chord(self, betas: np.ndarray, anchor: float, lower: float) -> np.ndarray:
-        """The chord from (anchor, lower) to (BETA_MAX, floor) at each beta
-        in (anchor, BETA_MAX).  J(b, BETA_MAX) = L(b), or >= 0 where the
-        floor falls back to 0, and J is concave, so the chord bounds J from
-        below where ``lower`` does at the anchor."""
-        return _chord(betas, anchor, lower, BETA_MAX, self.floor)
+    def dual(self, betas) -> None:
+        """Make knots of the betas that are not knots yet, each at the
+        larger of the dual and the interpolant, so no knot lowers it."""
+        new = [beta for beta in betas if beta not in self.knots]
+        if new:
+            new = np.array(new)
+            bound = np.maximum(self.spec.lower(new), self.lower(new))
+            self.knots.update(zip(new.tolist(), bound.tolist()))
 
     def _known_mid(self, mid: float) -> int:
-        # +1 (-1) where the floor, the Ritz bound or the chord, widened by the
-        # margin, proves F >= 0 (F < 0) at a bisection midpoint; 0 where none
-        # does.
+        # +1 (-1) where the floor, the Ritz bound or the interpolant, widened
+        # by the margin, proves F >= 0 (F < 0) at a bisection midpoint; 0
+        # where none does.
         if self.spec is None:
             return 0
-        amp, half_b, mid2 = self.amp, self.half_b, mid * mid
-        if mid2 + amp * (self.floor - _SCREEN_MARGIN - half_b) >= 0.0:
+        if self.f(mid, self.floor - _SCREEN_MARGIN) >= 0.0:
             return 1
         upper = float(self.spec.upper(mid))
-        if mid2 + amp * (upper + _SCREEN_MARGIN - half_b) < 0.0:
+        if self.f(mid, upper + _SCREEN_MARGIN) < 0.0:
             return -1
-        # chord <= J <= upper, so the chord can prove F >= 0 only where the
-        # upper bound, less the margin, already gives it.
-        if mid2 + amp * (upper - _SCREEN_MARGIN - half_b) < 0.0:
+        # lower <= J <= upper, so the lower bound can prove F >= 0 only where
+        # the upper bound, less the margin, already gives it.
+        if self.f(mid, upper - _SCREEN_MARGIN) < 0.0:
             return 0
-        chord = self.chord(mid)
-        if mid2 + amp * (chord - _SCREEN_MARGIN - half_b) >= 0.0:
-            self._gap(upper - chord)
+        # With the scan bracket's ends as knots, the interpolant at mid is
+        # the chord between their lower bounds.
+        self.dual(self.ends)
+        lower = float(self.lower(mid))
+        if self.f(mid, lower - _SCREEN_MARGIN) >= 0.0:
+            self._gap(upper - lower)
             return 1
         return 0
 
@@ -261,45 +241,30 @@ class _Search:
         known = np.zeros(betas.shape, dtype=int)
         if self.spec is None:
             return known
-        amp, half_b, betas2 = self.amp, self.half_b, betas * betas
         # The floor J >= L(b) proves F >= 0 with no dual, also at the
         # degenerate weight, where the dual gives no bound.
-        floor = betas2 + amp * (self.floor - _SCREEN_MARGIN - half_b) >= 0.0
+        floor = self.f(betas, self.floor - _SCREEN_MARGIN) >= 0.0
         known[floor] = 1
         upper = self.spec.upper(betas)
-        known[betas2 + amp * (upper + _SCREEN_MARGIN - half_b) < 0.0] = -1
+        known[self.f(betas, upper + _SCREEN_MARGIN) < 0.0] = -1
         # A lower bound <= upper can prove F >= 0 only where the upper bound,
         # less the margin, already gives it.
-        rest = np.flatnonzero(
-            ~floor & (betas2 + amp * (upper - _SCREEN_MARGIN - half_b) >= 0.0))
+        rest = np.flatnonzero(~floor & (self.f(betas, upper - _SCREEN_MARGIN) >= 0.0))
         if rest.size:
-            lower = self._scan_lower(betas, betas2, rest)
-            proved = betas2[rest] + amp * (lower - _SCREEN_MARGIN - half_b) >= 0.0
+            # The dual at the anchors, rest[0] and its two scan neighbours;
+            # the interpolant elsewhere, and the dual where it proves nothing.
+            self.dual(betas[max(rest[0] - 1, 0):rest[0] + 2])
+            rest_betas = betas[rest]
+            lower = self.lower(rest_betas)
+            open_ = self.f(rest_betas, lower - _SCREEN_MARGIN) < 0.0
+            self.dual(rest_betas[open_])
+            lower[open_] = self.lower(rest_betas[open_])
+            proved = self.f(rest_betas, lower - _SCREEN_MARGIN) >= 0.0
             if proved.any():
                 known[rest[proved]] = 1
                 self._gap(float(np.max(upper[rest[proved]] - lower[proved])))
         self.screened_points += int(np.count_nonzero(known))
         return known
-
-    def _scan_lower(self, betas: np.ndarray, betas2: np.ndarray,
-                    rest: np.ndarray) -> np.ndarray:
-        # Lower bounds on J at the scan points ``rest``: the dual at the
-        # anchors, rest[0] and its two scan neighbours; above them the scan
-        # chord, and the dual where the chord proves nothing.  At BETA_MAX
-        # the chord is the floor, which proves nothing there, and the dual
-        # gives no bound.
-        bound = np.full(betas.shape, -np.inf)
-        anchors = np.arange(max(rest[0] - 1, 0), min(rest[0] + 2, betas.size))
-        bound[anchors] = self.dual(betas[anchors])
-        above = rest[(rest > anchors[-1]) & (betas[rest] < BETA_MAX)]
-        if above.size:   # none when the last anchor is BETA_MAX: no 0/0
-            last = anchors[-1]
-            bound[above] = self.scan_chord(betas[above], float(betas[last]), float(bound[last]))
-            open_ = above[betas2[above] + self.amp * (bound[above] - _SCREEN_MARGIN
-                                                      - self.half_b) < 0.0]
-            if open_.size:
-                bound[open_] = self.dual(betas[open_])
-        return bound[rest]
 
     def _gap(self, gap: float) -> None:
         self.max_gap = gap if self.max_gap is None else max(self.max_gap, gap)

@@ -452,9 +452,9 @@ def _spectral_forms():
     k < K = _SPECTRAL_MODES, by the Q-point Gauss-Legendre rule,
     Q = max(2K + 16, 64), which is exact for the polynomial factors.  Dual,
     for the Q- and the 2Q-point rule: p, p' and the weights at the nodes;
-    per node the entries of P P^T stacked over those of P' P'^T, each
-    bordered by a zero row and column; and the border, e_k = P_k(1) -
-    P_k(-1) in the last row and column with a corner of 7.  Bordered by e,
+    the basis, P_k(2x-1) at the nodes stacked over its x-derivative, with a
+    zero column for the border; and the border, e_k = P_k(1) - P_k(-1) in
+    the last row and column with a corner of 7.  Bordered by e,
     the Cholesky factor's last row starts with L_B^-1 e whatever the corner;
     the corner only keeps the bordered matrix definite, and exceeds
     e^T B^-1 e = 2 max(dual) <= 2 J <= b < 3.
@@ -483,10 +483,8 @@ def _spectral_forms():
     dual = []
     for points in (quad, 2 * quad):
         x, q = _gauss(points)
-        p, dp = (np.pad(a, ((0, 0), (0, 1))) for a in basis(x))
-        forms = np.concatenate((np.einsum("qi,qj->qij", p, p).reshape(points, -1),
-                                np.einsum("qi,qj->qij", dp, dp).reshape(points, -1)))
-        dual.append((eval_p(x), eval_dp(x), q, forms, border))
+        stacked = np.pad(np.concatenate(basis(x)), ((0, 0), (0, 1)))
+        dual.append((eval_p(x), eval_dp(x), q, stacked, border))
     return ritz, dual
 
 
@@ -506,9 +504,9 @@ class SpectralJ:
     the lower bound load anyway.  Lower bound: the maximum over
     sigma = sum d_k P_k(2x-1) of the dual functional, 1/2 e^T B(beta)^-1 e
     with e_k = P_k(1) - P_k(-1) and B(beta) = int (P P^T/(3-b) + P' P'^T/b)/w.
-    Each call builds B from the b-free forms of ``_spectral_forms``, so the
-    instance keeps no dual state; it needs one Cholesky factorisation per
-    beta, all betas in one batch.
+    Each call builds B from the b-free basis of ``_spectral_forms``, one
+    small product per beta, so the instance keeps no dual state; it needs
+    one Cholesky factorisation per beta, all betas in one batch.
     """
 
     def __init__(self, b: float):
@@ -530,11 +528,12 @@ class SpectralJ:
 
     def _dual(self, beta, rule):
         # B(beta) = int (q/w) (P P^T / (3-b) + P' P'^T / b), bordered by e:
-        # the b-free forms, weighted per node and beta.
-        p, dp, q, forms, border = rule
+        # the stacked basis, weighted per node and beta.  One small product
+        # per beta keeps the call on one BLAS thread.
+        p, dp, q, basis, border = rule
         qw = q / (p + beta[:, None] * dp)
         weights = np.concatenate((qw / (3.0 - self.b), qw / self.b), axis=1)
-        mats = (weights @ forms).reshape(-1, *border.shape) + border
+        mats = basis.T @ (weights[:, :, None] * basis) + border
         row = np.linalg.cholesky(mats)[:, -1, :-1]
         return 0.5 * np.einsum("ij,ij->i", row, row)
 

@@ -211,64 +211,56 @@ class TestComputeBetaB:
             assert res.uncertainty > spacing / 2
             assert sizes == [3], b
 
-    @pytest.mark.parametrize("b", [1.0100, 1.01007, 1.0117, 1.0118, 1.5, 2.9, 2.9999, 2.999999])
-    def test_scan_chord_below_values(self, monkeypatch, b):
-        # The scan chord's assumption, J >= chord above the last anchor: below
-        # the value compute_j returns, within a tenth of the margin, and below
-        # the Ritz upper bound, within the dual's rounding allowance.  Checked
-        # at every scan point the chord is formed at, the points it proves
-        # F >= 0 at among them, so that a chord too high at its BETA_MAX end
-        # shows near that end.  1.0118 has the floor reach BETA_MAX, 1.0117
-        # not; at 2.9999 the last anchor is BETA_MAX, where no chord is formed
-        # (0/0); at 2.999999 the floor falls back to J >= 0.
-        chords = []
-        scan_chord = threshold._Search.scan_chord
+    # The interpolant's assumption, J >= lower: below the value compute_j
+    # returns, within a tenth of the margin, and below the Ritz upper bound,
+    # within the dual's rounding allowance.  Checked at every beta the search
+    # forms it at, and at each bisection midpoint with the scan bracket's
+    # ends as knots, as the midpoint test forms it.  The scan rows check
+    # that the interpolant between knots proves F >= 0 on the scan, so that
+    # a chord too high at its BETA_MAX end shows near that end: 1.0118 has
+    # the floor reach BETA_MAX, 1.0117 not; at 2.999999 the floor falls back
+    # to J >= 0.
+    @pytest.mark.parametrize("b, phase", [
+        *[(b, "scan") for b in (1.0100, 1.01007, 1.0117, 1.0118, 1.5, 2.9, 2.9999, 2.999999)],
+        *[(b, "bisection") for b in (1.0100, 1.01007, 1.011, 1.0403414285714285, 1.5, 2.0,
+                                     2.9, 2.9999, 2.999999)]])
+    def test_lower_below_values(self, monkeypatch, b, phase):
+        formed = _formed_lower(monkeypatch, b)
+        assert _above_values(b, formed) == []
+        if phase == "scan":
+            proved = [search.f(beta, value - threshold._SCREEN_MARGIN) >= 0.0
+                      for search, scan, chord, beta, value in formed if scan and chord]
+            assert any(proved) == (b in (1.0117, 1.0118, 1.5, 2.9))
+        else:
+            assert sum(not scan for _, scan, _, _, _ in formed) >= 7
 
-        def recording(self, betas, anchor, lower):
-            chord = scan_chord(self, betas, anchor, lower)
-            chords.extend((self, float(beta), float(c)) for beta, c in zip(betas, chord))
-            return chord
+    @pytest.mark.parametrize("b", [1.011, 2.9999])
+    def test_raised_floor_caught(self, monkeypatch, b):
+        # Mutation: a floor ten margins above L(b) must fail the check above.
+        # At 1.011 the floor does not reach BETA_MAX, so the scan forms the
+        # bound there, the floor itself; at 2.9999 the floor is the knots'
+        # value at the scan bracket's ends.
+        floor = threshold.extreme_weight_j
+        monkeypatch.setattr(threshold, "extreme_weight_j",
+                            lambda b: floor(b) + 10.0 * threshold._SCREEN_MARGIN)
+        assert _above_values(b, _formed_lower(monkeypatch, b)) != []
 
-        monkeypatch.setattr(threshold._Search, "scan_chord", recording)
+    @pytest.mark.parametrize("b", [1.01007, 1.0117])
+    def test_knot_never_lowers_bound(self, monkeypatch, b):
+        # Both rows make a second dual call; the interpolant on the scan must
+        # not drop anywhere when it adds knots.
+        betas = np.linspace(0.0, BETA_MAX, threshold._SCAN_POINTS)
+        dual, grown = threshold._Search.dual, []
+
+        def checking(self, new):
+            before, knots = self.lower(betas), len(self.knots)
+            dual(self, new)
+            assert np.all(self.lower(betas) >= before)
+            grown.append(len(self.knots) > knots)
+
+        monkeypatch.setattr(threshold._Search, "dual", checking)
         compute_beta_b(b)
-        proved = [beta * beta + search.amp * (c - threshold._SCREEN_MARGIN - search.half_b) >= 0.0
-                  for search, beta, c in chords]
-        assert any(proved) == (b in (1.0117, 1.0118, 1.5, 2.9))
-        eps = np.finfo(np.float64).eps
-        for search, beta, chord in chords:
-            upper = float(search.spec.upper(beta))
-            assert chord <= compute_j(b, beta).value + threshold._SCREEN_MARGIN / 10.0, beta
-            assert chord <= upper + variational._ROUNDING_ULPS * eps * max(abs(upper), 1.0), beta
-
-    @pytest.mark.parametrize("b", [1.0100, 1.01007, 1.011, 1.0403414285714285, 1.5, 2.0,
-                                   2.9, 2.9999, 2.999999])
-    def test_chord_below_midpoint_values(self, monkeypatch, b):
-        # The chord's assumption, J >= chord on the scan bracket, at every
-        # bisection midpoint: below the value compute_j returns, within a
-        # tenth of the margin, and below the Ritz upper bound, within the
-        # dual's rounding allowance.
-        searches, mids = [], []
-        bisect, known_mid = threshold._Search.bisect, threshold._Search._known_mid
-
-        def recording_bisect(self, lo, hi, tol):
-            searches.append(self)
-            return bisect(self, lo, hi, tol)
-
-        def recording_mid(self, mid):
-            mids.append(mid)
-            return known_mid(self, mid)
-
-        monkeypatch.setattr(threshold._Search, "bisect", recording_bisect)
-        monkeypatch.setattr(threshold._Search, "_known_mid", recording_mid)
-        compute_beta_b(b)
-        (search,) = searches
-        assert len(mids) == 7
-        eps = np.finfo(np.float64).eps
-        for mid in mids:
-            chord = search.chord(mid)
-            upper = float(search.spec.upper(mid))
-            assert chord <= compute_j(b, mid).value + threshold._SCREEN_MARGIN / 10.0, mid
-            assert chord <= upper + variational._ROUNDING_ULPS * eps * max(abs(upper), 1.0), mid
+        assert sum(grown) >= 2
 
     @pytest.mark.parametrize("b", [1.03, 1.06, 1.3, 2.0, 2.9])
     def test_floor_settles_top_of_bracket(self, monkeypatch, b):
@@ -324,6 +316,51 @@ class TestComputeBetaB:
         assert res.sign_reversal_above
         res2 = compute_beta_b(2.0)
         assert not res2.sign_reversal_above
+
+
+def _formed_lower(monkeypatch, b):
+    # (search, on the scan, between knots, beta, lower) at every beta the
+    # search forms the lower bound at, then at each bisection midpoint with
+    # the scan bracket's ends as knots.
+    formed, searches, mids = [], [], []
+    lower, known_mid = threshold._Search.lower, threshold._Search._known_mid
+
+    def recording(self, betas):
+        values = lower(self, betas)
+        first = min(self.knots)
+        for beta, value in zip(np.atleast_1d(betas).tolist(), np.atleast_1d(values).tolist()):
+            formed.append((self, self.ends is None, first < beta and beta not in self.knots,
+                           beta, value))
+        return values
+
+    def recording_mid(self, mid):
+        searches.append(self)
+        mids.append(mid)
+        return known_mid(self, mid)
+
+    monkeypatch.setattr(threshold._Search, "lower", recording)
+    monkeypatch.setattr(threshold._Search, "_known_mid", recording_mid)
+    compute_beta_b(b)
+    if mids:
+        assert len(mids) == 7 and len(set(searches)) == 1
+        search = searches[0]
+        search.dual(np.array(search.ends))
+        for mid in mids:
+            search.lower(mid)
+    return formed
+
+
+def _above_values(b, formed):
+    # The formed bounds above compute_j's value by more than a tenth of the
+    # margin, or above the Ritz bound by more than the rounding allowance.
+    eps = np.finfo(np.float64).eps
+    above = []
+    for search, _, _, beta, value in formed:
+        upper = float(search.spec.upper(beta))
+        if (value > compute_j(b, beta).value + threshold._SCREEN_MARGIN / 10.0
+                or value > upper + variational._ROUNDING_ULPS * eps * max(abs(upper), 1.0)):
+            above.append(beta)
+    return above
 
 
 def _unscreened_beta_b(b, tol=1e-4):
