@@ -6,6 +6,10 @@ the underlying weighted variational problem, and validates the pointwise
 blow-up criterion and lifespan bound with a pseudo-spectral simulator.
 """
 
+# Written only here (pyproject.toml reads it), and before the submodule
+# imports, so that any of them may import it.
+__version__ = "0.1.0"
+
 from .errors import (
     BetaOutOfRange,
     BFamilyError,
@@ -72,8 +76,6 @@ from .variational import (
     compute_j_spectral,
     solve_euler_lagrange,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ALPHA",

@@ -28,10 +28,10 @@ import math
 import os
 import sys
 from functools import lru_cache
-from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import numpy as np
 
+from . import __version__
 from . import estimates as est_mod
 from . import sim as sim_mod
 from . import threshold as thr_mod
@@ -52,13 +52,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract here is exit 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _tool_version() -> str:
-    try:
-        return _pkg_version("bfamily")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 def _fmt(value) -> str:
@@ -99,7 +92,7 @@ def _write_files(args, stem: str, files: dict, row_status=None) -> None:
     manifest = {
         "command": args.command,
         "parameters": _params(args),
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": list(files),
     }
@@ -230,8 +223,6 @@ def _initial_condition(args) -> sim_mod.TorusField:
 
 
 def _cmd_simulate(args) -> int:
-    if args.beta_b is not None and not args.beta_b > 0.0:
-        raise ValueError(f"--beta-b must be > 0 (got {args.beta_b})")
     u0 = _initial_condition(args)
     cfg = sim_mod.SimConfig(
         b=args.b, t_max=args.t_max, cfl=args.cfl,

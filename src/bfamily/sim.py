@@ -94,7 +94,11 @@ class TorusField:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters; ``cfl`` scales dt = cfl * (1/N) / max|u|."""
+    """Run parameters; ``cfl`` scales dt = cfl * (1/N) / max|u|.
+
+    ``cfl`` must be finite and positive.  ``t_max``,
+    ``blowup_slope_threshold`` and ``max_steps`` must be positive and may be
+    infinite, which means "run until another stop"."""
 
     b: float
     t_max: float
@@ -106,8 +110,10 @@ class SimConfig:
     def __post_init__(self):
         check_b(self.b)
         # written so that NaN fails too
-        if not (self.t_max > 0.0 and self.cfl > 0.0 and self.blowup_slope_threshold > 0.0):
-            raise ValueError("t_max, cfl and blowup_slope_threshold must be positive")
+        if not (self.t_max > 0.0 and 0.0 < self.cfl < math.inf
+                and self.blowup_slope_threshold > 0.0):
+            raise ValueError("t_max and blowup_slope_threshold must be positive, "
+                             "and cfl finite and positive")
         if not self.max_steps >= 1:  # the cap is checked after each step
             raise ValueError(f"max_steps must be at least 1 (got {self.max_steps})")
 
@@ -259,7 +265,10 @@ def conserved_quantities(u: TorusField, b: float) -> ConservedQuantities:
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_criterion(u0: TorusField, beta_b: float) -> list:
-    """Grid points with u0'(x) < -beta_b |u0(x)|, with their margins."""
+    """Grid points with u0'(x) < -beta_b |u0(x)|, with their margins.
+    ``beta_b`` must be finite and > 0, or ValueError."""
+    if not (math.isfinite(beta_b) and beta_b > 0.0):
+        raise ValueError(f"beta_b must be finite and > 0 (got {beta_b})")
     du = u0.derivative_values()
     vals = u0.values
     margin = -du - beta_b * np.abs(vals)
@@ -274,7 +283,8 @@ def check_criterion(u0: TorusField, beta_b: float) -> list:
 
 def lifespan_bound(u0: TorusField, b: float, beta_b: float) -> Optional[float]:
     """Upper bound 2 / ((b-1) sqrt((u0')^2 - beta_b^2 u0^2)) minimized over
-    the criterion points; None without a qualifying point or beyond float range."""
+    the criterion points; None without a qualifying point or beyond float range.
+    ``beta_b`` is checked as in ``check_criterion``."""
     check_b(b)
     return _bound_over_points(check_criterion(u0, beta_b), b, beta_b)
 
@@ -312,11 +322,13 @@ def integrate(
     """March u0 to cfg.t_max or to a detected blow-up.
 
     When ``beta_b`` is given, the report also carries the criterion points of
-    the initial datum and the resulting lifespan bound.  On detection,
+    the initial datum and the resulting lifespan bound; ``beta_b`` is checked
+    as in ``check_criterion`` before the first step.  On detection,
     ``t_detect`` is the stop time plus the remaining-time bound from the
     slope dynamics, so it estimates the breaking time itself and is stable
     under grid refinement; the raw stop time is kept in ``t_stop``.
     """
+    points = check_criterion(u0, beta_b) if beta_b is not None else []
     n = u0.n
     stepper = _Stepper(n, cfg.b, cfg.dealias)
 
@@ -379,8 +391,6 @@ def integrate(
         if stop_reason != "overflow":
             t_detect += 2.0 / ((cfg.b - 1.0) * abs(min_slope))
 
-    with_criterion = beta_b is not None and math.isfinite(beta_b)
-    points = check_criterion(u0, beta_b) if with_criterion else []
     history = np.asarray(rows)
     report = BlowupReport(
         detected=detected,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfamily import BETA_MAX, LinearSolveFailure, cli, threshold
+from bfamily import BETA_MAX, LinearSolveFailure, __version__, cli, threshold
 from bfamily.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -30,7 +30,10 @@ def _reject_constant(name):
 
 def _manifest(path):
     # NaN and Infinity are not JSON; json.loads accepts them unless told not to.
-    return json.loads(path.read_text(), parse_constant=_reject_constant)
+    # Every command's manifest records the package's one version.
+    manifest = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert manifest["tool_version"] == __version__
+    return manifest
 
 
 def _series(path):
@@ -391,7 +394,7 @@ class TestSimulate:
         assert len(got_rows) == len(want_rows)
         _assert_close(got_rows, want_rows)
 
-    @pytest.mark.parametrize("bad", ["--amp=nan", "--beta-b=-inf"])
+    @pytest.mark.parametrize("bad", ["--amp=nan", "--beta-b=-inf", "--beta-b=-1", "--beta-b=0"])
     def test_bad_input_writes_no_file(self, capsys, tmp_path, bad):
         code, out, _ = run_cli(capsys, "simulate", "--b", "2", "--ic", "cos", "--n", "64",
                                bad, "--out", str(tmp_path / "run"))

@@ -19,18 +19,30 @@ def test_exports_unique_and_resolvable():
 
 def test_import_loads_no_scipy():
     # scipy is loaded at the first tridiagonal solve, so neither the package
-    # nor the command line module pays for it at start-up.
+    # nor the command line module pays for it at start-up; nor for packaging
+    # metadata, since manifests take the version from the package.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, bfamily, bfamily.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+         "print('importlib.metadata' in sys.modules)"],
         capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
+
+
+def test_version_read_from_package():
+    # pyproject.toml writes no version of its own: setuptools reads
+    # bfamily.__version__, the one the manifests record.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" in pyproject["project"]["dynamic"]
+    assert "version" not in pyproject["project"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"] == "bfamily.__version__"
 
 
 # Each exported callable that takes the family parameter b or the weight

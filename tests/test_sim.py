@@ -47,8 +47,13 @@ class TestSimConfig:
         with pytest.raises(BOutOfRange):
             SimConfig(b=b, t_max=1.0)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("name", ["t_max", "cfl", "blowup_slope_threshold", "max_steps"])
+    # cfl must also be finite: at inf the first step spans the whole horizon.
+    # The other three may be infinite, meaning "run until another stop".
+    @pytest.mark.parametrize("name, value", [
+        (name, value)
+        for name in ["t_max", "cfl", "blowup_slope_threshold", "max_steps"]
+        for value in [0.0, -1.0, float("nan")]
+    ] + [("cfl", math.inf)])
     def test_run_parameters_positive(self, name, value):
         with pytest.raises(ValueError):
             SimConfig(**{"b": 2.0, "t_max": 1.0, name: value})
@@ -66,6 +71,19 @@ def test_public_calls_check_b(call, b):
     # from rhs and step, and no bound from lifespan_bound.
     with pytest.raises(BOutOfRange):
         call(TorusField.cosine(1.0, 64), b)
+
+
+@pytest.mark.parametrize("beta_b", [-1.0, -0.1, 0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda u, beta_b: check_criterion(u, beta_b),
+    lambda u, beta_b: lifespan_bound(u, 2.0, beta_b),
+    lambda u, beta_b: integrate(u, SimConfig(b=2.0, t_max=0.45), beta_b=beta_b),
+], ids=["check_criterion", "lifespan_bound", "integrate"])
+def test_beta_b_finite_positive(call, beta_b):
+    # One rule for the threshold, kept in check_criterion; integrate applies
+    # it before the first step.
+    with pytest.raises(ValueError, match="beta_b must be finite and > 0"):
+        call(TorusField.cosine(1.0, 64), beta_b)
 
 
 class TestTorusField:
