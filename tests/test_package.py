@@ -9,6 +9,7 @@ import pytest
 import bfamily
 
 NAN = math.nan
+U = bfamily.TorusField.cosine(1.0, 64)
 
 
 def test_exports_unique_and_resolvable():
@@ -17,22 +18,47 @@ def test_exports_unique_and_resolvable():
     assert [name for name in names if not hasattr(bfamily, name)] == []
 
 
-def test_import_loads_no_scipy():
-    # scipy is loaded at the first tridiagonal solve, so neither the package
-    # nor the command line module pays for it at start-up; nor for packaging
-    # metadata, since manifests take the version from the package.
+def _src_env():
+    # A fresh interpreter's environment, with this checkout's src/ first on
+    # PYTHONPATH.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_import_loads_no_scipy():
+    # scipy's LAPACK extension is loaded at the first tridiagonal solve, so
+    # neither the package nor the command line module pays for it at
+    # start-up; nor for packaging metadata, since manifests take the version
+    # from the package.
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, bfamily, bfamily.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
          "print('importlib.metadata' in sys.modules)"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[]", "False"]
+
+
+def test_first_solve_loads_only_lapack():
+    # The first solve loads scipy's LAPACK extension alone, not scipy.linalg;
+    # a later import of scipy.linalg reuses that module, so the routine and
+    # the bits of a solve stay the same.
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bfamily; "
+         "from bfamily.variational import _dptsv; "
+         "first = bfamily.compute_j(2.0, 0.5).value; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+         "from scipy.linalg.lapack import dptsv; "
+         "print(dptsv is _dptsv()); "
+         "print(bfamily.compute_j(2.0, 0.5).value.hex() == first.hex())"],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["['scipy.linalg._flapack']", "True", "True"]
 
 
 def test_version_read_from_package():
@@ -48,7 +74,8 @@ def test_version_read_from_package():
 # Each exported callable that takes the family parameter b or the weight
 # parameter beta, with that one argument NaN and the others valid.
 @pytest.mark.parametrize("fn, args", [
-    pytest.param(fn, args, id=f"{fn.__name__}({', '.join(map(str, args))})") for fn, args in [
+    pytest.param(fn, args, id=f"{fn.__name__}({', '.join('u' if a is U else str(a) for a in args)})")
+    for fn, args in [
         (bfamily.compute_j, (NAN, 0.5)),
         (bfamily.compute_j, (2.0, NAN)),
         (bfamily.compute_j, (3.0, NAN)),
@@ -74,6 +101,10 @@ def test_version_read_from_package():
         (bfamily.eval_w, (NAN, 0.5)),
         (bfamily.SpectralJ, (NAN,)),
         (bfamily.SimConfig, (NAN, 1.0)),
+        (bfamily.rhs, (U, NAN)),
+        (bfamily.step, (U, NAN, 0.01)),
+        (bfamily.lifespan_bound, (U, NAN, 1.0)),
+        (bfamily.conserved_quantities, (U, NAN)),
     ]
 ])
 def test_nan_b_or_beta_refused(fn, args):

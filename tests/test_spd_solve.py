@@ -1,8 +1,15 @@
+import importlib.machinery
+import importlib.util
+import re
+import sys
+import types
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import solveh_banded
 
-from bfamily.variational import spd_solve
+from bfamily.variational import _dptsv, spd_solve
 
 
 def random_spd_system(rng, n):
@@ -86,3 +93,39 @@ def test_overwrite_gives_the_copying_bits(n):
     want = spd_solve(*system)
     got = spd_solve(*(a.copy() for a in system), overwrite=True)
     assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def uncached_dptsv():
+    # _dptsv keeps the routine it found; these tests look it up afresh and
+    # leave nothing of theirs cached.
+    _dptsv.cache_clear()
+    yield
+    _dptsv.cache_clear()
+
+
+def test_loaded_lapack_module_reused(uncached_dptsv, monkeypatch):
+    # This module has imported scipy.linalg, so its LAPACK extension is in
+    # sys.modules: the solve takes that one rather than loading it again.
+    assert _dptsv() is scipy.linalg.lapack.dptsv
+    _dptsv.cache_clear()
+    loaded = types.SimpleNamespace(dptsv=object())
+    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", loaded)
+    assert _dptsv() is loaded.dptsv
+
+
+def test_missing_scipy_raises_import_error(uncached_dptsv, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy not found on sys.path"):
+        _dptsv()
+
+
+def test_missing_extension_names_the_directory(uncached_dptsv, monkeypatch, tmp_path):
+    # scipy found in an empty directory: the error says where it looked.
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        _dptsv()
