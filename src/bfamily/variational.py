@@ -117,10 +117,10 @@ def _dptsv():
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        scipy = importlib.util.find_spec("scipy")
-        if scipy is None:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None:
             raise ImportError(f"scipy not found on sys.path {sys.path}")
-        dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations or ()]
+        dirs = [os.path.join(d, "linalg") for d in spec.submodule_search_locations or ()]
         paths = [os.path.join(d, "_flapack" + suffix)
                  for d in dirs for suffix in importlib.machinery.EXTENSION_SUFFIXES]
         path = next((p for p in paths if os.path.isfile(p)), None)
