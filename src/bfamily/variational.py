@@ -102,35 +102,38 @@ class JResult:
 @lru_cache(maxsize=None)
 def _dptsv():
     # LAPACK's dptsv, loaded at the first solve from scipy's compiled wrapper
-    # module alone.  `from scipy.linalg.lapack import dptsv` runs all of
-    # scipy.linalg's package init: about 0.33 s, +27 MB RSS and 332 modules
-    # in a fresh process, where the extension on its own costs about 5 ms
-    # and +2.4 MB (2-core x86-64, Python 3.11, scipy 1.17).  It is the same
-    # routine: a module already in sys.modules is reused here, and a later
-    # `import scipy.linalg` reuses the one loaded here.  simulate and the
-    # closed-form estimates never solve, so they load neither.
-    import importlib.machinery
+    # module, with scipy's top-level package but not scipy.linalg.
+    # `from scipy.linalg.lapack import dptsv` runs all of scipy.linalg's
+    # package init: about 0.33 s, +27 MB RSS and 332 modules in a fresh
+    # process.  `import scipy` (its distributor hook, which may set up the
+    # BLAS/LAPACK libraries, and its numpy version check) and then the
+    # extension cost about 15 ms and +3.2 MB (2-core x86-64, Python 3.11,
+    # scipy 1.17).  The extension is found by the finders the import system
+    # would ask for scipy.linalg's submodule.  A module already in
+    # sys.modules is reused.  One loaded here is taken out of sys.modules
+    # again, since with scipy.linalg not imported a later `import
+    # scipy.linalg` would take it from there without binding it as
+    # scipy.linalg._flapack; that import loads it anew, and CPython builds
+    # the new module from the first one's namespace (f2py modules use
+    # single-phase init), so it holds the same routine.  simulate and the
+    # closed-form estimates never solve, so they load no scipy.
     import importlib.util
     import os
     import sys
 
+    import scipy
+
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        spec = importlib.util.find_spec("scipy")
+        dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
+        specs = (finder.find_spec(name, dirs) for finder in sys.meta_path)
+        spec = next(filter(None, specs), None)
         if spec is None:
-            raise ImportError(f"scipy not found on sys.path {sys.path}")
-        dirs = [os.path.join(d, "linalg") for d in spec.submodule_search_locations or ()]
-        paths = [os.path.join(d, "_flapack" + suffix)
-                 for d in dirs for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next((p for p in paths if os.path.isfile(p)), None)
-        if path is None:
-            raise ImportError(f"scipy's LAPACK extension _flapack not found in {dirs}")
-        loader = importlib.machinery.ExtensionFileLoader(name, path)
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(name, path, loader=loader))
-        loader.exec_module(module)
-        sys.modules[name] = module
+            raise ImportError(f"scipy's LAPACK extension {name} not found in {dirs}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
     return module.dptsv
 
 
@@ -142,9 +145,9 @@ def spd_solve(diag, off, rhs, overwrite=False):
     is true, when the solver may use all three as its workspace (contiguous
     float64 arrays are overwritten, and the solution is then ``rhs``
     itself).  LAPACK ``dptsv`` factors the matrix as L D L^T; the first
-    call loads scipy's LAPACK extension alone (about 5 ms, see ``_dptsv``),
-    not ``scipy.linalg``.  Raises ``numpy.linalg.LinAlgError`` when the
-    matrix is not positive definite.
+    call loads the top-level ``scipy`` package and its LAPACK extension
+    (about 15 ms, see ``_dptsv``), not ``scipy.linalg``.  Raises
+    ``numpy.linalg.LinAlgError`` when the matrix is not positive definite.
     """
     diag = np.asarray(diag, dtype=np.float64)
     off = np.asarray(off, dtype=np.float64)

@@ -42,23 +42,42 @@ def test_import_loads_no_scipy():
     assert out.stdout.split() == ["[]", "False"]
 
 
-def test_first_solve_loads_only_lapack():
-    # The first solve loads scipy's LAPACK extension alone, not scipy.linalg;
-    # a later import of scipy.linalg reuses that module, so the routine and
-    # the bits of a solve stay the same.
+def _scipy_modules_after(code):
+    # The scipy modules a fresh interpreter holds after running code.
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, bfamily; "
+         code + "; import sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split("\n")[-2]
+
+
+def test_first_solve_loads_only_lapack():
+    # The first solve runs scipy's own package init and loads its LAPACK
+    # extension, but not scipy.linalg: it leaves the modules that
+    # `import scipy` alone leaves.  A later import of scipy.linalg binds the
+    # extension as usual and holds the same routine, so the bits of a solve
+    # stay the same.
+    after_solve = _scipy_modules_after(
+        "import bfamily; bfamily.compute_j(2.0, 0.5)")
+    assert after_solve == _scipy_modules_after("import scipy")
+    assert "'scipy'" in after_solve and "scipy.linalg" not in after_solve
+    assert "scipy._lib._util" not in after_solve
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import bfamily; "
          "from bfamily.variational import _dptsv; "
          "first = bfamily.compute_j(2.0, 0.5).value; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+         "import scipy.linalg._flapack; "
          "from scipy.linalg.lapack import dptsv; "
-         "print(dptsv is _dptsv()); "
+         "print(dptsv is _dptsv(), scipy.linalg._flapack.dptsv is _dptsv()); "
          "print(bfamily.compute_j(2.0, 0.5).value.hex() == first.hex())"],
         capture_output=True, text=True, env=_src_env(),
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["['scipy.linalg._flapack']", "True", "True"]
+    assert out.stdout.split() == ["True", "True", "True"]
 
 
 def test_version_read_from_package():

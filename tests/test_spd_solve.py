@@ -1,11 +1,12 @@
 import importlib.machinery
-import importlib.util
 import re
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg.lapack
 from scipy.linalg import solveh_banded
 
@@ -116,16 +117,36 @@ def test_loaded_lapack_module_reused(uncached_dptsv, monkeypatch):
 
 def test_missing_scipy_raises_import_error(uncached_dptsv, monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
-    with pytest.raises(ImportError, match="scipy not found on sys.path"):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(ImportError, match="scipy"):
         _dptsv()
 
 
 def test_missing_extension_names_the_directory(uncached_dptsv, monkeypatch, tmp_path):
-    # scipy found in an empty directory: the error says where it looked.
-    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    scipy_spec.submodule_search_locations = [str(tmp_path)]
+    # scipy's package pointed at an empty directory: the error says where it
+    # looked.
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
         _dptsv()
+
+
+def test_extension_found_by_meta_path_finder(uncached_dptsv, monkeypatch, tmp_path):
+    # An install whose extensions lie outside the package's directory (an
+    # editable install's build tree) is served by its own finder on
+    # sys.meta_path, which the lookup asks as the import system would.  The
+    # module it loads leaves sys.modules as it found it.
+    linalg_dir = str(Path(scipy.linalg.__file__).parent)
+
+    class BuildTreeFinder:
+        @staticmethod
+        def find_spec(name, path=None, target=None):
+            if name == "scipy.linalg._flapack":
+                return importlib.machinery.PathFinder.find_spec(name, [linalg_dir])
+            return None
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(sys, "meta_path", [BuildTreeFinder, *sys.meta_path])
+    assert _dptsv() is scipy.linalg.lapack.dptsv
+    assert "scipy.linalg._flapack" not in sys.modules
