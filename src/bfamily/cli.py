@@ -200,14 +200,14 @@ def _cmd_estimates(args) -> int:
     return _write_table(args, _EST_HEADER, rows, statuses)
 
 
+# The --ic presets in --help order; "fourier", from --coeffs, comes last.
+_PRESETS = {"const": sim_mod.TorusField.constant, "cos": sim_mod.TorusField.cosine,
+            "oddsine": sim_mod.TorusField.odd_sine}
+
+
 def _initial_condition(args) -> sim_mod.TorusField:
-    if args.ic == "const":
-        return sim_mod.TorusField.constant(args.amp, args.n)
-    if args.ic == "cos":
-        return sim_mod.TorusField.cosine(args.amp, args.n)
-    if args.ic == "oddsine":
-        return sim_mod.TorusField.odd_sine(args.amp, args.n)
-    # fourier, the last of argparse's choices
+    if args.ic in _PRESETS:
+        return _PRESETS[args.ic](args.amp, args.n)
     if not args.coeffs:
         raise _UsageError("--ic fourier requires --coeffs")
     try:
@@ -251,27 +251,17 @@ def _cmd_simulate(args) -> int:
         "resolution_loss": report.resolution_loss,
         "stop_reason": report.stop_reason,
         "lifespan_bound": report.lifespan_bound,
-        "criterion_points": [
-            {"x": p.x, "u0": p.u0, "du0": p.du0, "margin": p.margin}
-            for p in report.criterion_points
-        ],
+        "criterion_points": [dataclasses.asdict(p) for p in report.criterion_points],
     }
     text = _dump_json(payload)
     sys.stdout.write(text)
 
     if args.out:
         stem = _resolve_out(args.out)
-        series_rows = [
-            [t, s, m, h, q]
-            for (t, s), m, h, q in zip(
-                report.min_slope_history, trajectory.mean_history,
-                trajectory.h1_history, trajectory.tail_history,
-            )
-        ]
         _write_files(args, stem, {
             stem + ".report.json": text,
-            stem + ".series.csv": _csv_lines(
-                ["t", "min_slope", "mean", "h1_energy", "tail_fraction"], series_rows),
+            stem + ".series.csv": _csv_lines(sim_mod.SERIES_COLUMNS,
+                                             trajectory.history.tolist()),
         })
     return EXIT_OK
 
@@ -306,13 +296,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run the pseudo-spectral solver")
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--ic", choices=["const", "cos", "oddsine", "fourier"], required=True)
+    p.add_argument("--ic", choices=[*_PRESETS, "fourier"], required=True)
     p.add_argument("--amp", type=float, default=1.0)
     p.add_argument("--coeffs", help="a0,a1,b1,a2,b2,... for --ic fourier")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--cfl", type=float, default=0.3)
-    p.add_argument("--slope-threshold", type=float, default=1e4)
+    p.add_argument("--cfl", type=float, default=sim_mod.SimConfig.cfl)
+    p.add_argument("--slope-threshold", type=float,
+                   default=sim_mod.SimConfig.blowup_slope_threshold)
     p.add_argument("--no-dealias", action="store_true")
     p.add_argument("--beta-b", type=float, help="use this threshold value directly")
     p.add_argument("--beta-b-tol", type=float, default=thr_mod._DEFAULT_TOL)

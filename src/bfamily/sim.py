@@ -24,6 +24,10 @@ so the first unambiguous signature of breaking is the slope spectrum losing
 its decay.  Once that fraction exceeds 1e-2 the run stops, and the stop is
 classified as under-resolved breaking if the minimum slope has meanwhile
 collapsed (grown 10-fold and below -1), or as a resolution loss otherwise.
+
+A run keeps one step record, ``Trajectory.history``: a table with one row
+per recorded time and the fields ``SERIES_COLUMNS``, the header of the
+series CSV the ``simulate`` command writes from it unchanged.
 """
 
 import math
@@ -37,6 +41,9 @@ from .kernel import check_b, dp_multiplier, trig_polynomial
 _TAIL_LIMIT = 1e-2
 _OVERFLOW_LIMIT = 1e8
 
+# The fields of a run's step record, in order; also the series CSV header.
+SERIES_COLUMNS = ("t", "min_slope", "mean", "h1_energy", "tail_fraction")
+
 
 @dataclass
 class TorusField:
@@ -47,8 +54,8 @@ class TorusField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        n = self.values.shape[0]
-        if self.values.ndim != 1 or n < 8 or (n & (n - 1)) != 0:
+        n = self.values.shape[0] if self.values.ndim == 1 else 0
+        if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("need >= 8 samples on a power-of-two grid")
 
     @property
@@ -130,7 +137,8 @@ class CriterionPoint:
 
 @dataclass
 class BlowupReport:
-    """Outcome of a run.
+    """Outcome of a run: the verdict, its scalars and the criterion points
+    of the initial datum; the step record is ``Trajectory.history``.
 
     ``t_detect`` estimates the breaking time: the stop time plus the
     remaining-time bound 2/((b-1) |min u_x|) implied by the slope dynamics,
@@ -141,7 +149,6 @@ class BlowupReport:
 
     detected: bool
     t_detect: Optional[float]
-    min_slope_history: np.ndarray  # columns (t, min_x u_x)
     criterion_points: list = field(default_factory=list)
     lifespan_bound: Optional[float] = None
     resolution_loss: bool = False
@@ -154,11 +161,14 @@ class BlowupReport:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    mean_history: np.ndarray
-    h1_history: np.ndarray
-    tail_history: np.ndarray  # slope-field tail fraction, the resolution monitor
-    final: TorusField  # the state at the stop time
+    """The step record of a run and its state at the stop time.
+
+    ``history`` has one row per recorded time, the start and every step,
+    with the float fields ``SERIES_COLUMNS``: t, min u_x, mean u, mean of
+    u^2 + u_x^2, and the tail fraction of u_x (the resolution monitor)."""
+
+    history: np.ndarray
+    final: TorusField
 
 
 @dataclass(frozen=True)
@@ -342,7 +352,7 @@ def integrate(
     t_end = t + cfg.t_max
 
     k_lo = int(math.ceil(2.0 * stepper.k / 3.0))
-    rows = []  # (t, min u_x, mean u, mean(u^2 + u_x^2), tail fraction)
+    rows = []  # one tuple per recorded time, in SERIES_COLUMNS order
 
     def record():
         energy = np.abs(stepper.spectra[1, 1 : stepper.k + 1]) ** 2  # u_x spectrum
@@ -391,11 +401,9 @@ def integrate(
         if stop_reason != "overflow":
             t_detect += 2.0 / ((cfg.b - 1.0) * abs(min_slope))
 
-    history = np.asarray(rows)
     report = BlowupReport(
         detected=detected,
         t_detect=t_detect,
-        min_slope_history=history[:, :2],
         criterion_points=points,
         lifespan_bound=_bound_over_points(points, cfg.b, beta_b),
         resolution_loss=resolution_loss,
@@ -407,11 +415,5 @@ def integrate(
     )
 
     final = u + hi if dts else u0.values.copy()
-    trajectory = Trajectory(
-        times=history[:, 0],
-        mean_history=history[:, 2],
-        h1_history=history[:, 3],
-        tail_history=history[:, 4],
-        final=TorusField(values=final, time=t),
-    )
-    return trajectory, report
+    history = np.array(rows, dtype=[(name, np.float64) for name in SERIES_COLUMNS])
+    return Trajectory(history=history, final=TorusField(values=final, time=t)), report

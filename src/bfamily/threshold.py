@@ -105,15 +105,12 @@ class BetaBResult:
 
 def f_discriminant(b: float, beta: float) -> float:
     """F(b, beta) = beta^2 + (2/(b-1)) (J(b, beta) - b/2)."""
-    return _f(b, compute_j(b, beta))
+    return _f(b, beta, compute_j(b, beta).value)
 
 
-def _f(b: float, res: JResult) -> float:
-    return res.beta * res.beta + 2.0 / (b - 1.0) * (res.value - 0.5 * b)
-
-
-def _band(b: float, res: JResult) -> float:
-    return 2.0 / (b - 1.0) * res.error_estimate
+def _f(b: float, beta, j):
+    """F(b, beta) for the value j of J, elementwise on arrays."""
+    return beta * beta + 2.0 / (b - 1.0) * (j - 0.5 * b)
 
 
 class _Search:
@@ -125,7 +122,6 @@ class _Search:
 
     def __init__(self, b: float):
         self.b = b
-        self.amp, self.half_b = 2.0 / (b - 1.0), 0.5 * b
         # J(3, .) = 0 exactly and costs no solve; the dual needs b < 3.
         self.spec = None if is_b3(b) else SpectralJ(b)
         if self.spec is not None:
@@ -145,16 +141,18 @@ class _Search:
 
     def f(self, beta, j):
         """F(b, beta) for the value j of J."""
-        return beta * beta + self.amp * (j - self.half_b)
+        return _f(self.b, beta, j)
 
-    def value(self, beta: float) -> float:
-        """The n = 4096 BVP value of J at beta, solved once (J = 0 exactly
-        at b = 3, with no solve)."""
+    def _j(self, b: float, beta: float, n: int) -> float:
+        """J's value on n cells as ``compute_j`` gives it (J = 0 exactly at
+        b = 3, with no solve); on 4096 cells solved once per beta and kept."""
         if self.spec is None:
-            return compute_j(self.b, beta).value
+            return compute_j(b, beta, n).value
+        if n != _DEFAULT_N:
+            return _j_bvp_value(b, beta, n)
         value = self.values.get(beta)
         if value is None:
-            value = self.values[beta] = _j_bvp_value(self.b, beta, _DEFAULT_N)
+            value = self.values[beta] = _j_bvp_value(b, beta, n)
             self.solved_points += 1
         return value
 
@@ -163,12 +161,7 @@ class _Search:
         kept n = 4096 value and one solve on n/2 cells for its band."""
         if self.spec is None:
             return compute_j(self.b, beta)
-        value = self.value(beta)
-
-        def j_value(b, beta, n):
-            return value if n == _DEFAULT_N else _j_bvp_value(b, beta, n)
-
-        return _with_band(j_value, "BVP_FLUX", self.b, beta, _DEFAULT_N)
+        return _with_band(self._j, "BVP_FLUX", self.b, beta, _DEFAULT_N)
 
     def nonneg(self, betas: np.ndarray) -> np.ndarray:
         """Whether F(b, beta) >= 0 at each beta of the scan."""
@@ -176,7 +169,7 @@ class _Search:
         signs = known > 0
         for k in np.flatnonzero(known == 0):
             beta = float(betas[k])
-            signs[k] = self.f(beta, self.value(beta)) >= 0.0
+            signs[k] = self.f(beta, self._j(self.b, beta, _DEFAULT_N)) >= 0.0
         return signs
 
     def bisect(self, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -190,7 +183,7 @@ class _Search:
                 self.screened_points += 1
                 nonneg = known > 0
             else:
-                nonneg = self.f(mid, self.value(mid)) >= 0.0
+                nonneg = self.f(mid, self._j(self.b, mid, _DEFAULT_N)) >= 0.0
             if nonneg:
                 hi = mid
             else:
@@ -310,8 +303,9 @@ def compute_beta_b(b: float, tol: float = _DEFAULT_TOL) -> BetaBResult:
     lo, hi = search.bisect(float(betas[i - 1]), float(betas[i]), tol)
 
     lo_res, hi_res = search.result(lo), search.result(hi)
-    f_lo, band_lo = float(_f(b, lo_res)), float(_band(b, lo_res))
-    f_hi, band_hi = float(_f(b, hi_res)), float(_band(b, hi_res))
+    amp = 2.0 / (b - 1.0)  # F scales J, and so J's error band, by 2/(b-1)
+    f_lo, band_lo = float(_f(b, lo, lo_res.value)), float(amp * lo_res.error_estimate)
+    f_hi, band_hi = float(_f(b, hi, hi_res.value)), float(amp * hi_res.error_estimate)
     certificate = dict(f_lo=f_lo, band_lo=band_lo, f_hi=f_hi, band_hi=band_hi)
     if not (f_lo < -band_lo and f_hi >= band_hi):
         # A bracket end lies inside the propagated J error band, so the sign

@@ -243,15 +243,16 @@ def test_c10_pde_sanity():
         u0 = bf.TorusField.from_coefficients(
             [0.1, 0.05, 0.02, 0.01], [0.0, 0.03, -0.02, 0.005], 1024)
         traj, rep = bf.integrate(u0, bf.SimConfig(b=b, t_max=1.0))
-        elapsed = max(traj.times[-1], 1e-12)
-        drift = float(np.abs(traj.mean_history - traj.mean_history[0]).max())
+        elapsed = max(traj.history["t"][-1], 1e-12)
+        mean = traj.history["mean"]
+        drift = float(np.abs(mean - mean[0]).max())
         mean_ok &= drift / elapsed < 1e-10
 
     u0 = bf.TorusField.cosine(1.0, 2048)
     traj, rep = bf.integrate(u0, bf.SimConfig(b=2.0, t_max=0.45))
-    slopes = rep.min_slope_history[:, 1]
+    slopes = traj.history["min_slope"]
     resolved = slopes >= -100.0
-    h1 = traj.h1_history[resolved]
+    h1 = traj.history["h1_energy"][resolved]
     h1_ok = float(np.abs(h1 - h1[0]).max()) / h1[0] < 1e-6
 
     _report("C10 PDE sanity (constant/mean/H1)",

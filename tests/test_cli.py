@@ -528,7 +528,8 @@ def test_non_finite_number_writes_nothing(capsys, tmp_path, command, flag, value
 def test_sweep_commands_share_range_check(capsys, tmp_path, spec, want):
     # beta-b and estimates give one spec the same exit code, and a refused
     # range writes nothing, to stdout or to --out.  An out-of-range b is not
-    # in this table: there estimates writes ERROR: rows and beta-b exits 2.
+    # in this table: there estimates writes ERROR: rows and beta-b exits 2
+    # (test_sweep_end_outside_domain).
     for command in ("beta-b", "estimates"):
         code, out, _ = run_cli(capsys, command, "--sweep", spec)
         assert code == want, command
@@ -539,6 +540,30 @@ def test_sweep_commands_share_range_check(capsys, tmp_path, spec, want):
         assert target.exists() == (want == 0), command
     if want:
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, want_code, want_statuses", [
+    ("beta-b", 2, None),
+    ("estimates", 0, ["ERROR:b = 1.0 is outside 1 < b <= 3", "ok", "ok"]),
+])
+def test_sweep_end_outside_domain(capsys, tmp_path, command, want_code, want_statuses):
+    # b = 1.0 is outside 1 < b <= 3.  beta-b refuses the whole sweep, since
+    # threshold.sweep checks both ends before any row; estimates records the
+    # failure on that end's row and goes on.
+    code, out, err = run_cli(capsys, command, "--sweep", "1:1.5:3")
+    assert code == want_code
+    target = tmp_path / "rows.csv"
+    code, file_run_out, _ = run_cli(capsys, command, "--sweep", "1:1.5:3", "--out", str(target))
+    assert (code, file_run_out) == (want_code, "")
+    if want_statuses is None:
+        assert out == ""
+        assert "b = 1.0 is outside 1 < b <= 3" in err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        rows = list(csv.reader(out.splitlines()))[1:]
+        assert [row[0] for row in rows] == ["1.0", "1.25", "1.5"]
+        assert [row[-1] for row in rows] == want_statuses
+        assert target.read_text() == out
 
 
 def _checkout_env():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from bfamily import (
     step,
 )
 from bfamily.kernel import dp_multiplier
+from bfamily.sim import SERIES_COLUMNS
 
 TWO_SINH_HALF = 2.0 * math.sinh(0.5)
 
@@ -92,6 +94,8 @@ class TestTorusField:
             TorusField(np.ones(100))  # not a power of two
         with pytest.raises(ValueError):
             TorusField(np.ones(4))
+        with pytest.raises(ValueError):
+            TorusField(5.0)  # 0-d: no grid at all
 
     def test_derivative_spectral(self):
         u = TorusField.cosine(1.0, 256)
@@ -216,13 +220,15 @@ class TestIntegrate:
     def test_mean_conserved(self):
         u0 = TorusField.from_coefficients([0.2, 0.05, 0.02], [0.0, 0.03], 512)
         traj, _ = integrate(u0, SimConfig(b=2.5, t_max=1.0))
-        drift = np.abs(traj.mean_history - traj.mean_history[0]).max()
+        mean = traj.history["mean"]
+        drift = np.abs(mean - mean[0]).max()
         assert drift < 1e-10
 
     def test_h1_conserved_at_b2_while_smooth(self):
         u0 = TorusField.cosine(1.0, 512)
         traj, _ = integrate(u0, SimConfig(b=2.0, t_max=0.2))
-        rel = np.abs(traj.h1_history - traj.h1_history[0]).max() / traj.h1_history[0]
+        h1 = traj.history["h1_energy"]
+        rel = np.abs(h1 - h1[0]).max() / h1[0]
         assert rel < 1e-8
 
     def test_cosine_breaks_before_its_bound(self):
@@ -255,8 +261,8 @@ class TestIntegrate:
 
     def test_report_counts_steps_and_dt_range(self):
         traj, rep = integrate(TorusField.cosine(1.0, 256), SimConfig(b=2.0, t_max=0.5))
-        dts = np.diff(traj.times)
-        assert rep.steps == len(traj.times) - 1
+        dts = np.diff(traj.history["t"])
+        assert rep.steps == len(traj.history) - 1
         assert rep.dt_min == pytest.approx(dts.min(), rel=1e-12)
         assert rep.dt_max == pytest.approx(dts.max(), rel=1e-12)
         assert rep.dt_min < rep.dt_max  # dt shrinks as the wave steepens
@@ -265,9 +271,14 @@ class TestIntegrate:
         u0 = TorusField.cosine(0.2, 256)
         traj, rep = integrate(u0, SimConfig(b=2.0, t_max=0.1))
         assert traj.final.time == pytest.approx(0.1, abs=1e-12)
-        lengths = {len(traj.times), len(traj.mean_history), len(traj.h1_history),
-                   len(traj.tail_history), len(rep.min_slope_history)}
-        assert lengths == {rep.steps + 1}
+        assert len(traj.history) == rep.steps + 1
+        # One step record, whose fields are the series header, and the final
+        # state; the report holds no array.
+        assert [f.name for f in dataclasses.fields(traj)] == ["history", "final"]
+        assert traj.history.dtype.names == SERIES_COLUMNS
+        assert all(traj.history.dtype[name] == np.float64 for name in SERIES_COLUMNS)
+        assert not any(isinstance(getattr(rep, f.name), np.ndarray)
+                       for f in dataclasses.fields(rep))
 
     def test_slope_threshold_stop(self):
         # With threshold 50 the tail monitor trips first; 20 is crossed at
@@ -276,10 +287,10 @@ class TestIntegrate:
         traj, rep = integrate(TorusField.cosine(1.0, 256), cfg)
         assert rep.stop_reason == "slope_threshold"
         assert rep.detected and not rep.resolution_loss
-        t_last, slope_last = rep.min_slope_history[-1]
-        assert slope_last < -20.0
-        assert rep.t_stop == t_last == traj.times[-1]
-        assert rep.t_detect == rep.t_stop + 2.0 / ((cfg.b - 1.0) * abs(slope_last))
+        last = traj.history[-1]
+        assert last["min_slope"] < -20.0
+        assert rep.t_stop == last["t"]
+        assert rep.t_detect == rep.t_stop + 2.0 / ((cfg.b - 1.0) * abs(last["min_slope"]))
 
     def test_overflow_stop(self):
         # max|u0| exceeds the overflow limit, so the run stops before a step.
@@ -348,7 +359,7 @@ class TestFourierStateOracle:
         cfg = SimConfig(b=2.5, t_max=1.0, dealias=dealias, max_steps=steps)
         traj, rep = integrate(TorusField(vals), cfg)
         assert rep.stop_reason == "max_steps"
-        assert np.abs(traj.times - times).max() <= 1e-12 * times[-1]
+        assert np.abs(traj.history["t"] - times).max() <= 1e-12 * times[-1]
         assert np.abs(traj.final.values - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fft_count_per_step(self, monkeypatch):
@@ -362,7 +373,7 @@ class TestFourierStateOracle:
 
             monkeypatch.setattr(np.fft, name, counted)
         traj, rep = integrate(TorusField.cosine(1.0, 256), SimConfig(b=2.0, t_max=0.5))
-        steps = len(traj.times) - 1
+        steps = len(traj.history) - 1
         assert steps > 100
         # One batched call per direction and RK4 stage; the physical-space
         # RK4 made 27 single-row calls per step, one call per row made 16.
@@ -448,10 +459,8 @@ class TestPairedTransforms:
         cfg = SimConfig(b=2.5, t_max=1.0, dealias=dealias, max_steps=steps)
         traj, rep = integrate(TorusField(vals), cfg)
         assert rep.stop_reason == "max_steps"
-        got = (traj.times, rep.min_slope_history[:, 1], traj.mean_history,
-               traj.h1_history, traj.tail_history)
-        for col, got_col in enumerate(got):
-            assert np.array_equal(got_col, want_rows[:, col]), col
+        for col, name in enumerate(SERIES_COLUMNS):
+            assert np.array_equal(traj.history[name], want_rows[:, col]), name
         assert np.array_equal(traj.final.values, want_final)
 
     @pytest.mark.parametrize("dealias", [True, False])
