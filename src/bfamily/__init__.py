@@ -16,7 +16,6 @@ from .errors import (
     BOutOfRange,
     DegreeSingular,
     DivisionNearZero,
-    GridTooSmall,
     LinearSolveFailure,
     NoConvergence,
     NotCoercive,
@@ -32,8 +31,6 @@ from .estimates import (
 )
 from .kernel import (
     BETA_MAX,
-    convolve_dp,
-    convolve_p,
     eval_dp,
     eval_p,
     eval_w,
@@ -43,10 +40,12 @@ from .legendre import degree_upsilon, legendre_p, legendre_ratio
 from .sim import (
     BlowupReport,
     ConservedQuantities,
+    ConvolutionBoundReport,
     CriterionPoint,
     SimConfig,
     TorusField,
     Trajectory,
+    check_convolution_bound,
     check_criterion,
     conserved_quantities,
     integrate,
@@ -65,11 +64,9 @@ from .threshold import (
     sweep,
 )
 from .variational import (
-    ConvolutionBoundReport,
     ELSolution,
     JResult,
     SpectralJ,
-    check_convolution_bound,
     compute_j,
     compute_j_bvp,
     compute_j_direct,
@@ -92,7 +89,6 @@ __all__ = [
     "DivisionNearZero",
     "ELSolution",
     "EstimateResult",
-    "GridTooSmall",
     "JResult",
     "LinearSolveFailure",
     "NoConvergence",
@@ -113,8 +109,6 @@ __all__ = [
     "compute_j_direct",
     "compute_j_spectral",
     "conserved_quantities",
-    "convolve_dp",
-    "convolve_p",
     "degree_upsilon",
     "delta_b",
     "estimate1",

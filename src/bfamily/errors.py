@@ -13,10 +13,6 @@ class BOutOfRange(BFamilyError):
     """Family parameter b outside the supported range."""
 
 
-class GridTooSmall(BFamilyError):
-    """Grid has too few points for a spectral transform."""
-
-
 class DegreeSingular(BFamilyError):
     """Legendre degree map evaluated at its singular point b = 3 or beyond."""
 

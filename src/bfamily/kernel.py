@@ -3,8 +3,6 @@ the admissible (b, beta) set.
 
 The kernel is p(x) = cosh(x - [x] - 1/2) / (2 sinh(1/2)); the weighted
 variants w = p + beta*p' stay nonnegative exactly for |beta| <= (e+1)/(e-1).
-Convolutions with p and p' are done spectrally: on the period-1 torus the
-Fourier multipliers are 1/(1+(2*pi*k)^2) and 2*pi*i*k/(1+(2*pi*k)^2).
 
 The family parameter ranges over 1 < b <= 3 (``check_b``), and a b within
 1e-12 of 3 counts as 3 (``is_b3``); beta ranges over |beta| <= (e+1)/(e-1),
@@ -15,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import BetaOutOfRange, BOutOfRange, GridTooSmall
+from .errors import BetaOutOfRange, BOutOfRange
 
 #: Largest |beta| for which p + beta*p' is nonnegative on the torus.
 BETA_MAX = (math.e + 1.0) / (math.e - 1.0)
@@ -109,58 +107,3 @@ def is_degenerate(beta):
     """Whether w = p + beta*p' vanishes at an endpoint, |beta| within 1e-9 of
     (e+1)/(e-1); elementwise for an array of beta."""
     return abs(abs(beta) - BETA_MAX) <= 1e-9
-
-
-def trig_polynomial(cos_coeffs, sin_coeffs, x):
-    """The trigonometric polynomial u and its derivative u_x at x, where
-
-        u = sum_k cos_coeffs[k] cos(2 pi k x) + sin_coeffs[k] sin(2 pi k x).
-
-    The mode-0 sine coefficient multiplies sin(0) and is ignored.  The modes
-    are summed in order, cosines first, so u is reproducible to the bit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    u = np.zeros_like(x)
-    ux = np.zeros_like(x)
-    for k, c in enumerate(np.asarray(cos_coeffs, dtype=np.float64)):
-        u += c * np.cos(2.0 * np.pi * k * x)
-        ux += -c * 2.0 * np.pi * k * np.sin(2.0 * np.pi * k * x)
-    for k, c in enumerate(np.asarray(sin_coeffs, dtype=np.float64)):
-        if k == 0:
-            continue
-        u += c * np.sin(2.0 * np.pi * k * x)
-        ux += c * 2.0 * np.pi * k * np.cos(2.0 * np.pi * k * x)
-    return u, ux
-
-
-def p_multiplier(n: int) -> np.ndarray:
-    """rfft-ordered multiplier array for convolution with p on an n-grid."""
-    k = np.arange(n // 2 + 1, dtype=np.float64)
-    return 1.0 / (1.0 + (2.0 * np.pi * k) ** 2)
-
-
-def dp_multiplier(n: int) -> np.ndarray:
-    """rfft-ordered (complex) multiplier array for convolution with p'."""
-    k = np.arange(n // 2 + 1, dtype=np.float64)
-    return 2.0j * np.pi * k / (1.0 + (2.0 * np.pi * k) ** 2)
-
-
-def _check_grid(f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1 or f.shape[0] < 8:
-        raise GridTooSmall("need a 1-d grid field with at least 8 samples")
-    return f
-
-
-def convolve_p(f):
-    """Periodic convolution p*f of a field sampled on a uniform grid."""
-    f = _check_grid(f)
-    n = f.shape[0]
-    return np.fft.irfft(np.fft.rfft(f) * p_multiplier(n), n)
-
-
-def convolve_dp(f):
-    """Periodic convolution (p')*f of a field sampled on a uniform grid."""
-    f = _check_grid(f)
-    n = f.shape[0]
-    return np.fft.irfft(np.fft.rfft(f) * dp_multiplier(n), n)

@@ -25,6 +25,11 @@ its decay.  Once that fraction exceeds 1e-2 the run stops, and the stop is
 classified as under-resolved breaking if the minimum slope has meanwhile
 collapsed (grown 10-fold and below -1), or as a resolution loss otherwise.
 
+The module owns the torus spectra: the rfft-ordered symbols of d/dx and of
+convolution with p and p' are defined here only.  ``check_convolution_bound``
+checks the criterion's lemma (p + beta p') * (b/2 u^2 + (3-b)/2 u_x^2) >=
+J(b, beta) u^2 on any ``TorusField``, the simulator's own included.
+
 A run keeps one step record, ``Trajectory.history``: a table with one row
 per recorded time and the fields ``SERIES_COLUMNS``, the header of the
 series CSV the ``simulate`` command writes from it unchanged.
@@ -36,7 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import check_b, dp_multiplier, trig_polynomial
+from .kernel import check_b
+from .variational import compute_j
 
 _TAIL_LIMIT = 1e-2
 _OVERFLOW_LIMIT = 1e8
@@ -57,6 +63,8 @@ class TorusField:
         n = self.values.shape[0] if self.values.ndim == 1 else 0
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("need >= 8 samples on a power-of-two grid")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite (got {self.time})")
 
     @property
     def n(self) -> int:
@@ -94,9 +102,15 @@ class TorusField:
 
     @classmethod
     def from_coefficients(cls, cos_coeffs, sin_coeffs, n: int) -> "TorusField":
-        return cls.from_function(
-            lambda x: trig_polynomial(cos_coeffs, sin_coeffs, x)[0], n
-        )
+        """u = sum_k cos_coeffs[k] cos(2 pi k x) + sin_coeffs[k] sin(2 pi k x),
+        summed in order, cosines first; the mode-0 sine coefficient is ignored."""
+        x = np.arange(n) / n
+        u = np.zeros_like(x)
+        for k, c in enumerate(np.asarray(cos_coeffs, dtype=np.float64)):
+            u += c * np.cos(2.0 * np.pi * k * x)
+        for k, c in enumerate(np.asarray(sin_coeffs, dtype=np.float64)[1:], start=1):
+            u += c * np.sin(2.0 * np.pi * k * x)
+        return cls(values=u)
 
 
 @dataclass(frozen=True)
@@ -177,11 +191,31 @@ class ConservedQuantities:
     h1_energy: float
 
 
+@dataclass(frozen=True)
+class ConvolutionBoundReport:
+    """Minimum pointwise slack of the convolution lower bound for one field."""
+
+    min_slack: float
+    x_at_min: float
+
+
+# The rfft-ordered symbols on an n-point grid: d/dx, and convolution with p
+# and with p'.
 def _deriv_symbol(n: int) -> np.ndarray:
     k = np.arange(n // 2 + 1, dtype=np.float64)
     sym = 2.0j * np.pi * k
     sym[-1] = 0.0  # the Nyquist mode has no well-defined odd derivative
     return sym
+
+
+def _p_symbol(n: int) -> np.ndarray:
+    k = np.arange(n // 2 + 1, dtype=np.float64)
+    return 1.0 / (1.0 + (2.0 * np.pi * k) ** 2)
+
+
+def _dp_symbol(n: int) -> np.ndarray:
+    k = np.arange(n // 2 + 1, dtype=np.float64)
+    return 2.0j * np.pi * k / (1.0 + (2.0 * np.pi * k) ** 2)
 
 
 class _Stepper:
@@ -202,7 +236,7 @@ class _Stepper:
         self.k = (n // 3) if dealias else (n // 2)
         self.band = slice(0, self.k + 1)
         self.deriv = _deriv_symbol(n)[self.band]
-        self.dp_mult = dp_multiplier(n)[self.band]
+        self.dp_mult = _dp_symbol(n)[self.band]
         self.quad_coef = np.array([[0.5 * b], [0.5 * (3.0 - b)]])
         self.spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)
         self.products = np.empty((2, n))
@@ -299,6 +333,18 @@ def lifespan_bound(u0: TorusField, b: float, beta_b: float) -> Optional[float]:
     return _bound_over_points(check_criterion(u0, beta_b), b, beta_b)
 
 
+def check_convolution_bound(u: TorusField, b: float, beta: float) -> ConvolutionBoundReport:
+    """Slack of (p + beta*p') * (b/2 u^2 + (3-b)/2 u_x^2) >= J(b, beta) u^2 at
+    the grid points of u, with u_x from its spectrum: its minimum, and where."""
+    j = compute_j(b, beta).value
+    vals, ux = u.values, u.derivative_values()
+    g = 0.5 * b * vals * vals + 0.5 * (3.0 - b) * ux * ux
+    lhs = np.fft.irfft(np.fft.rfft(g) * (_p_symbol(u.n) + beta * _dp_symbol(u.n)), u.n)
+    slack = lhs - j * vals * vals
+    i = int(np.argmin(slack))
+    return ConvolutionBoundReport(min_slack=float(slack[i]), x_at_min=float(u.x[i]))
+
+
 def _bound_over_points(points: list, b: float, beta_b: float) -> Optional[float]:
     # The root in its scale-free form |u0'| sqrt((1-r)(1+r)), r = beta_b |u0| / |u0'|
     # < 1 at a criterion point, so no square of the datum under- or overflows.
@@ -348,8 +394,9 @@ def integrate(
     hi = np.fft.irfft(above, n)  # the modes above the band never evolve
     spec = spec[stepper.band]
     u, ux = uv = stepper.fields(spec)
-    t = float(u0.time)
-    t_end = t + cfg.t_max
+    # The clock is the time since u0, so no step rounds away against a large
+    # u0.time; rows are stamped with u0.time + elapsed.
+    elapsed = 0.0
 
     k_lo = int(math.ceil(2.0 * stepper.k / 3.0))
     rows = []  # one tuple per recorded time, in SERIES_COLUMNS order
@@ -358,21 +405,21 @@ def integrate(
         energy = np.abs(stepper.spectra[1, 1 : stepper.k + 1]) ** 2  # u_x spectrum
         total = float(energy.sum())
         tail = float(energy[k_lo - 1 :].sum()) / total if total > 0.0 else 0.0
-        rows.append((t, float(ux.min()), float(u.mean()),
+        rows.append((u0.time + elapsed, float(ux.min()), float(u.mean()),
                      float(np.mean(u * u + ux * ux)), tail))
 
     record()
     stop_reason = "t_max"
     dts = []  # the step sizes taken
-    while t < t_end - 1e-14:
+    while elapsed < cfg.t_max - 1e-14:
         amp = float(np.max(np.abs(u + hi)))
         if not math.isfinite(amp) or amp > _OVERFLOW_LIMIT:
             stop_reason = "overflow"
             break
-        dt = min(cfg.cfl / (n * max(amp, 1e-12)), t_end - t)
+        dt = min(cfg.cfl / (n * max(amp, 1e-12)), cfg.t_max - elapsed)
         spec -= stepper.increment(spec, dt, uv)
         u, ux = uv = stepper.fields(spec)
-        t += dt
+        elapsed += dt
         dts.append(dt)
         record()
         if rows[-1][1] < -cfg.blowup_slope_threshold:
@@ -397,7 +444,7 @@ def integrate(
             stop_reason = "tail_breaking" if detected else "tail_resolution_loss"
     t_stop = t_detect = None
     if detected:
-        t_stop = t_detect = t
+        t_stop = t_detect = rows[-1][0]
         if stop_reason != "overflow":
             t_detect += 2.0 / ((cfg.b - 1.0) * abs(min_slope))
 
@@ -416,4 +463,4 @@ def integrate(
 
     final = u + hi if dts else u0.values.copy()
     history = np.array(rows, dtype=[(name, np.float64) for name in SERIES_COLUMNS])
-    return Trajectory(history=history, final=TorusField(values=final, time=t)), report
+    return Trajectory(history=history, final=TorusField(values=final, time=rows[-1][0])), report

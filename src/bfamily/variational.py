@@ -58,8 +58,8 @@ import numpy as np
 
 from .errors import BOutOfRange, LinearSolveFailure, NotCoercive
 from .kernel import (
-    _offset_weight, _weight_from_terms, check_b, check_beta, convolve_dp, convolve_p, eval_dp,
-    eval_p, is_b3, is_degenerate, trig_polynomial,
+    _offset_weight, _weight_from_terms, check_b, check_beta, eval_dp, eval_p, is_b3,
+    is_degenerate,
 )
 
 _DEFAULT_N = 4096
@@ -606,35 +606,3 @@ def compute_j_spectral(b: float, beta: float) -> tuple[float, float]:
     check_beta(beta)
     spec = SpectralJ(b)
     return float(spec.upper(beta)), float(spec.lower(beta)[0])
-
-
-@dataclass(frozen=True)
-class ConvolutionBoundReport:
-    """Minimum pointwise slack of the convolution lower bound for one field."""
-
-    min_slack: float
-    x_at_min: float
-
-
-def check_convolution_bound(
-    cos_coeffs, sin_coeffs, b: float, beta: float, n: int = 4096
-) -> ConvolutionBoundReport:
-    """Slack of (p + beta*p') * (b/2 u^2 + (3-b)/2 u_x^2) >= J(b, beta) u^2.
-
-    The field is the trigonometric polynomial
-    u = sum_k cos_coeffs[k] cos(2 pi k x) + sin_coeffs[k] sin(2 pi k x),
-    with at most 32 modes; the slack is evaluated on an n-point grid.
-    """
-    cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
-    sin_coeffs = np.asarray(sin_coeffs, dtype=np.float64)
-    if max(cos_coeffs.shape[0], sin_coeffs.shape[0]) > 33:
-        raise ValueError("at most 32 Fourier modes are supported")
-
-    x = np.arange(n) / n
-    u, ux = trig_polynomial(cos_coeffs, sin_coeffs, x)
-
-    g = 0.5 * b * u * u + 0.5 * (3.0 - b) * ux * ux
-    lhs = convolve_p(g) + beta * convolve_dp(g)
-    slack = lhs - compute_j(b, beta).value * u * u
-    i = int(np.argmin(slack))
-    return ConvolutionBoundReport(min_slack=float(slack[i]), x_at_min=float(x[i]))

@@ -100,9 +100,10 @@ def test_c07_convolution_lower_bound():
         k = int(rng.integers(1, 9))
         cos_c = rng.standard_normal(k + 1) * 0.5
         sin_c = rng.standard_normal(k + 1) * 0.5
+        u = bf.TorusField.from_coefficients(cos_c, sin_c, 4096)
         for b in (1.5, 2.0, 2.5, 3.0):
             for beta in (0.0, 1.0):
-                rep = bf.check_convolution_bound(cos_c, sin_c, b, beta)
+                rep = bf.check_convolution_bound(u, b, beta)
                 worst = min(worst, rep.min_slack)
                 assert rep.min_slack >= -1e-8, (b, beta, rep)
     _report("C07 convolution bound, 100 random fields", True,

@@ -106,8 +106,8 @@ def test_version_read_from_package():
         (bfamily.compute_j_spectral, (2.0, NAN)),
         (bfamily.solve_euler_lagrange, (NAN, 0.5)),
         (bfamily.solve_euler_lagrange, (2.0, NAN)),
-        (bfamily.check_convolution_bound, ([0.0, 1.0], [0.0, 0.0], NAN, 0.5)),
-        (bfamily.check_convolution_bound, ([0.0, 1.0], [0.0, 0.0], 2.0, NAN)),
+        (bfamily.check_convolution_bound, (U, NAN, 0.5)),
+        (bfamily.check_convolution_bound, (U, 2.0, NAN)),
         (bfamily.f_discriminant, (NAN, 0.5)),
         (bfamily.f_discriminant, (2.0, NAN)),
         (bfamily.compute_beta_b, (NAN,)),

@@ -8,26 +8,31 @@ from bfamily import (
     BOutOfRange,
     SimConfig,
     TorusField,
+    check_convolution_bound,
     check_criterion,
     compute_beta_b,
+    compute_j,
     conserved_quantities,
     integrate,
     lifespan_bound,
     rhs,
     step,
 )
-from bfamily.kernel import dp_multiplier
-from bfamily.sim import SERIES_COLUMNS
+from bfamily.sim import SERIES_COLUMNS, _dp_symbol
 
 TWO_SINH_HALF = 2.0 * math.sinh(0.5)
+
+
+def p_closed(s):
+    return np.cosh(s - 0.5) / TWO_SINH_HALF
 
 
 def dp_closed(s):
     return np.sinh(s - 0.5) / TWO_SINH_HALF
 
 
-def gauss_convolve_dp(f, xs, order=96):
-    # (p' * f)(x) by Gauss-Legendre on the two pieces separated by the kink.
+def gauss_convolve(kernel, f, xs, order=96):
+    # (kernel * f)(x) by Gauss-Legendre on the two pieces separated by the kink.
     nodes, weights = np.polynomial.legendre.leggauss(order)
     out = np.empty_like(xs)
     for i, x in enumerate(xs):
@@ -38,7 +43,7 @@ def gauss_convolve_dp(f, xs, order=96):
             y = 0.5 * (b - a) * nodes + 0.5 * (a + b)
             s = x - y
             s = s - np.floor(s)
-            acc += 0.5 * (b - a) * np.sum(weights * dp_closed(s) * f(y))
+            acc += 0.5 * (b - a) * np.sum(weights * kernel(s) * f(y))
         out[i] = acc
     return out
 
@@ -97,6 +102,11 @@ class TestTorusField:
         with pytest.raises(ValueError):
             TorusField(5.0)  # 0-d: no grid at all
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite(self, time):
+        with pytest.raises(ValueError, match="time must be finite"):
+            TorusField(np.ones(8), time=time)
+
     def test_derivative_spectral(self):
         u = TorusField.cosine(1.0, 256)
         expected = -2.0 * np.pi * np.sin(2.0 * np.pi * u.x)
@@ -130,7 +140,7 @@ class TestRhs:
         idx = np.arange(0, n, 256)
         expected = (
             -u.values[idx] * u.derivative_values()[idx]
-            - gauss_convolve_dp(g, x[idx])
+            - gauss_convolve(dp_closed, g, x[idx])
         )
         got = rhs(u, b).values[idx]
         assert np.abs(got - expected).max() < 1e-9
@@ -204,6 +214,88 @@ class TestCriterion:
         before = np.geterr()
         call(TorusField.cosine(amp, 64))
         assert np.geterr() == before
+
+
+def _trig(cos_c, sin_c):
+    # The trigonometric polynomial of from_coefficients and its derivative,
+    # as functions of y.
+    def u(y):
+        return sum(c * np.cos(2.0 * np.pi * k * y) for k, c in enumerate(cos_c)) + sum(
+            c * np.sin(2.0 * np.pi * k * y) for k, c in enumerate(sin_c))
+
+    def ux(y):
+        return sum(-2.0 * np.pi * k * c * np.sin(2.0 * np.pi * k * y)
+                   for k, c in enumerate(cos_c)) + sum(
+            2.0 * np.pi * k * c * np.cos(2.0 * np.pi * k * y) for k, c in enumerate(sin_c))
+
+    return u, ux
+
+
+class TestConvolutionBound:
+    def test_constant_field_slack(self):
+        rep = check_convolution_bound(TorusField.constant(1.0, 4096), 2.0, 0.0)
+        expected = 1.0 - compute_j(2.0, 0.0).value
+        assert rep.min_slack == pytest.approx(expected, abs=1e-10)
+
+    def test_cosine_field(self):
+        rep = check_convolution_bound(TorusField.cosine(1.0, 4096), 2.0, 1.0)
+        assert rep.min_slack >= -1e-8
+
+    def test_random_sweep(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            k = rng.integers(1, 9)
+            cos_c = rng.standard_normal(k + 1) * 0.5
+            sin_c = rng.standard_normal(k + 1) * 0.5
+            b = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
+            beta = float(rng.choice([0.0, 1.0]))
+            u = TorusField.from_coefficients(cos_c, sin_c, 4096)
+            rep = check_convolution_bound(u, b, beta)
+            assert rep.min_slack >= -1e-8, (b, beta)
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0])
+    @pytest.mark.parametrize("b", [1.5, 2.5])
+    @pytest.mark.parametrize("cos_c, sin_c", [
+        ([0.3, 1.0], [0.0, 0.5]),
+        ([0.0, 0.4, -0.3], [0.0, 0.2, 0.7]),
+        ([-0.2, 0.0, 0.1, 0.25], [0.0, -0.6, 0.0, 0.15]),
+    ])
+    def test_against_quadrature_oracle(self, cos_c, sin_c, b, beta):
+        # The slack from the analytic u and u_x and a Gauss-quadrature
+        # convolution with the closed-form p + beta p'.
+        u, ux = _trig(cos_c, sin_c)
+        j = compute_j(b, beta).value
+
+        def oracle(xs):
+            g = lambda y: 0.5 * b * u(y) ** 2 + 0.5 * (3.0 - b) * ux(y) ** 2
+            w = lambda s: p_closed(s) + beta * dp_closed(s)
+            return gauss_convolve(w, g, xs) - j * u(xs) ** 2
+
+        field = TorusField.from_coefficients(cos_c, sin_c, 256)
+        rep = check_convolution_bound(field, b, beta)
+        assert rep.min_slack == pytest.approx(oracle(np.array([rep.x_at_min]))[0], abs=1e-10)
+        assert oracle(field.x[::8]).min() >= rep.min_slack - 1e-10
+
+    def test_forty_modes(self):
+        # Any number of modes: 40, with coefficients decaying as 1/k^2.
+        rng = np.random.default_rng(40)
+        k = np.arange(41)
+        scale = 1.0 / np.maximum(k, 1) ** 2
+        u = TorusField.from_coefficients(rng.standard_normal(41) * scale,
+                                         rng.standard_normal(41) * scale, 1024)
+        for beta in (-1.0, 0.0, 1.0):
+            assert check_convolution_bound(u, 2.0, beta).min_slack >= -1e-8, beta
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 2.5])
+    def test_simulated_fields(self, b):
+        # The lemma on the simulator's own field near breaking, at +-beta_b.
+        beta_b = compute_beta_b(b).beta_b
+        u0 = TorusField.cosine(1.0, 512)
+        traj, _ = integrate(u0, SimConfig(b=b, t_max=0.2), beta_b=beta_b)
+        assert traj.final.time > 0.18
+        assert traj.history["min_slope"][-1] < -10.0  # steepened from -2 pi
+        for beta in (beta_b, -beta_b):
+            assert check_convolution_bound(traj.final, b, beta).min_slack >= -1e-8, beta
 
 
 class TestIntegrate:
@@ -304,6 +396,20 @@ class TestIntegrate:
         assert traj.final.values is not u0.values
         assert traj.final.time == u0.time
 
+    @pytest.mark.parametrize("start", [1e12, 1e15, 1e300])
+    def test_large_start_time_loses_no_time(self, start):
+        # The clock is the elapsed time, so a run from a large start time
+        # takes the steps of the same run from 0, none rounded away, and
+        # stamps its rows with start + elapsed.
+        cfg = SimConfig(b=2.0, t_max=0.5)
+        u0 = TorusField.cosine(1.0, 256)
+        ref, ref_rep = integrate(u0, cfg)
+        traj, rep = integrate(TorusField(u0.values, time=start), cfg)
+        assert (rep.steps, rep.stop_reason) == (ref_rep.steps, ref_rep.stop_reason)
+        assert np.array_equal(traj.history["min_slope"], ref.history["min_slope"])
+        assert np.array_equal(traj.history["t"], start + ref.history["t"])
+        assert traj.final.time == start + ref.final.time
+
     @pytest.mark.parametrize("amp", [1e154, 1e308])
     def test_huge_data_stop_on_overflow_quietly(self, amp):
         # The transforms of such data overflow (u_x^2 at 1e154, the first
@@ -391,7 +497,7 @@ class _SingleTransformStepper:
         deriv = 2.0j * np.pi * k
         deriv[-1] = 0.0
         self.deriv = deriv[self.band]
-        self.dp_mult = dp_multiplier(n)[self.band]
+        self.dp_mult = _dp_symbol(n)[self.band]
 
     def fields(self, spec):
         return np.fft.irfft(spec, self.n), np.fft.irfft(spec * self.deriv, self.n)

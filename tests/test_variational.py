@@ -9,7 +9,6 @@ from bfamily import (
     BetaOutOfRange,
     BOutOfRange,
     NotCoercive,
-    check_convolution_bound,
     compute_j,
     compute_j_bvp,
     compute_j_direct,
@@ -468,29 +467,3 @@ class TestSpectralEnclosure:
             compute_j_spectral(1.0, 0.5)
         with pytest.raises(BetaOutOfRange):
             compute_j_spectral(2.0, BETA_MAX + 0.1)
-
-
-class TestConvolutionBound:
-    def test_constant_field_slack(self):
-        rep = check_convolution_bound([1.0], [0.0], 2.0, 0.0)
-        expected = 1.0 - compute_j(2.0, 0.0).value
-        assert rep.min_slack == pytest.approx(expected, abs=1e-10)
-
-    def test_cosine_field(self):
-        rep = check_convolution_bound([0.0, 1.0], [0.0], 2.0, 1.0)
-        assert rep.min_slack >= -1e-8
-
-    def test_random_sweep(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            k = rng.integers(1, 9)
-            cos_c = rng.standard_normal(k + 1) * 0.5
-            sin_c = rng.standard_normal(k + 1) * 0.5
-            b = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
-            beta = float(rng.choice([0.0, 1.0]))
-            rep = check_convolution_bound(cos_c, sin_c, b, beta)
-            assert rep.min_slack >= -1e-8, (b, beta)
-
-    def test_mode_limit(self):
-        with pytest.raises(ValueError):
-            check_convolution_bound(np.ones(40), np.ones(40), 2.0, 0.0)
