@@ -14,11 +14,8 @@ from .errors import (
     BetaOutOfRange,
     BFamilyError,
     BOutOfRange,
-    DegreeSingular,
-    DivisionNearZero,
     LinearSolveFailure,
     NoConvergence,
-    NotCoercive,
 )
 from .estimates import (
     ALPHA,
@@ -85,14 +82,11 @@ __all__ = [
     "ConservedQuantities",
     "ConvolutionBoundReport",
     "CriterionPoint",
-    "DegreeSingular",
-    "DivisionNearZero",
     "ELSolution",
     "EstimateResult",
     "JResult",
     "LinearSolveFailure",
     "NoConvergence",
-    "NotCoercive",
     "STATUS_FINITE",
     "STATUS_INFINITE",
     "STATUS_UNDETERMINED",

@@ -10,24 +10,12 @@ class BetaOutOfRange(BFamilyError):
 
 
 class BOutOfRange(BFamilyError):
-    """Family parameter b outside the supported range."""
-
-
-class DegreeSingular(BFamilyError):
-    """Legendre degree map evaluated at its singular point b = 3 or beyond."""
+    """b outside the family's range (``kernel.check_b``) or a formula's domain."""
 
 
 class NoConvergence(BFamilyError):
     """An iterative series failed to reach its tolerance."""
 
 
-class DivisionNearZero(BFamilyError):
-    """A denominator fell below the safe threshold."""
-
-
 class LinearSolveFailure(BFamilyError):
-    """A boundary-value linear system was numerically singular."""
-
-
-class NotCoercive(BFamilyError):
-    """The assembled quadratic form is not positive definite."""
+    """A tridiagonal system of either J route was not positive definite."""

@@ -8,18 +8,16 @@ z = cosh(1) ~ 1.543.
 
 import math
 
-from .errors import BOutOfRange, DegreeSingular, DivisionNearZero, NoConvergence
+from .errors import BOutOfRange, NoConvergence
+from .kernel import check_b
 
 _SERIES_RTOL = 1e-13
 _SERIES_MAX_TERMS = 100_000
 
 
 def degree_upsilon(b: float) -> float:
-    """Degree nu(b) = -1/2 + sqrt(1 + 4*b/(3-b))/2 for b in (1, 3)."""
-    if not b > 1.0:
-        raise BOutOfRange(f"degree map requires b > 1 (got b = {b})")
-    if not b < 3.0:
-        raise DegreeSingular(f"degree map is singular at b = 3 (got b = {b})")
+    """Degree nu(b) = -1/2 + sqrt(1 + 4*b/(3-b))/2 for 1 < b < 3 (``check_b``)."""
+    check_b(b, open_top=True)
     return -0.5 + 0.5 * math.sqrt(1.0 + 4.0 * b / (3.0 - b))
 
 
@@ -54,13 +52,10 @@ def legendre_ratio(nu: float, z: float) -> float:
 
     Uses P'_nu(z) = nu*(z*P_nu(z) - P_{nu-1}(z))/(z^2 - 1); degrees below
     -1/2 arising from nu-1 are remapped through P_{-mu-1} = P_mu so the
-    series always runs in its well-conditioned range.
+    series always runs in its well-conditioned range.  P_nu(z) > 0 for z > 1:
+    it is the mean of (z + sqrt(z^2 - 1) cos phi)^nu over phi in (0, pi).
     """
     p_nu = legendre_p(nu, z)
-    if abs(p_nu) < 1e-14:
-        raise DivisionNearZero(f"P_nu(z) = {p_nu} too close to zero (nu={nu}, z={z})")
-    if nu == 0.0:
-        return 0.0
     mu = nu - 1.0
     if mu < -0.5:
         mu = -1.0 - mu

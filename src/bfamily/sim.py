@@ -179,7 +179,9 @@ class Trajectory:
 
     ``history`` has one row per recorded time, the start and every step,
     with the float fields ``SERIES_COLUMNS``: t, min u_x, mean u, mean of
-    u^2 + u_x^2, and the tail fraction of u_x (the resolution monitor)."""
+    u^2 + u_x^2, and the tail fraction of u_x (the resolution monitor), all
+    of the evolving band, k <= n/3 with dealiasing; the frozen modes above
+    it reach ``final`` but no row, not even the start row of the datum."""
 
     history: np.ndarray
     final: TorusField
@@ -382,7 +384,8 @@ def integrate(
     as in ``check_criterion`` before the first step.  On detection,
     ``t_detect`` is the stop time plus the remaining-time bound from the
     slope dynamics, so it estimates the breaking time itself and is stable
-    under grid refinement; the raw stop time is kept in ``t_stop``.
+    under grid refinement; the raw stop time is kept in ``t_stop``.  The
+    record and the stop tests see the evolving band only (``Trajectory``).
     """
     points = check_criterion(u0, beta_b) if beta_b is not None else []
     n = u0.n

@@ -53,8 +53,8 @@ _DEFAULT_TOL = 1e-4
 _SCAN_POINTS = 256
 
 # J margin of the screen: a sign counts as known when the enclosure, widened
-# by this much, proves it.  The n = 4096 BVP value lies within 4e-6 of J at
-# every non-degenerate scan point.
+# by this much, proves it.  The n = 4096 BVP value lies within 4e-6 of J at the
+# non-degenerate scan points, but not near b = 3: 1.0e-4 below J at 3 - 1e-7.
 _SCREEN_MARGIN = 1e-4
 
 STATUS_FINITE = "FINITE"

@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BOutOfRange, LinearSolveFailure, NotCoercive
+from .errors import LinearSolveFailure
 from .kernel import (
     _offset_weight, _weight_from_terms, check_b, check_beta, eval_dp, eval_p, is_b3,
     is_degenerate,
@@ -310,18 +310,23 @@ def _end_flux(x0: float, x, wf, h, v) -> float:
     return _extrapolate_to(x0, mids, flux)
 
 
+def _solve(b: float, beta: float, n: int, diag, off, rhs) -> np.ndarray:
+    # spd_solve in place for either route; a failed solve is a LinearSolveFailure.
+    try:
+        return spd_solve(diag, off, rhs, overwrite=True)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailure(
+            f"tridiagonal system singular at b={b}, beta={beta}, n={n}"
+        ) from exc
+
+
 def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSolution:
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     check_b(b, open_top=True)
     check_beta(beta)
     graded = bool(is_degenerate(beta))
     x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n, graded)
-    try:
-        v = spd_solve(diag, off, rhs, overwrite=True)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveFailure(
-            f"tridiagonal system singular at b={b}, beta={beta}, n={n}"
-        ) from exc
+    v = _solve(b, beta, n, diag, off, rhs)
 
     # The three faces at each end, closed by v(0) = v(1) = 0.
     flux0 = _end_flux(0.0, x[:4].tolist(), wf0, h0, [0.0] + v[:3].tolist())
@@ -425,17 +430,8 @@ def _direct_system(b: float, beta: float, n: int):
 
 
 def _j_direct_value(b: float, beta: float, n: int) -> float:
-    # Only the lower end of the b range is authoritative here: b > 3 is left
-    # to the positive-definiteness check, which reports it as NotCoercive.
-    if not b > 1.0:
-        raise BOutOfRange(f"direct minimization requires b > 1 (got b = {b})")
     diag, off, rhs = _direct_system(b, beta, n)
-    try:
-        v = spd_solve(diag, off, rhs.copy(), overwrite=True)   # rhs . v reads rhs
-    except np.linalg.LinAlgError as exc:
-        raise NotCoercive(
-            f"quadratic form not positive definite at b={b}, beta={beta}"
-        ) from exc
+    v = _solve(b, beta, n, diag, off, rhs.copy())   # rhs . v reads rhs
     # 0.5 b + 0.5 f.v with f = -rhs, to the bit: negation commutes with every
     # rounding of the sum.
     return 0.5 * b - 0.5 * float(rhs @ v)
@@ -444,12 +440,13 @@ def _j_direct_value(b: float, beta: float, n: int) -> float:
 def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     """J via direct minimization of the quadratic functional (P1 elements).
 
-    Independent of the BVP route; also accepts b = 3, where the infimum is
-    approached through endpoint boundary layers and the values decrease
-    toward it under refinement.  At the degenerate weight it converges at
-    an order well below two, so its Richardson band there is not a bound:
-    it understates the error (about 57x at b = 2.5, n = 2^20).
+    Independent of the BVP route; b as in ``compute_j``, b = 3 included, where
+    the infimum is approached through endpoint boundary layers and the values
+    decrease toward it under refinement.  At the degenerate weight it
+    converges at an order well below two, so its Richardson band there is
+    not a bound: it understates the error (about 57x at b = 2.5, n = 2^20).
     """
+    check_b(b)
     return _with_band(_j_direct_value, "DIRECT_MIN", b, beta, n)
 
 

@@ -5,14 +5,11 @@ import pytest
 
 from bfamily import (
     BOutOfRange,
-    DegreeSingular,
-    DivisionNearZero,
     NoConvergence,
     degree_upsilon,
     legendre_p,
     legendre_ratio,
 )
-from bfamily import legendre as legendre_mod
 
 COSH1 = math.cosh(1.0)
 
@@ -37,8 +34,14 @@ class TestDegreeUpsilon:
             degree_upsilon(1.0)
 
     def test_singular_at_three(self):
-        with pytest.raises(DegreeSingular):
+        with pytest.raises(BOutOfRange):
             degree_upsilon(3.0)
+
+    @pytest.mark.parametrize("b", [3.0 + 1e-9, 3.5, math.inf, math.nan])
+    def test_refused_above_three(self, b):
+        # The range is kernel.check_b's, with the top end open.
+        with pytest.raises(BOutOfRange):
+            degree_upsilon(b)
 
     def test_strictly_increasing_and_divergent(self):
         bs = np.linspace(1.01, 2.999, 200)
@@ -108,7 +111,21 @@ class TestLegendreRatio:
         fd = (math.log(legendre_p(nu, z + h)) - math.log(legendre_p(nu, z - h))) / (2 * h)
         assert legendre_ratio(nu, z) == pytest.approx(fd, abs=1e-6)
 
-    def test_division_guard(self, monkeypatch):
-        monkeypatch.setattr(legendre_mod, "legendre_p", lambda nu, z: 0.0)
-        with pytest.raises(DivisionNearZero):
-            legendre_mod.legendre_ratio(1.0, COSH1)
+    def test_p_bounded_away_from_zero(self):
+        # legendre_ratio divides by P_nu(z) unguarded.  For z > 1, P_nu(z) is
+        # the mean over phi in (0, pi) of (z + sqrt(z^2-1) cos phi)^nu, so it
+        # is positive; on the range the estimates reach (z in (1, 3), nu up
+        # to the degree just below b = 3) every value the series returns is
+        # at least 0.8.
+        top = degree_upsilon(2.999999)
+        assert top == pytest.approx(1731.55, abs=0.01)
+        converged = {}
+        for z in np.linspace(1.0, 3.0, 32)[1:-1]:
+            for nu in np.linspace(-0.5, top, 40):
+                try:
+                    converged[nu, z] = legendre_p(float(nu), float(z))
+                except NoConvergence:
+                    continue
+        assert len(converged) > 300
+        assert max(nu for nu, _ in converged) == top
+        assert min(converged.values()) >= 0.8

@@ -8,7 +8,7 @@ from bfamily import (
     BETA_MAX,
     BetaOutOfRange,
     BOutOfRange,
-    NotCoercive,
+    LinearSolveFailure,
     compute_j,
     compute_j_bvp,
     compute_j_direct,
@@ -168,9 +168,29 @@ class TestComputeJ:
             compute_j(2.0, 3.0)
 
     def test_not_coercive_guard(self):
-        # b > 3 makes the gradient term negative definite at high modes.
-        with pytest.raises(NotCoercive):
+        # b > 3 makes the gradient term negative definite at high modes; the
+        # b range refuses it before any assembly.
+        with pytest.raises(BOutOfRange):
             compute_j_direct(3.5, 0.0, 256)
+
+    @pytest.mark.parametrize("b", [3.0 + 1e-12, 3.0 + 1e-9, 3.0 + 1e-6])
+    def test_direct_route_refuses_b_just_above_three(self, b):
+        # Just above 3 the direct route's system is still positive definite
+        # on coarse grids, so only the b range refuses it.
+        with pytest.raises(BOutOfRange):
+            compute_j_direct(b, 0.5, 256)
+        with pytest.raises(BOutOfRange):
+            compute_j(b, 0.5, 256)
+
+    @pytest.mark.parametrize("compute", [compute_j_bvp, compute_j_direct])
+    def test_failed_solve_is_a_linear_solve_failure(self, monkeypatch, compute):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor 7 not positive definite")
+
+        monkeypatch.setattr(vmod, "spd_solve", singular)
+        with pytest.raises(LinearSolveFailure,
+                           match=r"singular at b=2\.5, beta=0\.5, n=256$"):
+            compute(2.5, 0.5, 256)
 
 
 def _written_out_nodes(n, graded):
