@@ -30,7 +30,6 @@ from .kernel import (
     BETA_MAX,
     eval_dp,
     eval_p,
-    eval_w,
     unit_weight,
 )
 from .legendre import degree_upsilon, legendre_p, legendre_ratio
@@ -110,7 +109,6 @@ __all__ = [
     "estimate3",
     "eval_dp",
     "eval_p",
-    "eval_w",
     "f_discriminant",
     "integrate",
     "legendre_p",

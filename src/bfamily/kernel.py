@@ -68,9 +68,11 @@ def unit_weight(beta: float, x):
     """Weight w = p + beta*p' at x in [0, 1], continued from the open
     interval and clipped at 0 against rounding.
 
-    Unlike the mod-1 evaluation this distinguishes w(1-) from w(0+), which
-    is what boundary-value solvers on (0, 1) need.  It integrates to 1 for
-    every beta and vanishes at one endpoint at beta = +-(e+1)/(e-1).
+    Unlike ``eval_p`` and ``eval_dp``, which reduce x mod 1, this
+    distinguishes w(1-) from w(0+), which is what boundary-value solvers on
+    (0, 1) need; at a torus point x the weight is ``unit_weight(beta,
+    x - floor(x))``.  It integrates to 1 for every beta and vanishes at one
+    endpoint at beta = +-(e+1)/(e-1).
     """
     check_beta(beta)
     x = np.asarray(x, dtype=np.float64)
@@ -95,12 +97,6 @@ def _weight_from_terms(w, term) -> np.ndarray:
     w += term
     w /= _TWO_SINH_HALF
     return np.maximum(w, 0.0, out=w)
-
-
-def eval_w(beta: float, x):
-    """Weight w = p + beta*p' at torus coordinate(s) x (reduced mod 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    return unit_weight(beta, x - np.floor(x))
 
 
 def is_degenerate(beta):

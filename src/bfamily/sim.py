@@ -82,23 +82,17 @@ class TorusField:
         return np.fft.irfft(spec, self.n)
 
     @classmethod
-    def from_function(cls, f, n: int, time: float = 0.0) -> "TorusField":
-        x = np.arange(n) / n
-        vals = np.zeros(n) + np.asarray(f(x), dtype=np.float64)
-        return cls(values=vals, time=time)
-
-    @classmethod
     def constant(cls, c: float, n: int) -> "TorusField":
         return cls(values=np.full(n, float(c)))
 
     @classmethod
     def cosine(cls, amplitude: float, n: int) -> "TorusField":
-        return cls.from_function(lambda x: amplitude * np.cos(2.0 * np.pi * x), n)
+        return cls.from_coefficients([0.0, amplitude], [], n)
 
     @classmethod
     def odd_sine(cls, amplitude: float, n: int) -> "TorusField":
         """-amplitude * sin(2 pi x): odd data with negative slope at x = 0."""
-        return cls.from_function(lambda x: -amplitude * np.sin(2.0 * np.pi * x), n)
+        return cls.from_coefficients([], [0.0, -amplitude], n)
 
     @classmethod
     def from_coefficients(cls, cos_coeffs, sin_coeffs, n: int) -> "TorusField":

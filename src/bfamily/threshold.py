@@ -54,7 +54,7 @@ _SCAN_POINTS = 256
 
 # J margin of the screen: a sign counts as known when the enclosure, widened
 # by this much, proves it.  The n = 4096 BVP value lies within 4e-6 of J at the
-# non-degenerate scan points, but not near b = 3: 1.0e-4 below J at 3 - 1e-7.
+# non-degenerate scan points; near b = 3, on the graded mesh, within 1.2e-7.
 _SCREEN_MARGIN = 1e-4
 
 STATUS_FINITE = "FINITE"
@@ -139,10 +139,6 @@ class _Search:
         self.screened_points = 0
         self.max_gap = None
 
-    def f(self, beta, j):
-        """F(b, beta) for the value j of J."""
-        return _f(self.b, beta, j)
-
     def _j(self, b: float, beta: float, n: int) -> float:
         """J's value on n cells as ``compute_j`` gives it (J = 0 exactly at
         b = 3, with no solve); on 4096 cells solved once per beta and kept."""
@@ -169,7 +165,7 @@ class _Search:
         signs = known > 0
         for k in np.flatnonzero(known == 0):
             beta = float(betas[k])
-            signs[k] = self.f(beta, self._j(self.b, beta, _DEFAULT_N)) >= 0.0
+            signs[k] = _f(self.b, beta, self._j(self.b, beta, _DEFAULT_N)) >= 0.0
         return signs
 
     def bisect(self, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -183,7 +179,7 @@ class _Search:
                 self.screened_points += 1
                 nonneg = known > 0
             else:
-                nonneg = self.f(mid, self._j(self.b, mid, _DEFAULT_N)) >= 0.0
+                nonneg = _f(self.b, mid, self._j(self.b, mid, _DEFAULT_N)) >= 0.0
             if nonneg:
                 hi = mid
             else:
@@ -210,20 +206,20 @@ class _Search:
         # where none does.
         if self.spec is None:
             return 0
-        if self.f(mid, self.floor - _SCREEN_MARGIN) >= 0.0:
+        if _f(self.b, mid, self.floor - _SCREEN_MARGIN) >= 0.0:
             return 1
         upper = float(self.spec.upper(mid))
-        if self.f(mid, upper + _SCREEN_MARGIN) < 0.0:
+        if _f(self.b, mid, upper + _SCREEN_MARGIN) < 0.0:
             return -1
         # lower <= J <= upper, so the lower bound can prove F >= 0 only where
         # the upper bound, less the margin, already gives it.
-        if self.f(mid, upper - _SCREEN_MARGIN) < 0.0:
+        if _f(self.b, mid, upper - _SCREEN_MARGIN) < 0.0:
             return 0
         # With the scan bracket's ends as knots, the interpolant at mid is
         # the chord between their lower bounds.
         self.dual(self.ends)
         lower = float(self.lower(mid))
-        if self.f(mid, lower - _SCREEN_MARGIN) >= 0.0:
+        if _f(self.b, mid, lower - _SCREEN_MARGIN) >= 0.0:
             self._gap(upper - lower)
             return 1
         return 0
@@ -236,23 +232,23 @@ class _Search:
             return known
         # The floor J >= L(b) proves F >= 0 with no dual, also at the
         # degenerate weight, where the dual gives no bound.
-        floor = self.f(betas, self.floor - _SCREEN_MARGIN) >= 0.0
+        floor = _f(self.b, betas, self.floor - _SCREEN_MARGIN) >= 0.0
         known[floor] = 1
         upper = self.spec.upper(betas)
-        known[self.f(betas, upper + _SCREEN_MARGIN) < 0.0] = -1
+        known[_f(self.b, betas, upper + _SCREEN_MARGIN) < 0.0] = -1
         # A lower bound <= upper can prove F >= 0 only where the upper bound,
         # less the margin, already gives it.
-        rest = np.flatnonzero(~floor & (self.f(betas, upper - _SCREEN_MARGIN) >= 0.0))
+        rest = np.flatnonzero(~floor & (_f(self.b, betas, upper - _SCREEN_MARGIN) >= 0.0))
         if rest.size:
             # The dual at the anchors, rest[0] and its two scan neighbours;
             # the interpolant elsewhere, and the dual where it proves nothing.
             self.dual(betas[max(rest[0] - 1, 0):rest[0] + 2])
             rest_betas = betas[rest]
             lower = self.lower(rest_betas)
-            open_ = self.f(rest_betas, lower - _SCREEN_MARGIN) < 0.0
+            open_ = _f(self.b, rest_betas, lower - _SCREEN_MARGIN) < 0.0
             self.dual(rest_betas[open_])
             lower[open_] = self.lower(rest_betas[open_])
-            proved = self.f(rest_betas, lower - _SCREEN_MARGIN) >= 0.0
+            proved = _f(self.b, rest_betas, lower - _SCREEN_MARGIN) >= 0.0
             if proved.any():
                 known[rest[proved]] = 1
                 self._gap(float(np.max(upper[rest[proved]] - lower[proved])))

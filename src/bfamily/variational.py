@@ -46,8 +46,10 @@ Discretization notes (constraints, not style):
 * The endpoint flux (w v')(0+) has a finite limit because the equation
   integrates it; it is recovered by quadratic extrapolation of the face
   fluxes through the three faces nearest the endpoint.
-* A cosine-stretched grid is used only when |beta| is within 1e-9 of the
-  degenerate limit, to resolve the vanishing-weight endpoint.
+* The BVP uses a cosine-stretched grid when |beta| is within 1e-9 of the
+  degenerate limit, to resolve the vanishing-weight endpoint, and when the
+  end layers of width sqrt((3-b)/b) near b = 3 are thinner than 16 cells of
+  the 4096-cell grid; the direct route only at the degenerate weight.
 """
 
 import math
@@ -78,7 +80,8 @@ class ELSolution:
     """Solution of the Euler-Lagrange BVP on the interior nodes of (0, 1).
 
     ``flux0`` and ``flux1`` are the extrapolated limits of w*v_x at 0+ and
-    1-; ``singular_weight`` marks the degenerate-weight (graded-grid) case.
+    1-; ``singular_weight`` marks the degenerate weight (solved on the graded
+    grid, as is b near 3).
     """
 
     b: float
@@ -324,7 +327,11 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     check_b(b, open_top=True)
     check_beta(beta)
-    graded = bool(is_degenerate(beta))
+    singular = bool(is_degenerate(beta))
+    # Graded also where the end layers, of width sqrt((3-b)/b), are thinner
+    # than 16 cells of the 4096-cell grid.  The rule reads only b and beta,
+    # so a value and its Richardson companion are solved on like grids.
+    graded = singular or 3.0 - b < b * (16 / 4096) ** 2
     x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n, graded)
     v = _solve(b, beta, n, diag, off, rhs)
 
@@ -333,7 +340,7 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     flux1 = _end_flux(1.0, x[-4:].tolist(), wf1, h1, v[-3:].tolist() + [0.0])
     return ELSolution(
         b=b, beta=beta, grid=x[1:-1], v=v,
-        flux0=flux0, flux1=flux1, singular_weight=graded,
+        flux0=flux0, flux1=flux1, singular_weight=singular,
     )
 
 
@@ -455,7 +462,7 @@ def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
 
     b = 3 is exact (J = 0); otherwise the BVP flux value on n cells with
     its Richardson error estimate (``compute_j_bvp``), which stays second
-    order on the graded grid of the degenerate weight.
+    order on the graded grid of the degenerate weight and of b near 3.
     """
     check_b(b)
     check_beta(beta)
@@ -550,8 +557,11 @@ class SpectralJ:
         self._h1 = b * (vt @ g1)
 
     def upper(self, beta):
-        """The Ritz upper bound at each beta."""
-        beta = np.asarray(beta, dtype=np.float64)[..., None]
+        """The Ritz upper bound at each beta; ``BetaOutOfRange`` unless every
+        |beta| is within the weight bracket."""
+        beta = np.asarray(beta, dtype=np.float64)
+        check_beta(abs(beta).max(initial=0.0))   # NaN fails; an empty batch passes
+        beta = beta[..., None]
         h = self._h0 + beta * self._h1
         return 0.5 * self.b - 0.5 * np.sum(h * h / (1.0 + beta * self._lam), axis=-1)
 
@@ -600,6 +610,5 @@ def compute_j_spectral(b: float, beta: float) -> tuple[float, float]:
     quadrature has not converged.  Both are computed in floating point, so
     they hold to a rounding allowance of 1024 ulp of max(|J|, 1).
     """
-    check_beta(beta)
     spec = SpectralJ(b)
     return float(spec.upper(beta)), float(spec.lower(beta)[0])

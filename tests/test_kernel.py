@@ -12,7 +12,6 @@ from bfamily import (
     estimate3,
     eval_dp,
     eval_p,
-    eval_w,
     unit_weight,
 )
 from bfamily.estimates import extreme_weight_j
@@ -70,32 +69,32 @@ class TestEvalP:
         assert np.all(eval_p(x) > 0.0)
 
 
-class TestEvalW:
+class TestUnitWeight:
     def test_extreme_beta_closed_form(self):
         # At beta = (e+1)/(e-1) the weight is 2e/(e-1)^2 * sinh(x) on (0, 1).
         x = np.linspace(1e-6, 1.0 - 1e-6, 57)
         expected = 2.0 * E / (E - 1.0) ** 2 * np.sinh(x)
-        assert np.allclose(eval_w(BETA_MAX, x), expected, atol=1e-13)
+        assert np.allclose(unit_weight(BETA_MAX, x), expected, atol=1e-13)
 
     def test_beta_zero_reduces_to_p(self):
-        assert eval_w(0.0, 0.5) == pytest.approx(float(eval_p(0.5)), abs=1e-15)
+        assert unit_weight(0.0, 0.5) == pytest.approx(float(eval_p(0.5)), abs=1e-15)
 
     def test_vanishes_at_degenerate_endpoint(self):
-        assert eval_w(BETA_MAX, 1e-12) == pytest.approx(0.0, abs=1e-11)
+        assert unit_weight(BETA_MAX, 1e-12) == pytest.approx(0.0, abs=1e-11)
 
     def test_beta_out_of_range(self):
         with pytest.raises(BetaOutOfRange):
-            eval_w(BETA_MAX + 1e-6, 0.5)
+            unit_weight(BETA_MAX + 1e-6, 0.5)
 
     def test_unit_mass_for_beta_grid(self):
         for beta in np.linspace(-BETA_MAX, BETA_MAX, 9):
-            val, _ = quad(lambda x: float(eval_w(beta, x)), 0.0, 1.0, epsabs=1e-14)
+            val, _ = quad(lambda x: float(unit_weight(beta, x)), 0.0, 1.0, epsabs=1e-14)
             assert val == pytest.approx(1.0, abs=1e-12), beta
 
     def test_nonnegative_and_interior_positive(self):
         x = np.linspace(1e-9, 1.0 - 1e-9, 4001)
         for beta in np.linspace(-BETA_MAX, BETA_MAX, 11):
-            w = eval_w(beta, x)
+            w = unit_weight(beta, x)
             assert np.all(w >= -1e-13)
             if abs(beta) < BETA_MAX - 1e-9:
                 assert np.all(w > 0.0)
@@ -104,7 +103,7 @@ class TestEvalW:
         # (p + beta p')(1-x) = (p - beta p')(x) on (0, 1)
         x = np.linspace(1e-4, 1.0 - 1e-4, 301)
         beta = 1.3
-        lhs = eval_w(beta, 1.0 - x)
+        lhs = unit_weight(beta, 1.0 - x)
         rhs = eval_p(x) - beta * eval_dp(x)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -115,7 +114,7 @@ class TestWeightProfile:
         left = unit_weight(1.0, 0.0)
         right = unit_weight(1.0, 1.0)
         assert left != pytest.approx(right, abs=1e-3)
-        assert left == pytest.approx(float(eval_w(1.0, 1e-14)), abs=1e-12)
+        assert left == pytest.approx(float(unit_weight(1.0, 1e-14)), abs=1e-12)
 
     def test_degenerate_flag(self):
         assert is_degenerate(BETA_MAX)

@@ -117,7 +117,6 @@ def test_version_read_from_package():
         (bfamily.delta_b, (NAN,)),
         (bfamily.degree_upsilon, (NAN,)),
         (bfamily.unit_weight, (NAN, 0.5)),
-        (bfamily.eval_w, (NAN, 0.5)),
         (bfamily.SpectralJ, (NAN,)),
         (bfamily.SimConfig, (NAN, 1.0)),
         (bfamily.rhs, (U, NAN)),

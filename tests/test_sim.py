@@ -118,6 +118,17 @@ class TestTorusField:
         expected = 0.5 + 0.1 * np.cos(2 * np.pi * x) - 0.2 * np.sin(2 * np.pi * x)
         assert np.allclose(u.values, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("amp, n", [(1.0, 8), (0.1, 256), (-2.5, 1024), (1e-320, 64)])
+    def test_presets_bit_for_bit(self, amp, n):
+        # The presets are one term added to zeros, to the bit, so the golden
+        # runs keep their bytes; the zero at x = 0 of odd_sine is +0.0.
+        x = np.arange(n) / n
+        for u, term in [(TorusField.cosine(amp, n), amp * np.cos(2.0 * np.pi * x)),
+                        (TorusField.odd_sine(amp, n), -amp * np.sin(2.0 * np.pi * x))]:
+            want = np.zeros(n) + term
+            assert np.array_equal(u.values, want)
+        assert not np.signbit(TorusField.odd_sine(amp, n).values[0])
+
 
 class TestRhs:
     def test_constant_is_stationary(self):

@@ -487,3 +487,12 @@ class TestSpectralEnclosure:
             compute_j_spectral(1.0, 0.5)
         with pytest.raises(BetaOutOfRange):
             compute_j_spectral(2.0, BETA_MAX + 0.1)
+
+    @pytest.mark.parametrize("method", ["upper", "lower"])
+    @pytest.mark.parametrize("beta", [2.5, math.nan, [0.5, 2.2]], ids=["2.5", "nan", "[0.5,2.2]"])
+    def test_bounds_refuse_beta_outside_bracket(self, method, beta):
+        # As compute_j and compute_j_spectral do; an empty batch is no beta.
+        spec = SpectralJ(2.0)
+        with pytest.raises(BetaOutOfRange):
+            getattr(spec, method)(beta)
+        assert getattr(spec, method)(np.array([])).shape == (0,)
