@@ -66,7 +66,6 @@ from .variational import (
     compute_j,
     compute_j_bvp,
     compute_j_direct,
-    compute_j_spectral,
     solve_euler_lagrange,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "compute_j",
     "compute_j_bvp",
     "compute_j_direct",
-    "compute_j_spectral",
     "conserved_quantities",
     "degree_upsilon",
     "delta_b",

@@ -32,12 +32,12 @@ _VALID_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """One analytic bound at one b: the value, which method, and whether the
-    method's applicability condition holds there."""
+    """One analytic bound at one b: the value, and whether the applicability
+    condition of the estimate that made it (``estimate1`` .. ``estimate3``)
+    holds there."""
 
     b: float
     bound: Optional[float]
-    method: str  # "E1" | "E2" | "E3"
     valid: bool
     threshold_note: str = ""
 
@@ -56,7 +56,7 @@ def estimate1(b: float) -> EstimateResult:
     bound = math.sqrt(b / (b - 1.0))
     valid = b >= ALPHA - _VALID_TOL
     note = "" if valid else f"requires b >= alpha = {ALPHA:.6f}"
-    return EstimateResult(b=b, bound=bound, method="E1", valid=valid, threshold_note=note)
+    return EstimateResult(b=b, bound=bound, valid=valid, threshold_note=note)
 
 
 def estimate2(b: float) -> EstimateResult:
@@ -79,16 +79,14 @@ def estimate2(b: float) -> EstimateResult:
     r = 2.0 / (b - 1.0) * (0.5 * b - d)
     if r <= 1.0 + _VALID_TOL:
         bound = math.sqrt(max(r, 0.0))
-        return EstimateResult(
-            b=b, bound=bound, method="E2", valid=True,
-            threshold_note="small-beta branch (beta <= 1)",
-        )
+        return EstimateResult(b=b, bound=bound, valid=True,
+                              threshold_note="small-beta branch (beta <= 1)")
 
     lin, disc = _e2_quadratic(b, d)
     phi = 0.5 * (lin + math.sqrt(disc))
     valid = 1.0 - _VALID_TOL <= phi <= BETA_MAX + _VALID_TOL
     note = "" if valid else f"root {phi:.6f} outside [1, {BETA_MAX:.6f}]"
-    return EstimateResult(b=b, bound=phi, method="E2", valid=valid, threshold_note=note)
+    return EstimateResult(b=b, bound=phi, valid=valid, threshold_note=note)
 
 
 def _e2_quadratic(b: float, d: float) -> tuple[float, float]:
@@ -130,14 +128,12 @@ def estimate3(b: float) -> EstimateResult:
     try:
         radicand = _e3_radicand(b)
     except NoConvergence:
-        return EstimateResult(
-            b=b, bound=None, method="E3", valid=False,
-            threshold_note="Legendre series did not converge",
-        )
+        return EstimateResult(b=b, bound=None, valid=False,
+                              threshold_note="Legendre series did not converge")
     bound = math.sqrt(radicand)
     valid = bound <= BETA_MAX + _VALID_TOL
     note = "" if valid else f"bound exceeds the weight bracket {BETA_MAX:.6f}"
-    return EstimateResult(b=b, bound=bound, method="E3", valid=valid, threshold_note=note)
+    return EstimateResult(b=b, bound=bound, valid=valid, threshold_note=note)
 
 
 def thresholds() -> dict:

@@ -293,9 +293,8 @@ def step(u: TorusField, b: float, dt: float, dealias: bool = True) -> TorusField
 # these two diagnostics, and ``lifespan_bound`` through ``check_criterion``,
 # then return inf or nan, or no bound, without numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def conserved_quantities(u: TorusField, b: float) -> ConservedQuantities:
+def conserved_quantities(u: TorusField) -> ConservedQuantities:
     """Spatial mean and the average of u^2 + u_x^2 (conserved only at b=2)."""
-    check_b(b)
     ux = u.derivative_values()
     return ConservedQuantities(
         mean=float(u.values.mean()),

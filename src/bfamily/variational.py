@@ -25,8 +25,8 @@ those of the expressions.  The solver overwrites the system in place, so
 four full-length arrays are alive at once besides a few block-sized
 temporaries, and a J evaluation keeps none of them.
 
-``compute_j_spectral`` encloses J between two spectral bounds (Prager and
-Synge's two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
+``SpectralJ`` encloses J between two spectral bounds (Prager and Synge's
+two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
 P_k(2x-1) from above, and the complementary-energy maximum over
 sigma = sum d_k P_k(2x-1) from below,
 
@@ -65,6 +65,7 @@ from .kernel import (
 )
 
 _DEFAULT_N = 4096
+_MIN_N = 64  # fewest grid cells of any J value and its band, b = 3 included
 _GAUSS_OFS = 0.5 / math.sqrt(3.0)  # the two-point Gauss rule's offset from a cell's middle
 
 _SPECTRAL_MODES = 16  # Legendre modes K of both spectral bounds
@@ -80,8 +81,8 @@ class ELSolution:
     """Solution of the Euler-Lagrange BVP on the interior nodes of (0, 1).
 
     ``flux0`` and ``flux1`` are the extrapolated limits of w*v_x at 0+ and
-    1-; ``singular_weight`` marks the degenerate weight (solved on the graded
-    grid, as is b near 3).
+    1-.  ``grid`` holds the interior nodes; they are cosine-graded at the
+    degenerate weight (``kernel.is_degenerate``) and for b near 3.
     """
 
     b: float
@@ -90,7 +91,6 @@ class ELSolution:
     v: np.ndarray
     flux0: float
     flux1: float
-    singular_weight: bool = False
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,13 @@ def spd_solve(diag, off, rhs, overwrite=False):
     return x
 
 
+def _check_n(n: int) -> None:
+    if n < _MIN_N:
+        raise ValueError(f"need n >= {_MIN_N} grid cells (got {n})")
+
+
 def _nodes(n: int, graded: bool) -> np.ndarray:
-    if n < 64:
-        raise ValueError(f"need n >= 64 grid cells (got {n})")
+    _check_n(n)
     if not graded:
         return np.linspace(0.0, 1.0, n + 1)
     # 0.5 (1 - cos(pi i / n)), built in one array
@@ -327,21 +331,17 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     check_b(b, open_top=True)
     check_beta(beta)
-    singular = bool(is_degenerate(beta))
     # Graded also where the end layers, of width sqrt((3-b)/b), are thinner
     # than 16 cells of the 4096-cell grid.  The rule reads only b and beta,
     # so a value and its Richardson companion are solved on like grids.
-    graded = singular or 3.0 - b < b * (16 / 4096) ** 2
+    graded = bool(is_degenerate(beta)) or 3.0 - b < b * (16 / 4096) ** 2
     x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n, graded)
     v = _solve(b, beta, n, diag, off, rhs)
 
     # The three faces at each end, closed by v(0) = v(1) = 0.
     flux0 = _end_flux(0.0, x[:4].tolist(), wf0, h0, [0.0] + v[:3].tolist())
     flux1 = _end_flux(1.0, x[-4:].tolist(), wf1, h1, v[-3:].tolist() + [0.0])
-    return ELSolution(
-        b=b, beta=beta, grid=x[1:-1], v=v,
-        flux0=flux0, flux1=flux1, singular_weight=singular,
-    )
+    return ELSolution(b=b, beta=beta, grid=x[1:-1], v=v, flux0=flux0, flux1=flux1)
 
 
 def _j_bvp_value(b: float, beta: float, n: int) -> float:
@@ -354,7 +354,7 @@ def _with_band(j_value, method: str, b: float, beta: float, n: int) -> JResult:
     # where n/2 is below the 64-cell minimum.
     check_beta(beta)
     value = j_value(b, beta, n)
-    n2, factor = (n // 2, 1.0 / 3.0) if n // 2 >= 64 else (2 * n, 4.0 / 3.0)
+    n2, factor = (n // 2, 1.0 / 3.0) if n // 2 >= _MIN_N else (2 * n, 4.0 / 3.0)
     return JResult(b=b, beta=beta, value=value, method=method,
                    error_estimate=factor * abs(value - j_value(b, beta, n2)))
 
@@ -463,9 +463,11 @@ def compute_j(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     b = 3 is exact (J = 0); otherwise the BVP flux value on n cells with
     its Richardson error estimate (``compute_j_bvp``), which stays second
     order on the graded grid of the degenerate weight and of b near 3.
+    Every b takes the same grid rule: n >= 64, or ValueError.
     """
     check_b(b)
     check_beta(beta)
+    _check_n(n)
     if is_b3(b):
         # At b = 3 the gradient penalty vanishes: thin layers at the endpoints
         # drive the weighted mass of u to zero at no cost, so J = 0.  The
@@ -597,18 +599,3 @@ class SpectralJ:
         ok = (np.abs(fine - coarse) <= allowance[idx]) & (fine <= upper[idx] + allowance[idx])
         lower[idx[ok]] = fine[ok]
         return lower
-
-
-def compute_j_spectral(b: float, beta: float) -> tuple[float, float]:
-    """Two-sided spectral enclosure ``(upper, lower)`` of J(b, beta) for
-    1 < b < 3.
-
-    The upper bound is the Ritz minimum over u = 1 + x(1-x) sum c_k
-    P_k(2x-1), the lower bound the complementary-energy maximum over
-    sigma = sum d_k P_k(2x-1), k < K.  ``lower`` is -inf where no lower
-    bound is certified: at the degenerate weight, or where the dual's
-    quadrature has not converged.  Both are computed in floating point, so
-    they hold to a rounding allowance of 1024 ulp of max(|J|, 1).
-    """
-    spec = SpectralJ(b)
-    return float(spec.upper(beta)), float(spec.lower(beta)[0])

@@ -104,6 +104,14 @@ class TestJ:
         assert code == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("b", ["2", "3"])
+    @pytest.mark.parametrize("grid", ["0", "-7"])
+    def test_grid_below_64_refused_at_every_b(self, capsys, b, grid):
+        # b = 3 needs no solve, but takes the same grid rule as every b.
+        code, out, err = run_cli(capsys, "j", "--b", b, "--beta", "0", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert f"need n >= 64 grid cells (got {grid})" in err
+
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "j", "--b", "2")
         assert code == 1

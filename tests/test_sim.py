@@ -71,8 +71,7 @@ class TestSimConfig:
     lambda u, b: rhs(u, b),
     lambda u, b: step(u, b, 1e-3),
     lambda u, b: lifespan_bound(u, b, 0.5),
-    lambda u, b: conserved_quantities(u, b),
-], ids=["rhs", "step", "lifespan_bound", "conserved_quantities"])
+], ids=["rhs", "step", "lifespan_bound"])
 def test_public_calls_check_b(call, b):
     # As SimConfig does for integrate: NaN used to give an all-NaN field
     # from rhs and step, and no bound from lifespan_bound.
@@ -216,7 +215,7 @@ class TestCriterion:
     @pytest.mark.parametrize("call", [
         lambda u0: lifespan_bound(u0, 2.0, 0.5),
         lambda u0: check_criterion(u0, 0.5),
-        lambda u0: conserved_quantities(u0, 2.0),
+        lambda u0: conserved_quantities(u0),
     ], ids=["lifespan_bound", "check_criterion", "conserved_quantities"])
     def test_huge_data_quiet(self, call, amp):
         # The rfft overflows at 1e308 and u_x^2 at 1e154, quietly as in
@@ -638,11 +637,11 @@ class TestStepReversal:
 
 class TestConservedQuantities:
     def test_constant_field(self):
-        q = conserved_quantities(TorusField.constant(1.5, 128), 2.0)
+        q = conserved_quantities(TorusField.constant(1.5, 128))
         assert q.mean == pytest.approx(1.5, abs=1e-15)
         assert q.h1_energy == pytest.approx(2.25, abs=1e-12)
 
     def test_cosine_field(self):
-        q = conserved_quantities(TorusField.cosine(1.0, 512), 2.0)
+        q = conserved_quantities(TorusField.cosine(1.0, 512))
         assert q.mean == pytest.approx(0.0, abs=1e-15)
         assert q.h1_energy == pytest.approx(0.5 + 2.0 * np.pi**2, abs=1e-10)

@@ -12,7 +12,6 @@ from bfamily import (
     compute_j,
     compute_j_bvp,
     compute_j_direct,
-    compute_j_spectral,
     legendre_ratio,
     solve_euler_lagrange,
     unit_weight,
@@ -62,10 +61,6 @@ class TestEulerLagrange:
         res = (3 - b) * w * vxx + (3 - b) * wx * vx - b * w * v[1:-1] - b * w
         assert np.abs(res).max() < 1e-4
 
-    def test_singular_weight_flag(self):
-        assert solve_euler_lagrange(2.0, BETA_MAX, 256).singular_weight
-        assert not solve_euler_lagrange(2.0, 1.0, 256).singular_weight
-
     def test_domain_errors(self):
         with pytest.raises(BOutOfRange):
             solve_euler_lagrange(3.0, 0.0)
@@ -113,6 +108,13 @@ class TestComputeJ:
         assert res.value == 0.0
         assert res.method == "SPECIAL_B3"
         assert res.error_estimate == 0.0
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_grid_rule_at_every_b(self, b):
+        # b = 3 needs no solve, but takes the same n >= 64 rule as every b.
+        with pytest.raises(ValueError, match=r"need n >= 64 grid cells \(got 63\)"):
+            compute_j(b, 0.5, 63)
+        assert compute_j(b, 0.5, 64).method == ("SPECIAL_B3" if b == 3.0 else "BVP_FLUX")
 
     def test_b3_direct_refinement_decreases_to_zero(self):
         vals = [compute_j_direct(3.0, 0.5, n).value for n in (256, 512, 1024, 2048)]
@@ -363,12 +365,17 @@ def _direct_ritz_j(b, beta, modes, points=96):
     return 0.5 * b * qw.sum() - 0.5 * g @ np.linalg.solve(a, g)
 
 
-def _direct_dual_j(b, beta, modes, points):
+def _direct_dual_j(b, beta, modes, points, panels=1):
     # The dual maximum 1/2 e^T B^-1 e, B = int (P P^T/(3-b) + P' P'^T/b)/w
     # and e_k = P_k(1) - P_k(-1), by one K x K solve at this b and beta,
-    # written out as the reference for the bordered, b-free batch.
+    # written out as the reference for the bordered, b-free batch.  The
+    # integral is Gauss-Legendre with `points` nodes on each of `panels`
+    # panels, graded toward x = 0 with edges 0, 0.15^(panels-1), ..., 0.15, 1.
+    edges = np.concatenate(([0.0], 0.15 ** np.arange(panels - 1.0, -1.0, -1.0)))
     t, q = np.polynomial.legendre.leggauss(points)
-    x, q = 0.5 * (t + 1.0), 0.5 * q
+    width = np.diff(edges)[:, None]
+    x = (edges[:-1, None] + width * (0.5 * (t + 1.0))).ravel()
+    q = (width * (0.5 * q)).ravel()
     p = np.polynomial.legendre.legvander(2.0 * x - 1.0, modes - 1)
     dp = 2.0 * np.polynomial.legendre.legval(
         2.0 * x - 1.0, np.polynomial.legendre.legder(np.eye(modes))).T
@@ -389,8 +396,9 @@ class TestSpectralEnclosure:
         # The 16-mode gap is <= 2.5e-14 up to beta = 1.59 and 2.4e-5 at the
         # grid's top beta, 2.11 (b = 2.64).
         for b in self.B_GRID:
-            for beta in self.BETA_GRID:
-                upper, lower = compute_j_spectral(float(b), float(beta))
+            spec = SpectralJ(float(b))
+            uppers, lowers = spec.upper(self.BETA_GRID), spec.lower(self.BETA_GRID)
+            for beta, upper, lower in zip(self.BETA_GRID, uppers, lowers):
                 bvp = compute_j_bvp(float(b), float(beta))
                 assert math.isfinite(lower), (b, beta)
                 assert upper - lower <= (1e-13 if beta < 1.6 else 3e-5), (b, beta)
@@ -456,9 +464,9 @@ class TestSpectralEnclosure:
         assert np.all(spec.lower(np.array([0.2, 0.9, 1.5])) == -math.inf)
 
     def test_no_lower_bound_at_degenerate_weight(self):
-        upper, lower = compute_j_spectral(2.0, BETA_MAX)
-        assert lower == -math.inf
-        assert upper >= compute_j(2.0, BETA_MAX).value
+        spec = SpectralJ(2.0)
+        assert spec.lower([BETA_MAX])[0] == -math.inf
+        assert spec.upper(BETA_MAX) >= compute_j(2.0, BETA_MAX).value
 
     def test_unconverged_quadrature_rejected(self):
         # Next to the degenerate weight the 1/w quadrature has not converged:
@@ -482,17 +490,57 @@ class TestSpectralEnclosure:
 
     def test_domain(self):
         with pytest.raises(BOutOfRange):
-            compute_j_spectral(3.0, 0.5)
+            SpectralJ(3.0)
         with pytest.raises(BOutOfRange):
-            compute_j_spectral(1.0, 0.5)
-        with pytest.raises(BetaOutOfRange):
-            compute_j_spectral(2.0, BETA_MAX + 0.1)
+            SpectralJ(1.0)
 
     @pytest.mark.parametrize("method", ["upper", "lower"])
     @pytest.mark.parametrize("beta", [2.5, math.nan, [0.5, 2.2]], ids=["2.5", "nan", "[0.5,2.2]"])
     def test_bounds_refuse_beta_outside_bracket(self, method, beta):
-        # As compute_j and compute_j_spectral do; an empty batch is no beta.
+        # As compute_j does; an empty batch is no beta.
         spec = SpectralJ(2.0)
         with pytest.raises(BetaOutOfRange):
             getattr(spec, method)(beta)
         assert getattr(spec, method)(np.array([])).shape == (0,)
+
+
+class TestNearDegenerateWeight:
+    # For beta within about 1e-4 of BETA_MAX, outside is_degenerate's 1e-9
+    # window, the minimiser has a layer at x = 0 that the n = 4096 grid and
+    # its Richardson companion miss alike.  The oracle is the dual lower
+    # bound with K = 32 modes on a quadrature graded toward x = 0: 24 points
+    # on each of 13 panels.
+    B = [1.01, 2.0, 2.9]
+    BETA = [2.1639, 2.16395, 2.163953, 2.1639534]
+
+    @staticmethod
+    def lower(b, beta, points=24, panels=13):
+        return _direct_dual_j(b, beta, 32, points, panels)
+
+    def test_graded_dual_is_a_converged_lower_bound(self):
+        # A 48-point, 17-panel rule moves it by at most 9.6e-10 at these
+        # points; it stays below the 16-mode Ritz bound; and where the BVP
+        # is resolved it lies within the BVP's band above the value (value
+        # + band exceeds it by 9e-12 to 6e-10).
+        for b in self.B:
+            for beta, upper in zip(self.BETA, SpectralJ(b).upper(self.BETA)):
+                lower = self.lower(b, beta)
+                assert abs(self.lower(b, beta, 48, 17) - lower) <= 2e-9, (b, beta)
+                assert lower <= upper, (b, beta)
+            for beta in (0.0, 1.0, 2.0):
+                res = compute_j(b, beta)
+                lower = self.lower(b, beta)
+                assert res.value <= lower <= res.value + 1.1 * res.error_estimate, (b, beta)
+
+    @pytest.mark.xfail(raises=AssertionError, reason="the uniform-grid BVP misses the "
+                       "layer: its value lies 5.3 to 10,500 bands below the bound")
+    def test_value_and_band_reach_the_lower_bound(self):
+        # Fails at all 12 points today.  At b = 2 the bounds are 0.83467132,
+        # 0.83249904, 0.83135101 and 0.83003684.
+        short = []
+        for b in self.B:
+            for beta in self.BETA:
+                res, lower = compute_j(b, beta), self.lower(b, beta)
+                if res.value + 1.1 * res.error_estimate < lower:
+                    short.append((b, beta, (lower - res.value) / res.error_estimate))
+        assert not short
