@@ -135,7 +135,6 @@ class _Search:
             self.knots = {BETA_MAX: self.floor}
         self.values = {}
         self.ends = None
-        self.solved_points = 0
         self.screened_points = 0
         self.max_gap = None
 
@@ -149,14 +148,12 @@ class _Search:
         value = self.values.get(beta)
         if value is None:
             value = self.values[beta] = _j_bvp_value(b, beta, n)
-            self.solved_points += 1
         return value
 
     def result(self, beta: float) -> JResult:
-        """``compute_j(b, beta)`` at a final bracket end, bit for bit: the
-        kept n = 4096 value and one solve on n/2 cells for its band."""
-        if self.spec is None:
-            return compute_j(self.b, beta)
+        """``compute_j(b, beta)``'s value and band at a final bracket end, bit
+        for bit: the kept n = 4096 value and one solve on n/2 cells for its
+        band (J = 0 and band 0 at b = 3, with no solve)."""
         return _with_band(self._j, "BVP_FLUX", self.b, beta, _DEFAULT_N)
 
     def nonneg(self, betas: np.ndarray) -> np.ndarray:
@@ -259,7 +256,7 @@ class _Search:
         self.max_gap = gap if self.max_gap is None else max(self.max_gap, gap)
 
     def counts(self) -> dict:
-        return dict(solved_points=self.solved_points, screened_points=self.screened_points,
+        return dict(solved_points=len(self.values), screened_points=self.screened_points,
                     max_gap=self.max_gap)
 
 

@@ -46,10 +46,10 @@ Discretization notes (constraints, not style):
 * The endpoint flux (w v')(0+) has a finite limit because the equation
   integrates it; it is recovered by quadratic extrapolation of the face
   fluxes through the three faces nearest the endpoint.
-* The BVP uses a cosine-stretched grid when |beta| is within 1e-9 of the
-  degenerate limit, to resolve the vanishing-weight endpoint, and when the
-  end layers of width sqrt((3-b)/b) near b = 3 are thinner than 16 cells of
-  the 4096-cell grid; the direct route only at the degenerate weight.
+* Both routes take one mesh rule (``_graded``): a cosine-stretched grid
+  when |beta| is within 1e-9 of the degenerate limit, to resolve the
+  vanishing-weight endpoint, and when the end layers of width
+  sqrt((3-b)/b) near b = 3 are thinner than 16 cells of the 4096-cell grid.
 """
 
 import math
@@ -66,6 +66,10 @@ from .kernel import (
 
 _DEFAULT_N = 4096
 _MIN_N = 64  # fewest grid cells of any J value and its band, b = 3 included
+# Most grid cells: 16x the 2^20 of perfbench's j-refine workload.  A solve on
+# n cells holds four n-float arrays, 512 MiB at this n; the check runs before
+# any of them is built, so a larger n is a ValueError, not a MemoryError.
+_MAX_N = 2**24
 _GAUSS_OFS = 0.5 / math.sqrt(3.0)  # the two-point Gauss rule's offset from a cell's middle
 
 _SPECTRAL_MODES = 16  # Legendre modes K of both spectral bounds
@@ -81,8 +85,9 @@ class ELSolution:
     """Solution of the Euler-Lagrange BVP on the interior nodes of (0, 1).
 
     ``flux0`` and ``flux1`` are the extrapolated limits of w*v_x at 0+ and
-    1-.  ``grid`` holds the interior nodes; they are cosine-graded at the
-    degenerate weight (``kernel.is_degenerate``) and for b near 3.
+    1-.  ``grid`` holds the interior nodes; they are cosine-graded by the
+    mesh rule both J routes take (``_graded``): at the degenerate weight
+    (``kernel.is_degenerate``) and for b near 3.
     """
 
     b: float
@@ -118,8 +123,10 @@ def _dptsv():
     # scipy.linalg` would take it from there without binding it as
     # scipy.linalg._flapack; that import loads it anew, and CPython builds
     # the new module from the first one's namespace (f2py modules use
-    # single-phase init), so it holds the same routine.  simulate and the
-    # closed-form estimates never solve, so they load no scipy.
+    # single-phase init), so it holds the same routine.  The closed-form
+    # estimates never solve, and load no scipy; nor does simulate given
+    # beta_b or the estimate criterion, but at its defaults it runs the
+    # threshold search first, which loads this extension.
     import importlib.util
     import os
     import sys
@@ -172,6 +179,16 @@ def spd_solve(diag, off, rhs, overwrite=False):
 def _check_n(n: int) -> None:
     if n < _MIN_N:
         raise ValueError(f"need n >= {_MIN_N} grid cells (got {n})")
+    if n > _MAX_N:
+        raise ValueError(f"need n <= {_MAX_N} grid cells (got {n})")
+
+
+def _graded(b: float, beta: float) -> bool:
+    # The mesh rule of both routes: graded at the degenerate weight, and
+    # where the end layers, of width sqrt((3-b)/b), are thinner than 16 cells
+    # of the 4096-cell grid.  It reads only b and beta, so a value and its
+    # Richardson companion are solved on like grids.
+    return bool(is_degenerate(beta)) or 3.0 - b < b * (16 / _DEFAULT_N) ** 2
 
 
 def _nodes(n: int, graded: bool) -> np.ndarray:
@@ -276,7 +293,7 @@ def _bvp_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
     return ends
 
 
-def _assemble(b: float, beta: float, n: int, graded: bool):
+def _assemble(b: float, beta: float, n: int):
     # The nodes x, the tridiagonal system (diag, off, rhs) of the BVP and,
     # for the end fluxes, the face weights and widths of the three faces at
     # each end.  Grids up to the search's n come from the memo, as one
@@ -284,6 +301,7 @@ def _assemble(b: float, beta: float, n: int, graded: bool):
     # system, so only x and the system are full-length, and the solver may
     # overwrite the system: at n = 2^20 each fresh 8 MB array costs about
     # 3 ms of page faults.
+    graded = _graded(b, beta)
     if n <= _DEFAULT_N:
         grid = _cached_grid(n, graded)
         x, blocks = grid.x, [(0, n - 1)]
@@ -331,11 +349,7 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     check_b(b, open_top=True)
     check_beta(beta)
-    # Graded also where the end layers, of width sqrt((3-b)/b), are thinner
-    # than 16 cells of the 4096-cell grid.  The rule reads only b and beta,
-    # so a value and its Richardson companion are solved on like grids.
-    graded = bool(is_degenerate(beta)) or 3.0 - b < b * (16 / 4096) ** 2
-    x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n, graded)
+    x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n)
     v = _solve(b, beta, n, diag, off, rhs)
 
     # The three faces at each end, closed by v(0) = v(1) = 0.
@@ -429,7 +443,7 @@ def _direct_system(b: float, beta: float, n: int):
     # and its right-hand side -f, built block by block (``_blocks``), so
     # only the nodes and the system are full-length; the nodes die with the
     # call.
-    x = _nodes(n, is_degenerate(beta))
+    x = _nodes(n, _graded(b, beta))
     diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
     for j0, j1 in _blocks(n, _BLOCK):
         _direct_block(b, beta, x[j0:j1 + 2], diag[j0:j1], off[j0:j1], rhs[j0:j1])
@@ -447,9 +461,11 @@ def _j_direct_value(b: float, beta: float, n: int) -> float:
 def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     """J via direct minimization of the quadratic functional (P1 elements).
 
-    Independent of the BVP route; b as in ``compute_j``, b = 3 included, where
-    the infimum is approached through endpoint boundary layers and the values
-    decrease toward it under refinement.  At the degenerate weight it
+    Independent of the BVP route, but on its mesh (``_graded``); b as in
+    ``compute_j``, b = 3 included, where the infimum 0 is approached through
+    endpoint boundary layers.  There the graded mesh resolves them: the
+    values fall fourfold per doubling of n, so the Richardson band matches
+    the error (both 5.9e-7 at n = 2048).  At the degenerate weight it
     converges at an order well below two, so its Richardson band there is
     not a bound: it understates the error (about 57x at b = 2.5, n = 2^20).
     """

@@ -112,6 +112,14 @@ class TestJ:
         assert (code, out) == (2, "")
         assert f"need n >= 64 grid cells (got {grid})" in err
 
+    @pytest.mark.parametrize("b", ["2", "3"])
+    def test_oversized_grid_refused_at_every_b(self, capsys, b):
+        # A domain error before any array is built, not a MemoryError (exit 3)
+        code, out, err = run_cli(capsys, "j", "--b", b, "--beta", "0.5",
+                                 "--grid", "100000000000")
+        assert (code, out) == (2, "")
+        assert "need n <= 16777216 grid cells (got 100000000000)" in err
+
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "j", "--b", "2")
         assert code == 1

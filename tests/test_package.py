@@ -92,6 +92,30 @@ def test_first_solve_loads_only_lapack():
     assert out.stdout.split() == ["True", "True", "True"]
 
 
+def _cli(*argv):
+    # The code that runs the command line on argv.
+    return f"from bfamily.cli import main; main({list(argv)!r})"
+
+
+_SIMULATE = ("simulate", "--b", "2", "--ic", "cos", "--n", "64", "--t-max", "0.001")
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(_cli("estimates", "--sweep", "1.5:2:3"), id="estimates"),
+    pytest.param(_cli(*_SIMULATE, "--beta-b", "0.5"), id="simulate-beta-b"),
+    pytest.param(_cli(*_SIMULATE, "--criterion-beta", "estimate"), id="simulate-estimate"),
+])
+def test_commands_that_never_solve_load_no_scipy(code):
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_default_simulate_loads_no_scipy_linalg():
+    # At its defaults simulate finds beta_b by the threshold search, whose
+    # solves load scipy's LAPACK extension, but still not scipy.linalg.
+    after = _scipy_modules_after(_cli(*_SIMULATE))
+    assert "'scipy'" in after and "scipy.linalg" not in after
+
+
 def test_version_read_from_package():
     # pyproject.toml writes no version of its own: setuptools reads
     # bfamily.__version__, the one the manifests record.

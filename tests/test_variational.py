@@ -116,11 +116,36 @@ class TestComputeJ:
             compute_j(b, 0.5, 63)
         assert compute_j(b, 0.5, 64).method == ("SPECIAL_B3" if b == 3.0 else "BVP_FLUX")
 
+    @pytest.mark.parametrize("compute, b", [
+        (compute_j, 2.0), (compute_j, 3.0), (compute_j_direct, 2.0), (compute_j_direct, 3.0),
+        (solve_euler_lagrange, 2.0), (solve_euler_lagrange, 2.999999),
+    ])
+    def test_grid_cap_refused_before_any_array(self, compute, b):
+        # 10^11 cells would ask for hundreds of GiB; the cap refuses them
+        # first, at b = 3 too, where compute_j needs no solve.
+        with pytest.raises(ValueError, match=r"need n <= 16777216 grid cells \(got 100000000000\)"):
+            compute(b, 0.5, 10**11)
+
     def test_b3_direct_refinement_decreases_to_zero(self):
+        # On the graded mesh the end layers are resolved: the values fall
+        # fourfold per doubling, as a second-order scheme's error does (the
+        # uniform mesh gave twofold).
         vals = [compute_j_direct(3.0, 0.5, n).value for n in (256, 512, 1024, 2048)]
         assert all(v > 0.0 for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 1e-3
+        ratios = [a / b for a, b in zip(vals, vals[1:])]
+        assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+        assert vals[-1] < 1e-6
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7])
+    def test_cross_oracle_near_b3(self, delta, beta):
+        # Both routes take one mesh rule, so near b = 3 the oracle resolves
+        # the end layers as the BVP does and agrees with it to C05's
+        # tolerance (measured: 0.67 BVP bands).
+        b = 3.0 - delta
+        bvp = compute_j_bvp(b, beta)
+        direct = compute_j_direct(b, beta)
+        assert abs(bvp.value - direct.value) <= max(1e-6, 10.0 * bvp.error_estimate)
 
     def test_monotone_chain_in_beta(self):
         j_top = compute_j(2.0, BETA_MAX).value
