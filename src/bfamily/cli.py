@@ -7,7 +7,8 @@ b or sweep), ``estimates`` (analytic bounds over a sweep), ``simulate``
 Sweeps are ``min:max:steps``, inclusive; ``beta-b`` takes exactly one of
 ``--b B`` (the one-row sweep ``B:B:1``) and ``--sweep``.  Every number a
 command takes must be finite, or it exits 2 with nothing written; a sweep
-must also run from min up to max.
+must also run from min up to max, in at most 2^20 steps, and in one step
+only where min = max (``MIN:MAX:1`` would drop max).
 
 Conventions: CSV files are UTF-8 with LF line endings, a header row, comma
 delimiter, RFC 4180 quoting of a cell that holds a comma, and floats

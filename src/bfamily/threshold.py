@@ -50,6 +50,9 @@ from .kernel import BETA_MAX, check_b, is_b3
 from .variational import _DEFAULT_N, JResult, SpectralJ, _j_bvp_value, _with_band, compute_j
 
 _DEFAULT_TOL = 1e-4
+# Most rows of a sweep: the grid is checked against this before it is built,
+# so a larger count is a ValueError, not a MemoryError.
+_MAX_SWEEP_STEPS = 2**20
 _SCAN_POINTS = 256
 
 # J margin of the screen: a sign counts as known when the enclosure, widened
@@ -333,11 +336,14 @@ def sweep_grid(b_min: float, b_max: float, steps: int) -> list[float]:
     """The b values of an inclusive sweep: ``steps`` points, both ends exact.
 
     ``beta-b`` and ``estimates`` share this grid, so their CSVs join on b.
-    It is also their one range rule: finite ends, ``b_min <= b_max`` and
-    ``steps >= 1``, or ``ValueError`` before any row is built.
+    It is also their one range rule: finite ends, ``b_min <= b_max``,
+    ``1 <= steps <= _MAX_SWEEP_STEPS`` and one step only where the ends meet,
+    or ``ValueError`` before any row is built.
     """
-    if not (math.isfinite(b_min) and math.isfinite(b_max) and b_min <= b_max and steps >= 1):
-        raise ValueError("sweep needs finite ends with b_min <= b_max and steps >= 1 "
+    if not (math.isfinite(b_min) and math.isfinite(b_max) and b_min <= b_max
+            and 1 <= steps <= _MAX_SWEEP_STEPS and (steps > 1 or b_min == b_max)):
+        raise ValueError(f"sweep needs finite ends with b_min <= b_max, 1 <= steps <= "
+                         f"{_MAX_SWEEP_STEPS}, and steps > 1 unless b_min == b_max "
                          f"(got {b_min}:{b_max}:{steps})")
     return np.linspace(b_min, b_max, steps).tolist()
 

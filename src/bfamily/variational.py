@@ -17,13 +17,14 @@ independent routes are provided:
 The BVP route is the production path, also at the degenerate weight; the
 direct minimization is kept as an independent oracle.  Both return through
 one shell, which checks beta, solves at n and at the companion grid of the
-Richardson band, and builds the ``JResult``.  Above the threshold search's
-n = 4096, whose grids are memoized, both routes build their tridiagonal
-system per call, block by block from slices of the nodes, with the
-operations of the plain array expressions in their order, so the bits are
-those of the expressions.  The solver overwrites the system in place, so
-four full-length arrays are alive at once besides a few block-sized
-temporaries, and a J evaluation keeps none of them.
+Richardson band, and builds the ``JResult``.  One builder (``_system``)
+assembles either route's tridiagonal system from the route's block function.
+Up to the threshold search's n = 4096 both read the memoized grid, as one
+block; above it the system is built per call, block by block from slices of
+the nodes, with the operations of the plain array expressions in their
+order, so the bits are those of the expressions.  The solver overwrites the
+system in place, so four full-length arrays are alive at once besides a few
+block-sized temporaries, and a J evaluation keeps none of them.
 
 ``SpectralJ`` encloses J between two spectral bounds (Prager and Synge's
 two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
@@ -54,7 +55,7 @@ Discretization notes (constraints, not style):
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,7 +215,7 @@ def _nodes(n: int, graded: bool) -> np.ndarray:
 _BLOCK = 2**14
 
 
-def _blocks(n: int, size: int):
+def _blocks(n: int):
     # (j0, j1) for each block of the n - 1 unknowns: unknowns j0 .. j1-1,
     # which are the nodes j0+1 .. j1, so the block reads the nodes j0 .. j1+1
     # and the cells j0 .. j1, one cell shared with the block before.  A last
@@ -222,44 +223,73 @@ def _blocks(n: int, size: int):
     # least three cells, as the end fluxes read at each end.
     j0 = 0
     while j0 < n - 1:
-        j1 = j0 + size if j0 + size < n - 2 else n - 1
+        j1 = j0 + _BLOCK if j0 + _BLOCK < n - 2 else n - 1
         yield j0, j1
         j0 = j1
 
 
-@dataclass(frozen=True)
 class _Grid:
-    """The beta-independent arrays of the BVP on a run of cells: nodes x,
+    """The beta-independent arrays of either route on a run of cells: nodes x,
     cell widths h, the node shares 0.5 (h[:-1] + h[1:]) of the inner nodes,
-    and cosh(x - 1/2), sinh(x - 1/2), from which every weight is built."""
+    and cosh(x - 1/2), sinh(x - 1/2) of the BVP's weight.  All but x are
+    built when first read: the direct route reads x and h only."""
 
-    x: np.ndarray
-    h: np.ndarray
-    share: np.ndarray
-    cosh: np.ndarray
-    sinh: np.ndarray
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return np.diff(self.x)
+
+    @cached_property
+    def share(self) -> np.ndarray:
+        share = self.h[:-1] + self.h[1:]
+        share *= 0.5
+        return share
+
+    @cached_property
+    def cosh(self) -> np.ndarray:
+        return np.cosh(self.x - 0.5)
+
+    @cached_property
+    def sinh(self) -> np.ndarray:
+        return np.sinh(self.x - 0.5)
 
     def weight(self, beta: float) -> np.ndarray:
         return _weight_from_terms(beta * self.sinh, self.cosh)
 
 
-def _grid(x: np.ndarray) -> _Grid:
-    h = np.diff(x)
-    share = h[:-1] + h[1:]
-    share *= 0.5
-    y = x - 0.5
-    return _Grid(x, h, share, np.cosh(y), np.sinh(y))
-
-
-# The threshold search solves on n = 4096 and 2048 cells, uniform or graded:
-# four grids of ~160 kB each.  Larger grids are not kept, so a refinement
-# study does not pin them in memory.
+# Both routes' grids up to n = 4096, sized for the threshold search's n = 4096
+# and 2048, uniform or graded: four grids of ~160 kB each, built once and
+# shared read-only.  Larger grids are not kept, so a refinement study does not
+# pin them in memory.  The benchmark's direct route starts at n = 2^14, so its
+# traffic on the memo is the search's alone.
 @lru_cache(maxsize=4)
 def _cached_grid(n: int, graded: bool) -> _Grid:
-    grid = _grid(_nodes(n, graded))
-    for a in vars(grid).values():
-        a.flags.writeable = False  # shared by every solve on this grid
+    grid = _Grid(_nodes(n, graded))
+    for a in (grid.x, grid.h, grid.share, grid.cosh, grid.sinh):
+        a.flags.writeable = False
     return grid
+
+
+def _system(block, b: float, beta: float, n: int):
+    # The nodes x and the tridiagonal system (diag, off, rhs) of either
+    # route, with what ``block`` returned for each block, in order.  Grids up
+    # to the search's n come from the memo, as one block.  Larger ones are
+    # built block by block (``_blocks``) into the system, so only x and the
+    # system are full-length, and the solver may overwrite the system: at
+    # n = 2^20 each fresh 8 MB array costs about 3 ms of page faults.
+    graded = _graded(b, beta)
+    if n <= _DEFAULT_N:
+        grid = _cached_grid(n, graded)
+        x, blocks = grid.x, [(0, n - 1)]
+    else:
+        grid, x = None, _nodes(n, graded)
+        blocks = _blocks(n)
+    diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
+    parts = [block(b, beta, _Grid(x[j0:j1 + 2]) if grid is None else grid,
+                   diag[j0:j1], off[j0:j1], rhs[j0:j1]) for j0, j1 in blocks]
+    return x, diag, off, rhs, parts
 
 
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
@@ -277,10 +307,10 @@ def _bvp_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
     # The rows of the BVP's system for the unknowns of one block, written
     # into the block's slices of diag, off and rhs from the block's grid.
     # Returns the face weights and widths of the three faces at each end of
-    # the block.
+    # the block, head and tail.
     w = grid.weight(beta)
     a = _face_weights(w)
-    ends = a[:3].tolist(), grid.h[:3].tolist(), a[-3:].tolist(), grid.h[-3:].tolist()
+    ends = (a[:3].tolist(), grid.h[:3].tolist()), (a[-3:].tolist(), grid.h[-3:].tolist())
     a *= 3.0 - b
     a /= grid.h                                 # face conductances
     q = w[1:-1]                                 # inner node masses b w share
@@ -291,30 +321,6 @@ def _bvp_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
     np.negative(a[1:off.size + 1], out=off)
     np.negative(q, out=rhs)
     return ends
-
-
-def _assemble(b: float, beta: float, n: int):
-    # The nodes x, the tridiagonal system (diag, off, rhs) of the BVP and,
-    # for the end fluxes, the face weights and widths of the three faces at
-    # each end.  Grids up to the search's n come from the memo, as one
-    # block.  Larger ones are built block by block (``_blocks``) into the
-    # system, so only x and the system are full-length, and the solver may
-    # overwrite the system: at n = 2^20 each fresh 8 MB array costs about
-    # 3 ms of page faults.
-    graded = _graded(b, beta)
-    if n <= _DEFAULT_N:
-        grid = _cached_grid(n, graded)
-        x, blocks = grid.x, [(0, n - 1)]
-    else:
-        grid, x = None, _nodes(n, graded)
-        blocks = _blocks(n, _BLOCK)
-    diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
-    for j0, j1 in blocks:
-        ends = _bvp_block(b, beta, _grid(x[j0:j1 + 2]) if grid is None else grid,
-                          diag[j0:j1], off[j0:j1], rhs[j0:j1])
-        if j0 == 0:
-            head = ends[:2]
-    return x, diag, off, rhs, (*head, *ends[2:])
 
 
 def _extrapolate_to(x0: float, xs, ys) -> float:
@@ -349,8 +355,10 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     check_b(b, open_top=True)
     check_beta(beta)
-    x, diag, off, rhs, (wf0, h0, wf1, h1) = _assemble(b, beta, n)
+    x, diag, off, rhs, ends = _system(_bvp_block, b, beta, n)
     v = _solve(b, beta, n, diag, off, rhs)
+    (wf0, h0), _ = ends[0]
+    _, (wf1, h1) = ends[-1]
 
     # The three faces at each end, closed by v(0) = v(1) = 0.
     flux0 = _end_flux(0.0, x[:4].tolist(), wf0, h0, [0.0] + v[:3].tolist())
@@ -379,19 +387,6 @@ def compute_j_bvp(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     return _with_band(_j_bvp_value, "BVP_FLUX", b, beta, n)
 
 
-def _gauss_weights(beta: float, x: np.ndarray):
-    # The cell widths h of the nodes x and the weight at the two Gauss
-    # points x + (1/2 -+ 1/(2 sqrt 3)) h of each cell.
-    h = np.diff(x)
-    weights = []
-    for c in (0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS):
-        y = h * c
-        y += x[:-1]                             # the Gauss point
-        y -= 0.5
-        weights.append(_offset_weight(y, beta))
-    return h, *weights
-
-
 def _gauss_sum(half_h, w1, c1, w2, c2, d1=None, d2=None):
     # The element integral 0.5 h (w1 c1 d1 + w2 c2 d2), or without the d's,
     # by the two-point rule; one array besides its result.
@@ -405,11 +400,17 @@ def _gauss_sum(half_h, w1, c1, w2, c2, d1=None, d2=None):
     return t
 
 
-def _direct_block(b: float, beta: float, x, diag, off, rhs):
-    # The rows of the direct route's system for the unknowns of one block,
-    # from the block's nodes x, written into the block's slices of diag, off
-    # and rhs; each element matrix or load is summed in once it is complete.
-    h, w1, w2 = _gauss_weights(beta, x)
+def _direct_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
+    # The rows of the direct route's P1 system for the unknowns of one block,
+    # written into the block's slices of diag, off and rhs from the block's
+    # grid.  With s = 3 - b,
+    #   diag = b (m_rr[:-1] + m_ll[1:]) + s (k[:-1] + k[1:]),
+    #   off = b m_lr[1:-1] - s k[1:-1],   f = b (f_r[:-1] + f_l[1:]),
+    # and rhs = -f; each element matrix or load is summed in once it is
+    # complete, and the weight is taken at the two Gauss points
+    # x + (1/2 -+ 1/(2 sqrt 3)) h of each cell.
+    w1, w2 = (_offset_weight(grid.h * c + grid.x[:-1] - 0.5, beta)
+              for c in (0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS))
     pl1, pl2 = 0.5 + _GAUSS_OFS, 0.5 - _GAUSS_OFS   # left hat at the two Gauss points
     pr1, pr2 = 0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS
     s = 3.0 - b
@@ -417,8 +418,8 @@ def _direct_block(b: float, beta: float, x, diag, off, rhs):
 
     k = w1 + w2                              # local stiffness (sign applied below)
     k *= 0.5
-    k /= h
-    h *= 0.5
+    k /= grid.h
+    h = grid.h * 0.5
     np.add(_gauss_sum(h, w1, pr1, w2, pr2, pr1, pr2)[:-1],        # m_rr
            _gauss_sum(h, w1, pl1, w2, pl2, pl1, pl2)[1:], out=diag)  # m_ll
     diag *= b
@@ -436,22 +437,8 @@ def _direct_block(b: float, beta: float, x, diag, off, rhs):
     np.negative(fvec, out=rhs)
 
 
-def _direct_system(b: float, beta: float, n: int):
-    # The P1 system of the direct route, with s = 3 - b,
-    #   diag = b (m_rr[:-1] + m_ll[1:]) + s (k[:-1] + k[1:]),
-    #   off = b m_lr[1:-1] - s k[1:-1],   f = b (f_r[:-1] + f_l[1:]),
-    # and its right-hand side -f, built block by block (``_blocks``), so
-    # only the nodes and the system are full-length; the nodes die with the
-    # call.
-    x = _nodes(n, _graded(b, beta))
-    diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
-    for j0, j1 in _blocks(n, _BLOCK):
-        _direct_block(b, beta, x[j0:j1 + 2], diag[j0:j1], off[j0:j1], rhs[j0:j1])
-    return diag, off, rhs
-
-
 def _j_direct_value(b: float, beta: float, n: int) -> float:
-    diag, off, rhs = _direct_system(b, beta, n)
+    _, diag, off, rhs, _ = _system(_direct_block, b, beta, n)
     v = _solve(b, beta, n, diag, off, rhs.copy())   # rhs . v reads rhs
     # 0.5 b + 0.5 f.v with f = -rhs, to the bit: negation commutes with every
     # rounding of the sum.

@@ -537,8 +537,10 @@ def test_non_finite_number_writes_nothing(capsys, tmp_path, command, flag, value
 
 
 @pytest.mark.parametrize("spec, want", [
-    ("1.5:2:2", 0),
+    ("1.5:2:2", 0), ("2:2:1", 0),
     ("2:1.5:3", 2), ("nan:2:3", 2), ("1.5:inf:3", 2),
+    # one step drops max; 10^12 steps exceed the row cap
+    ("1.5:2:1", 2), ("1.5:2:1000000000000", 2),
     ("1.5:2:0", 1), ("1.5:2", 1), ("a:b:3", 1),
 ])
 def test_sweep_commands_share_range_check(capsys, tmp_path, spec, want):

@@ -38,6 +38,26 @@ class TestFDiscriminant:
         assert expected == pytest.approx(3.182694376831169, abs=1e-12)
 
 
+class _NoEnclosure:
+    # proves no sign, so every J of the search comes from the fake
+    def __init__(self, b):
+        pass
+
+    def upper(self, beta):
+        return np.full(np.shape(beta), np.inf)
+
+    def lower(self, beta):
+        return np.full(np.shape(beta), -np.inf)
+
+
+def _search_on(monkeypatch, j_value):
+    # The threshold search with j_value(b, beta, n) as its every J.
+    monkeypatch.setattr(threshold, "_j_bvp_value", j_value)
+    monkeypatch.setattr(threshold, "SpectralJ", _NoEnclosure)
+    # and no floor: L(b) would prove signs the fake contradicts
+    monkeypatch.setattr(threshold, "extreme_weight_j", lambda b: -np.inf)
+
+
 class TestComputeBetaB:
     def test_b3_anchor(self):
         res = compute_beta_b(3.0)
@@ -90,26 +110,22 @@ class TestComputeBetaB:
             f = 1.0 if beta >= 1.0 else f_below
             return 1.0 + 0.5 * (f - beta * beta) + (0.015 if n < 4096 else 0.0)
 
-        class NoEnclosure:
-            # proves no sign, so every J of the search comes from the fake
-            def __init__(self, b):
-                pass
-
-            def upper(self, beta):
-                return np.full(np.shape(beta), np.inf)
-
-            def lower(self, beta):
-                return np.full(np.shape(beta), -np.inf)
-
-        monkeypatch.setattr(threshold, "_j_bvp_value", fake)
-        monkeypatch.setattr(threshold, "SpectralJ", NoEnclosure)
-        # and no floor: L(b) would prove signs the fake's step contradicts
-        monkeypatch.setattr(threshold, "extreme_weight_j", lambda b: -np.inf)
+        _search_on(monkeypatch, fake)
         res = compute_beta_b(2.0)
         assert res.status == status
         assert [res.band_lo, res.band_hi] == pytest.approx([1e-2, 1e-2], rel=1e-9)
         if status == STATUS_FINITE:
             assert res.beta_b - res.uncertainty < 1.0 <= res.beta_b
+
+    def test_nonneg_at_scan_start_is_undetermined(self, monkeypatch):
+        # F(2, beta) = 1 >= 0 at every scan point, beta = 0 included, where
+        # it is negative analytically: no bracket, so no verdict and no
+        # certificate.  Without the first point's guard the bracket would be
+        # [betas[-1], betas[0]] = [BETA_MAX, 0].
+        _search_on(monkeypatch, lambda b, beta, n: 1.0 + 0.5 * (1.0 - beta * beta))
+        res = compute_beta_b(2.0)
+        assert (res.status, res.sign_reversal_above) == (STATUS_UNDETERMINED, False)
+        assert (res.f_lo, res.band_lo, res.f_hi, res.band_hi) == (None, None, None, None)
 
     @pytest.mark.parametrize("b", [1.5, 2.0, 2.9])
     def test_certificate_on_result(self, b):
@@ -505,3 +521,11 @@ class TestSweep:
     def test_grid_is_linspace(self):
         assert threshold.sweep_grid(1.28, 3.0, 100) == np.linspace(1.28, 3.0, 100).tolist()
         assert threshold.sweep_grid(1.5, 1.5, 1) == [1.5]
+
+    @pytest.mark.parametrize("b_min, b_max, steps", [(1.5, 2.0, 1), (1.5, 2.0, 10**12)])
+    def test_grid_refuses_steps_its_range_cannot_take(self, b_min, b_max, steps):
+        # One step would drop b_max from an inclusive sweep; 10^12 steps
+        # exceed the row cap and are refused before any array is built.
+        for build in (threshold.sweep_grid, sweep):
+            with pytest.raises(ValueError, match="steps"):
+                build(b_min, b_max, steps)

@@ -296,6 +296,28 @@ class TestSearchGrid:
         assert (cached.flux0, cached.flux1) == (fresh.flux0, fresh.flux1)
         assert np.array_equal(cached.v, fresh.v)
         assert not cached.grid.flags.writeable
+        # The direct route reads the same memo: its n = 4096 grid is a hit,
+        # the 2048 of its band a new entry; above the memo's n it adds none.
+        compute_j_direct(2.0, 0.5)
+        info = vmod._cached_grid.cache_info()
+        assert (info.hits, info.currsize) == (2, 2)
+        vmod._j_direct_value(2.0, 0.5, 8192)
+        assert vmod._cached_grid.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (1.01, -1.3), (2.5, BETA_MAX), (3.0, 0.5)])
+    def test_direct_route_bit_identical_on_memoized_grids(self, b, beta, n):
+        # Up to the memo's n the direct route solves on the memoized grid,
+        # uniform or graded (the degenerate weight, b = 3); its value and
+        # band are the bits of the written-out assembly.  At n = 64 the
+        # band's companion is 2n.
+        graded = vmod._graded(b, beta)
+        assert graded == (beta == BETA_MAX or b == 3.0)
+        n2, factor = (n // 2, 1.0 / 3.0) if n > 64 else (2 * n, 4.0 / 3.0)
+        value = _per_call_j_direct(b, beta, n, graded)
+        band = factor * abs(value - _per_call_j_direct(b, beta, n2, graded))
+        res = compute_j_direct(b, beta, n)
+        assert (res.value, res.error_estimate) == (value, band)
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_grid_weight_is_profile_weight(self, graded):
