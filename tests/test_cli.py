@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -409,6 +410,25 @@ class TestSimulate:
         got_rows = _series(tmp_path / "run.series.csv")
         assert len(got_rows) == len(want_rows)
         _assert_close(got_rows, want_rows)
+
+    def test_criterion_points_as_asdict(self, capsys, tmp_path, monkeypatch):
+        # The written points are dataclasses.asdict of the report's points.
+        reports = []
+
+        def keep(*args, _fn=cli.sim_mod.integrate, **kwargs):
+            traj, rep = _fn(*args, **kwargs)
+            reports.append(rep)
+            return traj, rep
+
+        monkeypatch.setattr(cli.sim_mod, "integrate", keep)
+        code, _, _ = run_cli(capsys, "simulate", "--b", "2", "--ic", "cos", "--n", "256",
+                             "--t-max", "0.01", "--beta-b", "0.51328",
+                             "--out", str(tmp_path / "run"))
+        assert code == 0
+        got = json.loads((tmp_path / "run.report.json").read_text())["criterion_points"]
+        want = [dataclasses.asdict(p) for p in reports[0].criterion_points]
+        assert len(want) > 10
+        assert got == want
 
     @pytest.mark.parametrize("bad", ["--amp=nan", "--beta-b=-inf", "--beta-b=-1", "--beta-b=0"])
     def test_bad_input_writes_no_file(self, capsys, tmp_path, bad):
