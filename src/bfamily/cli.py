@@ -13,10 +13,11 @@ only where min = max (``MIN:MAX:1`` would drop max).
 Conventions: CSV files are UTF-8 with LF line endings, a header row, comma
 delimiter, RFC 4180 quoting of a cell that holds a comma, and floats
 rendered with Python's shortest round-trip repr; JSON objects have a fixed
-key order.  Exit codes: 0 success, 1 usage error, 2 domain error,
-3 internal error.  Relative output paths are resolved against
-``BFAMILY_OUT_DIR`` when that variable is set.  Every invocation that writes
-files also writes a ``<stem>.manifest.json`` referencing them.
+key order.  Exit codes: 0 success, 1 usage error, 2 domain error or an
+unwritable output, 3 internal error.  Output paths are resolved before the
+command computes, a relative one against ``BFAMILY_OUT_DIR`` when that is
+set.  Every invocation that writes files also writes a
+``<stem>.manifest.json`` referencing them.
 """
 
 import argparse
@@ -68,13 +69,17 @@ def _fmt(value) -> str:
 
 
 def _resolve_out(path: str) -> str:
-    # Once per output path: the result is final, never resolved again.
+    # Once per output path, before the command computes; the result is final.
+    # Its nearest existing ancestor must be a directory: the ones below it are
+    # made with the files (_write_files), so a refused command makes none.
     base = os.environ.get("BFAMILY_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    existing = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValueError(f"cannot write {path}: {existing} is not a directory")
     return path
 
 
@@ -100,8 +105,12 @@ def _write_files(args, stem: str, files: dict, row_status=None) -> None:
     if row_status is not None:
         manifest["row_status"] = row_status
     for path, text in {**files, stem + ".manifest.json": _dump_json(manifest)}.items():
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_sweep(text: str):
@@ -128,13 +137,12 @@ def _csv_lines(header, rows) -> str:
     return buf.getvalue()
 
 
-def _write_table(args, header, rows, statuses) -> int:
-    # The CSV to stdout or --out (with its manifest); exit 0 if any row is ok.
+def _write_table(args, path, header, rows, statuses) -> int:
+    # The CSV to stdout or to path (with its manifest); exit 0 if any row is ok.
     text = _csv_lines(header, rows)
-    if args.out is None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        path = _resolve_out(args.out)
         _write_files(args, os.path.splitext(path)[0], {path: text}, statuses)
     return EXIT_OK if any(s["status"] != "error" for s in statuses) else EXIT_DOMAIN
 
@@ -143,11 +151,11 @@ def _write_table(args, header, rows, statuses) -> int:
 
 
 def _cmd_j(args) -> int:
+    path = _resolve_out(args.json) if args.json else None
     text = _dump_json(dataclasses.asdict(compute_j(args.b, args.beta, n=args.grid)))
-    sys.stdout.write(text)
-    if args.json:
-        path = _resolve_out(args.json)
+    if path:  # files first: one that cannot be written leaves stdout empty
         _write_files(args, os.path.splitext(path)[0], {path: text})
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -163,6 +171,7 @@ def _est_cell(e):
 def _cmd_beta_b(args) -> int:
     # --b B is the one-row sweep B:B:1
     lo, hi, steps = (args.b, args.b, 1) if args.sweep is None else _parse_sweep(args.sweep)
+    path = _resolve_out(args.out) if args.out else None
     rows, statuses = [], []
     for row in thr_mod.sweep(lo, hi, steps, tol=args.tol):
         r = row.result
@@ -173,7 +182,7 @@ def _cmd_beta_b(args) -> int:
             rows.append([row.b, r.beta_b, r.status, r.uncertainty,
                          _est_cell(row.est1), _est_cell(row.est2), _est_cell(row.est3)])
             statuses.append({"b": row.b, "status": r.status})
-    return _write_table(args, _BETAB_HEADER, rows, statuses)
+    return _write_table(args, path, _BETAB_HEADER, rows, statuses)
 
 
 _EST_HEADER = [
@@ -184,6 +193,7 @@ _EST_HEADER = [
 
 def _cmd_estimates(args) -> int:
     lo, hi, steps = _parse_sweep(args.sweep)
+    path = _resolve_out(args.out) if args.out else None
     th = est_mod.thresholds()
     rows, statuses = [], []
     for b in thr_mod.sweep_grid(lo, hi, steps):
@@ -198,7 +208,7 @@ def _cmd_estimates(args) -> int:
             rows.append([b, None, None, None, None, None, None,
                          th["alpha"], th["gamma"], f"ERROR:{exc}"])
             statuses.append({"b": b, "status": "error", "detail": str(exc)})
-    return _write_table(args, _EST_HEADER, rows, statuses)
+    return _write_table(args, path, _EST_HEADER, rows, statuses)
 
 
 # The --ic presets in --help order; "fourier", from --coeffs, comes last.
@@ -230,6 +240,7 @@ def _cmd_simulate(args) -> int:
         blowup_slope_threshold=args.slope_threshold,
         dealias=not args.no_dealias,
     )
+    stem = _resolve_out(args.out) if args.out else None
     beta_b = args.beta_b
     if beta_b is None:
         if args.criterion_beta == "estimate":
@@ -256,15 +267,13 @@ def _cmd_simulate(args) -> int:
         "criterion_points": [dict(vars(p)) for p in report.criterion_points],
     }
     text = _dump_json(payload)
-    sys.stdout.write(text)
-
-    if args.out:
-        stem = _resolve_out(args.out)
+    if stem:  # files first, as in ``j``
         _write_files(args, stem, {
             stem + ".report.json": text,
             stem + ".series.csv": _csv_lines(sim_mod.SERIES_COLUMNS,
                                              trajectory.history.tolist()),
         })
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -53,19 +53,27 @@ _OVERFLOW_LIMIT = 1e8
 # The fields of a run's step record, in order; also the series CSV header.
 SERIES_COLUMNS = ("t", "min_slope", "mean", "h1_energy", "tail_fraction")
 
+# Most grid points, J's cap: a run peaks at about 23 n-float arrays
+# (tracemalloc at n = 2^14 and 2^16), 3 GB here.  The rule is checked before
+# any array is built, so a larger n is a ValueError, not a MemoryError.
+_MAX_N = 2**24
+
+
+def _check_n(n: int) -> None:
+    if n < 8 or n & (n - 1) or n > _MAX_N:
+        raise ValueError(f"need a power-of-two grid of 8 to {_MAX_N} samples (got {n})")
+
 
 @dataclass
 class TorusField:
-    """Real 1-periodic field sampled at x_j = j/N, N a power of two."""
+    """Real 1-periodic field sampled at x_j = j/N, N a power of two from 8 to 2^24."""
 
     values: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        n = self.values.shape[0] if self.values.ndim == 1 else 0
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError("need >= 8 samples on a power-of-two grid")
+        _check_n(self.values.shape[0] if self.values.ndim == 1 else 0)
         if not math.isfinite(self.time):
             raise ValueError(f"time must be finite (got {self.time})")
 
@@ -86,6 +94,7 @@ class TorusField:
 
     @classmethod
     def constant(cls, c: float, n: int) -> "TorusField":
+        _check_n(n)
         return cls(values=np.full(n, float(c)))
 
     @classmethod
@@ -101,6 +110,7 @@ class TorusField:
     def from_coefficients(cls, cos_coeffs, sin_coeffs, n: int) -> "TorusField":
         """u = sum_k cos_coeffs[k] cos(2 pi k x) + sin_coeffs[k] sin(2 pi k x),
         summed in order, cosines first; the mode-0 sine coefficient is ignored."""
+        _check_n(n)
         x = np.arange(n) / n
         u = np.zeros_like(x)
         for k, c in enumerate(np.asarray(cos_coeffs, dtype=np.float64)):
@@ -313,8 +323,8 @@ def step(u: TorusField, b: float, dt: float, dealias: bool = True) -> TorusField
 
 
 # Huge data overflow in the transform and the squares, as in ``integrate``:
-# these two diagnostics, and ``lifespan_bound`` through ``check_criterion``,
-# then return inf or nan, or no bound, without numpy warnings.
+# these diagnostics, ``check_convolution_bound`` and ``lifespan_bound`` (by
+# ``check_criterion``) return inf or nan, or no bound, without numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def conserved_quantities(u: TorusField) -> ConservedQuantities:
     """Spatial mean and the average of u^2 + u_x^2 (conserved only at b=2)."""
@@ -351,6 +361,7 @@ def lifespan_bound(u0: TorusField, b: float, beta_b: float) -> Optional[float]:
     return _bound_over_points(check_criterion(u0, beta_b), b, beta_b)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_convolution_bound(u: TorusField, b: float, beta: float) -> ConvolutionBoundReport:
     """Slack of (p + beta*p') * (b/2 u^2 + (3-b)/2 u_x^2) >= J(b, beta) u^2 at
     the grid points of u, with u_x from its spectrum: its minimum, and where."""

@@ -11,8 +11,8 @@ independent routes are provided:
   value problem (3-b) (w v')' = b w (v + 1), v(0) = v(1) = 0, and evaluate
   the boundary-flux identity J = (3-b)/2 * [(w v')(1-) - (w v')(0+)].
 * ``compute_j_direct``: minimize the discretized quadratic functional over
-  piecewise-linear v vanishing at both endpoints and read off
-  J = b/2 + T(v_min).
+  piecewise-linear v vanishing at both endpoints, its cell matrices those of
+  the two-point Gauss rule in closed form, and read off J = b/2 + T(v_min).
 
 The BVP route is the production path, also at the degenerate weight; the
 direct minimization is kept as an independent oracle.  Both return through
@@ -21,10 +21,10 @@ Richardson band, and builds the ``JResult``.  One builder (``_system``)
 assembles either route's tridiagonal system from the route's block function.
 Up to the threshold search's n = 4096 both read the memoized grid, as one
 block; above it the system is built per call, block by block from slices of
-the nodes, with the operations of the plain array expressions in their
-order, so the bits are those of the expressions.  The solver overwrites the
-system in place, so four full-length arrays are alive at once besides a few
-block-sized temporaries, and a J evaluation keeps none of them.
+the nodes.  A row reads only its own cells, so its bits do not depend on the
+blocks.  The solver overwrites the system in place, so four full-length
+arrays are alive at once besides a few block-sized temporaries, and a J
+evaluation keeps none of them.
 
 ``SpectralJ`` encloses J between two spectral bounds (Prager and Synge's
 two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
@@ -387,54 +387,31 @@ def compute_j_bvp(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
     return _with_band(_j_bvp_value, "BVP_FLUX", b, beta, n)
 
 
-def _gauss_sum(half_h, w1, c1, w2, c2, d1=None, d2=None):
-    # The element integral 0.5 h (w1 c1 d1 + w2 c2 d2), or without the d's,
-    # by the two-point rule; one array besides its result.
-    t = w1 * c1
-    u = w2 * c2
-    if d1 is not None:
-        t *= d1
-        u *= d2
-    t += u
-    t *= half_h
-    return t
-
-
 def _direct_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
     # The rows of the direct route's P1 system for the unknowns of one block,
     # written into the block's slices of diag, off and rhs from the block's
-    # grid.  With s = 3 - b,
-    #   diag = b (m_rr[:-1] + m_ll[1:]) + s (k[:-1] + k[1:]),
-    #   off = b m_lr[1:-1] - s k[1:-1],   f = b (f_r[:-1] + f_l[1:]),
-    # and rhs = -f; each element matrix or load is summed in once it is
-    # complete, and the weight is taken at the two Gauss points
-    # x + (1/2 -+ 1/(2 sqrt 3)) h of each cell.
+    # grid.  The two-point Gauss rule takes the weight at x + (1/2 -+ g) h,
+    # g = 1/(2 sqrt 3), as w1 and w2, where the hats are 1/2 +- g.  As
+    # (1/2 -+ g)^2 = 1/3 -+ g and (1/2 + g)(1/2 - g) = 1/6, a cell's element
+    # matrices come from three cell arrays, m = h (w1 + w2)/6, the tilt
+    # e = h (w2 - w1) g/2 and k = (w1 + w2)/(2h): mass [[m - e, m/2],
+    # [m/2, m + e]], stiffness k [[1, -1], [-1, 1]], load (3m/2 - e, 3m/2 + e).
     w1, w2 = (_offset_weight(grid.h * c + grid.x[:-1] - 0.5, beta)
               for c in (0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS))
-    pl1, pl2 = 0.5 + _GAUSS_OFS, 0.5 - _GAUSS_OFS   # left hat at the two Gauss points
-    pr1, pr2 = 0.5 - _GAUSS_OFS, 0.5 + _GAUSS_OFS
-    s = 3.0 - b
-    m = off.size
-
-    k = w1 + w2                              # local stiffness (sign applied below)
-    k *= 0.5
-    k /= grid.h
-    h = grid.h * 0.5
-    np.add(_gauss_sum(h, w1, pr1, w2, pr2, pr1, pr2)[:-1],        # m_rr
-           _gauss_sum(h, w1, pl1, w2, pl2, pl1, pl2)[1:], out=diag)  # m_ll
-    diag *= b
+    s, m = 3.0 - b, off.size
+    k = w1 + w2
+    tilt = np.subtract(w2, w1, out=w2)
+    tilt *= grid.h * (0.5 * _GAUSS_OFS)
+    mass = np.multiply(k, grid.h, out=w1)
+    mass /= 6.0
+    k /= 2.0 * grid.h
+    pair, skew = mass[:-1] + mass[1:], tilt[:-1] - tilt[1:]
+    np.multiply(pair + skew, b, out=diag)
     diag += s * (k[:-1] + k[1:])
-    np.multiply(_gauss_sum(h, w1, pl1, w2, pl2, pr1, pr2)[1:m + 1], b, out=off)  # m_lr
-    k *= s
-    off -= k[1:m + 1]
-    fvec = _gauss_sum(h, w1, pr1, w2, pr2)[:-1]                # f_r
-    w1 *= pl1                                                   # f_l
-    w2 *= pl2
-    w1 += w2
-    w1 *= h
-    fvec += w1[1:]
-    fvec *= b
-    np.negative(fvec, out=rhs)
+    np.subtract(0.5 * b * mass[1:m + 1], s * k[1:m + 1], out=off)
+    pair *= 1.5
+    pair += skew
+    np.multiply(pair, -b, out=rhs)
 
 
 def _j_direct_value(b: float, beta: float, n: int) -> float:

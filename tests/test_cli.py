@@ -432,8 +432,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", ["--amp=nan", "--beta-b=-inf", "--beta-b=-1", "--beta-b=0"])
     def test_bad_input_writes_no_file(self, capsys, tmp_path, bad):
+        # Not even the directory of the output: it is made with the files.
         code, out, _ = run_cli(capsys, "simulate", "--b", "2", "--ic", "cos", "--n", "64",
-                               bad, "--out", str(tmp_path / "run"))
+                               bad, "--out", str(tmp_path / "sub" / "run"))
         assert code == 2
         assert out == ""
         assert list(tmp_path.iterdir()) == []
@@ -452,6 +453,16 @@ class TestSimulate:
         manifest = _manifest(tmp_path / "out" / "run.manifest.json")
         assert manifest["outputs"] == [os.path.join("out", "run.report.json"),
                                        os.path.join("out", "run.series.csv")]
+
+    @pytest.mark.parametrize("n", [2**40, 2**25])
+    def test_grid_cap_refused_before_any_array(self, capsys, tmp_path, n):
+        # 2^40 points (8 TiB a row) and twice the 2^24 cap are refused
+        # before the datum is built, with nothing written.
+        code, out, err = run_cli(capsys, "simulate", "--b", "2", "--ic", "cos", "--n", str(n),
+                                 "--beta-b", "0.5", "--out", str(tmp_path / "run"))
+        assert (code, out) == (2, "")
+        assert f"to 16777216 samples (got {n})" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_coeffs_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -543,6 +554,42 @@ def test_parser_built_once(capsys):
     capsys.readouterr()
     assert main(["beta-b", "--b", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("3.0,")
+
+
+@pytest.mark.parametrize("command", list(_GOOD_RUN))
+def test_output_under_a_file_refused_before_any_work(capsys, tmp_path, monkeypatch, command):
+    # F is a regular file, so no output path under it can be made: the
+    # command exits 2 naming the path before it computes anything, with
+    # nothing on stdout and no file written.
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the output path was resolved")
+
+    for module, name in ((cli, "compute_j"), (threshold, "sweep"),
+                         (cli.est_mod, "thresholds"), (cli.sim_mod, "integrate")):
+        monkeypatch.setattr(module, name, no_work)
+    argv = [arg.format(out=blocker) for arg in _GOOD_RUN[command]]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert f"cannot write {blocker}{os.sep}" in err
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, target", [
+    ("j", "j.json"), ("beta-b", "rows.csv"), ("simulate", "run.report.json"),
+])
+def test_output_that_cannot_be_opened_exits_2(capsys, tmp_path, command, target):
+    # A directory where the first file goes: the command computes, cannot
+    # open the file, and exits 2 naming it; files are written before
+    # stdout, so nothing reaches stdout, and no file is written.
+    (tmp_path / target).mkdir()
+    argv = [arg.format(out=tmp_path) for arg in _GOOD_RUN[command]]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert f"cannot write {tmp_path / target}:" in err
+    assert [p.name for p in tmp_path.iterdir()] == [target]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -18,7 +18,7 @@ from bfamily import (
     rhs,
     step,
 )
-from bfamily.sim import SERIES_COLUMNS, _dp_symbol
+from bfamily.sim import _MAX_N, SERIES_COLUMNS, _dp_symbol
 
 TWO_SINH_HALF = 2.0 * math.sinh(0.5)
 
@@ -100,6 +100,14 @@ class TestTorusField:
             TorusField(np.ones(4))
         with pytest.raises(ValueError):
             TorusField(5.0)  # 0-d: no grid at all
+
+    @pytest.mark.parametrize("n", [2**40, 2 * _MAX_N])
+    @pytest.mark.parametrize("build", [TorusField.cosine, TorusField.constant])
+    def test_grid_cap_refused_before_any_array(self, build, n):
+        # 2^40 points would ask for terabytes: the cap refuses them, and
+        # twice the cap, before the samples are built.
+        with pytest.raises(ValueError, match=rf"to 16777216 samples \(got {n}\)"):
+            build(1.0, n)
 
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_time_must_be_finite(self, time):
@@ -248,7 +256,9 @@ class TestCriterion:
         lambda u0: lifespan_bound(u0, 2.0, 0.5),
         lambda u0: check_criterion(u0, 0.5),
         lambda u0: conserved_quantities(u0),
-    ], ids=["lifespan_bound", "check_criterion", "conserved_quantities"])
+        lambda u0: check_convolution_bound(u0, 2.0, 0.5),
+    ], ids=["lifespan_bound", "check_criterion", "conserved_quantities",
+            "check_convolution_bound"])
     def test_huge_data_quiet(self, call, amp):
         # The rfft overflows at 1e308 and u_x^2 at 1e154, quietly as in
         # integrate (the suite makes every warning an error); the caller's

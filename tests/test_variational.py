@@ -252,9 +252,10 @@ def _per_call_j(b, beta, n, graded=False):
     return 0.5 * (3.0 - b) * (flux1 - flux0)
 
 
-def _per_call_j_direct(b, beta, n, graded=False):
-    # The direct route's value, written out: P1 elements, the two-point
-    # Gauss rule per element, one expression per element matrix and load.
+def _element_sum_j_direct(b, beta, n, graded=False):
+    # The direct route's value, element by element: P1 elements, the
+    # two-point Gauss rule per element, one expression per element matrix
+    # and load; the closed form's oracle at a rounding tolerance.
     x = _written_out_nodes(n, graded)
     h = np.diff(x)
     ofs = 0.5 / math.sqrt(3.0)
@@ -273,6 +274,35 @@ def _per_call_j_direct(b, beta, n, graded=False):
     off = b * m_lr[1:-1] - s * k[1:-1]
     f = b * (f_r[:-1] + f_l[1:])
     return 0.5 * b + 0.5 * float(f @ vmod.spd_solve(diag, off, -f))
+
+
+def _per_call_j_direct(b, beta, n, graded=False):
+    # The direct route's value, written out: the same rule in closed form,
+    # from the cell arrays mass m, tilt e and stiffness k, one expression
+    # per array and per row of the system.
+    x = _written_out_nodes(n, graded)
+    h = np.diff(x)
+    ofs = 0.5 / math.sqrt(3.0)
+    w1 = _written_out_weight(beta, x[:-1] + h * (0.5 - ofs))
+    w2 = _written_out_weight(beta, x[:-1] + h * (0.5 + ofs))
+    mass = (w1 + w2) * h / 6.0
+    tilt = (w2 - w1) * (h * (0.5 * ofs))
+    k = (w1 + w2) / (2.0 * h)
+    pair, skew = mass[:-1] + mass[1:], tilt[:-1] - tilt[1:]
+    s = 3.0 - b
+    diag = b * (pair + skew) + s * (k[:-1] + k[1:])
+    off = 0.5 * b * mass[1:-1] - s * k[1:-1]
+    f = b * (1.5 * pair + skew)
+    return 0.5 * b + 0.5 * float(f @ vmod.spd_solve(diag, off, -f))
+
+
+# The (b, beta) and n of the direct route's bit pins: on the memoized grids,
+# on the large grids, and at any block size.
+_MEMO_POINTS, _MEMO_NS = [(2.0, 0.5), (1.01, -1.3), (2.5, BETA_MAX), (3.0, 0.5)], [64, 4096]
+_LARGE_POINTS = [(2.0, 0.5), (1.01, -1.3), (2.9, BETA_MAX - 1e-8), (2.5, BETA_MAX),
+                 (1.5, -BETA_MAX)]
+_LARGE_NS = [8192, 5001, 2**14, 3 * 2**14 + 5, 2**15 + 2]
+_BLOCK_POINTS, _BLOCK_N = [(2.0, 0.5), (2.5, BETA_MAX)], 4098
 
 
 class TestSearchGrid:
@@ -304,8 +334,8 @@ class TestSearchGrid:
         vmod._j_direct_value(2.0, 0.5, 8192)
         assert vmod._cached_grid.cache_info().currsize == 2
 
-    @pytest.mark.parametrize("n", [64, 4096])
-    @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (1.01, -1.3), (2.5, BETA_MAX), (3.0, 0.5)])
+    @pytest.mark.parametrize("n", _MEMO_NS)
+    @pytest.mark.parametrize("b, beta", _MEMO_POINTS)
     def test_direct_route_bit_identical_on_memoized_grids(self, b, beta, n):
         # Up to the memo's n the direct route solves on the memoized grid,
         # uniform or graded (the degenerate weight, b = 3); its value and
@@ -332,9 +362,8 @@ class TestLargeGrid:
     # assembly.  3 * 2^14 + 5 cells make four blocks, the last one short;
     # 2^15 + 2 make two, the last unknown joined to the second block, and
     # n/2 = 16385 is odd.
-    @pytest.mark.parametrize("n", [8192, 5001, 2**14, 3 * 2**14 + 5, 2**15 + 2])
-    @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (1.01, -1.3), (2.9, BETA_MAX - 1e-8),
-                                         (2.5, BETA_MAX), (1.5, -BETA_MAX)])
+    @pytest.mark.parametrize("n", _LARGE_NS)
+    @pytest.mark.parametrize("b, beta", _LARGE_POINTS)
     def test_bit_identical_to_written_out_assembly(self, b, beta, n):
         graded = bool(abs(abs(beta) - BETA_MAX) <= 1e-9)
         for compute, oracle in ((compute_j_bvp, _per_call_j),
@@ -345,11 +374,11 @@ class TestLargeGrid:
             assert (res.value, res.error_estimate) == (value, band), compute.__name__
 
     @pytest.mark.parametrize("block", [2, 64])
-    @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (2.5, BETA_MAX)])
+    @pytest.mark.parametrize("b, beta", _BLOCK_POINTS)
     def test_any_block_size_gives_the_same_bits(self, monkeypatch, b, beta, block):
         # Blocks of two unknowns are the least the end fluxes allow; with
         # 4097 unknowns both sizes join a last block of one to the one before.
-        n = 4098
+        n = _BLOCK_N
         graded = bool(abs(abs(beta) - BETA_MAX) <= 1e-9)
         want = _per_call_j(b, beta, n, graded), _per_call_j_direct(b, beta, n, graded)
         monkeypatch.setattr(vmod, "_BLOCK", block)
@@ -375,6 +404,25 @@ class TestLargeGrid:
             if not tracing:
                 tracemalloc.stop()
         assert peak / (8 * (n + 1)) < 4.5
+
+
+@pytest.mark.parametrize("b, beta, n", [
+    *((b, beta, n) for b, beta in _MEMO_POINTS for n in _MEMO_NS),
+    *((b, beta, n) for b, beta in _LARGE_POINTS for n in _LARGE_NS),
+    *((b, beta, _BLOCK_N) for b, beta in _BLOCK_POINTS),
+])
+def test_closed_form_matches_element_sums(b, beta, n):
+    # The closed-form cell arrays regroup the two-point rule's element sums,
+    # so value and band agree with the element-by-element form to rounding:
+    # at most 2.2e-16 and 3.0e-16 of max(1, |J|) measured at these points.
+    graded = vmod._graded(b, beta)
+    n2, factor = (n // 2, 1.0 / 3.0) if n // 2 >= 64 else (2 * n, 4.0 / 3.0)
+    value = _element_sum_j_direct(b, beta, n, graded)
+    band = factor * abs(value - _element_sum_j_direct(b, beta, n2, graded))
+    res = compute_j_direct(b, beta, n)
+    tol = 1e-14 * max(1.0, abs(value))
+    assert abs(res.value - value) <= tol
+    assert abs(res.error_estimate - band) <= tol
 
 
 class TestFaceWeights:
