@@ -16,8 +16,9 @@ rendered with Python's shortest round-trip repr; JSON objects have a fixed
 key order.  Exit codes: 0 success, 1 usage error, 2 domain error or an
 unwritable output, 3 internal error.  Output paths are resolved before the
 command computes, a relative one against ``BFAMILY_OUT_DIR`` when that is
-set.  Every invocation that writes files also writes a
-``<stem>.manifest.json`` referencing them.
+set; one that ends in a separator names no file and is refused.  Every
+invocation that writes files also writes a ``<stem>.manifest.json``
+referencing them.
 """
 
 import argparse
@@ -70,8 +71,11 @@ def _fmt(value) -> str:
 
 def _resolve_out(path: str) -> str:
     # Once per output path, before the command computes; the result is final.
-    # Its nearest existing ancestor must be a directory: the ones below it are
-    # made with the files (_write_files), so a refused command makes none.
+    # It must name a file, not end in a separator, and its nearest existing
+    # ancestor must be a directory: the ones below it are made with the files
+    # (_write_files), so a refused command makes none.
+    if not os.path.basename(path):
+        raise ValueError(f"cannot write {path}: the path ends in a separator")
     base = os.environ.get("BFAMILY_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)

@@ -13,10 +13,10 @@ FFT of two rows: with dealiasing the squares u^2 and u_x^2, since
 u u_x = (u^2)_x / 2 holds exactly on the band, alias-free under the
 two-thirds rule; without, the products as written, since aliasing breaks
 that identity.  The fields and the first-stage tendency of a new step also
-serve its record, so a step costs 8 FFT calls on 16 rows and about 38 other
+serve its record, so a step costs 8 FFT calls on 16 rows and about 37 other
 array operations.  The batched calls give the same bits as one call per
-row.  Modes above the band never evolve: their physical part is computed
-once and added back for the CFL amplitude and the final state.
+row.  A run evolves the band projection of its datum, the modes k <= n/3
+with dealiasing (every mode without), and nothing else.
 
 Blow-up here means wave breaking: the solution stays bounded while
 inf_x u_x runs to -infinity.  Detection is on min_x u_x crossing a large
@@ -109,13 +109,20 @@ class TorusField:
     @classmethod
     def from_coefficients(cls, cos_coeffs, sin_coeffs, n: int) -> "TorusField":
         """u = sum_k cos_coeffs[k] cos(2 pi k x) + sin_coeffs[k] sin(2 pi k x),
-        summed in order, cosines first; the mode-0 sine coefficient is ignored."""
+        summed in order, cosines first; the mode-0 sine coefficient is ignored.
+        The grid holds cosines up to mode n/2 and sines below it: a nonzero
+        coefficient beyond would alias to another mode, so it is a ValueError."""
         _check_n(n)
+        cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
+        sin_coeffs = np.asarray(sin_coeffs, dtype=np.float64)
+        if np.any(cos_coeffs[n // 2 + 1 :]) or np.any(sin_coeffs[n // 2 :]):
+            raise ValueError(f"{n} grid points hold cosine modes up to {n // 2} "
+                             f"and sine modes below it")
         x = np.arange(n) / n
         u = np.zeros_like(x)
-        for k, c in enumerate(np.asarray(cos_coeffs, dtype=np.float64)):
+        for k, c in enumerate(cos_coeffs):
             u += c * np.cos(2.0 * np.pi * k * x)
-        for k, c in enumerate(np.asarray(sin_coeffs, dtype=np.float64)[1:], start=1):
+        for k, c in enumerate(sin_coeffs[1:], start=1):
             u += c * np.sin(2.0 * np.pi * k * x)
         return cls(values=u)
 
@@ -186,9 +193,10 @@ class Trajectory:
 
     ``history`` has one row per recorded time, the start and every step,
     with the float fields ``SERIES_COLUMNS``: t, min u_x, mean u, mean of
-    u^2 + u_x^2, and the tail fraction of u_x (the resolution monitor), all
-    of the evolving band, k <= n/3 with dealiasing; the frozen modes above
-    it reach ``final`` but no row, not even the start row of the datum."""
+    u^2 + u_x^2, and the tail fraction of u_x (the resolution monitor).
+    Rows and ``final`` are those of the one field the run evolves, the band
+    projection of the datum (k <= n/3 with dealiasing); ``final`` is a copy
+    of the datum itself when no step was taken."""
 
     history: np.ndarray
     final: TorusField
@@ -412,17 +420,14 @@ def integrate(
     ``t_detect`` is the stop time plus the remaining-time bound from the
     slope dynamics, so it estimates the breaking time itself and is stable
     under grid refinement; the raw stop time is kept in ``t_stop``.  The
-    record and the stop tests see the evolving band only (``Trajectory``).
+    run starts from the band projection of u0, so a mode above the band is
+    dropped; the criterion and the lifespan bound read u0 as given.
     """
     points = check_criterion(u0, beta_b) if beta_b is not None else []
     n = u0.n
     stepper = _Stepper(n, cfg.b, cfg.dealias)
 
-    spec = u0.spectrum()
-    above = spec.copy()
-    above[stepper.band] = 0.0
-    hi = np.fft.irfft(above, n)  # the modes above the band never evolve
-    spec = spec[stepper.band]
+    spec = u0.spectrum()[stepper.band]
     u, ux = uv = stepper.fields(spec)
     t1 = stepper.tendency(uv)  # the first RK4 stage, whose transform the record reads
     # The clock is the time since u0, so no step rounds away against a large
@@ -447,7 +452,7 @@ def integrate(
     stop_reason = "t_max"
     dts = []  # the step sizes taken
     while elapsed < cfg.t_max - 1e-14:
-        amp = float(np.max(np.abs(u + hi)))
+        amp = float(np.max(np.abs(u)))
         if not math.isfinite(amp) or amp > _OVERFLOW_LIMIT:
             stop_reason = "overflow"
             break
@@ -497,6 +502,6 @@ def integrate(
         dt_max=max(dts, default=None),
     )
 
-    final = u + hi if dts else u0.values.copy()
+    final = u if dts else u0.values.copy()
     history = np.array(rows, dtype=[(name, np.float64) for name in SERIES_COLUMNS])
     return Trajectory(history=history, final=TorusField(values=final, time=rows[-1][0])), report

@@ -351,9 +351,11 @@ def sweep_grid(b_min: float, b_max: float, steps: int) -> list[float]:
 def sweep(b_min: float, b_max: float, steps: int, tol: float = _DEFAULT_TOL) -> list[SweepRow]:
     """Independent compute_beta_b per b on an inclusive grid, ordered by b.
 
-    A domain or solver failure at one b (``BFamilyError``, ``LinAlgError``) is
-    recorded on its row and the sweep continues; any other exception is a bug
-    and propagates.
+    Both ends are checked first, so a b outside the domain refuses the whole
+    sweep (``BOutOfRange``) and every b on the grid is in it.  A failure to
+    compute one b (a ``BFamilyError`` such as ``LinearSolveFailure``, or a
+    ``LinAlgError``) is recorded on its row and the sweep continues; any
+    other exception is a bug and propagates.
     """
     grid = sweep_grid(b_min, b_max, steps)   # first, so a NaN end is "not finite"
     check_b(b_min)

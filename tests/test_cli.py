@@ -497,6 +497,12 @@ class TestSimulate:
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--amp", "nan"], 2),
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--amp", "inf"], 2),
     (["simulate", "--b", "2", "--ic", "fourier", "--n", "64", "--coeffs", "0.1,nan,0.2"], 2),
+    # A mode the grid cannot hold: a5, cos mode 5 on 8 points, would alias to
+    # mode 3, and b4, sin mode n/2, would vanish.
+    (["simulate", "--b", "2", "--ic", "fourier", "--n", "8", "--coeffs",
+      "0,0,0,0,0,0,0,0,0,1"], 2),
+    (["simulate", "--b", "2", "--ic", "fourier", "--n", "8", "--coeffs",
+      "0,0,0,0,0,0,0,0,1"], 2),
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "nan"], 2),
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "inf"], 2),
     (["simulate", "--b", "2", "--ic", "cos", "--n", "64", "--beta-b", "-1"], 2),
@@ -556,6 +562,16 @@ def test_parser_built_once(capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("3.0,")
 
 
+def _forbid_work(monkeypatch):
+    # Each command's first computation fails the test if it is reached.
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the output path was resolved")
+
+    for module, name in ((cli, "compute_j"), (threshold, "sweep"),
+                         (cli.est_mod, "thresholds"), (cli.sim_mod, "integrate")):
+        monkeypatch.setattr(module, name, no_work)
+
+
 @pytest.mark.parametrize("command", list(_GOOD_RUN))
 def test_output_under_a_file_refused_before_any_work(capsys, tmp_path, monkeypatch, command):
     # F is a regular file, so no output path under it can be made: the
@@ -563,18 +579,26 @@ def test_output_under_a_file_refused_before_any_work(capsys, tmp_path, monkeypat
     # nothing on stdout and no file written.
     blocker = tmp_path / "F"
     blocker.write_text("")
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("computed before the output path was resolved")
-
-    for module, name in ((cli, "compute_j"), (threshold, "sweep"),
-                         (cli.est_mod, "thresholds"), (cli.sim_mod, "integrate")):
-        monkeypatch.setattr(module, name, no_work)
+    _forbid_work(monkeypatch)
     argv = [arg.format(out=blocker) for arg in _GOOD_RUN[command]]
     code, out, err = run_cli(capsys, command, *argv)
     assert (code, out) == (2, "")
     assert f"cannot write {blocker}{os.sep}" in err
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", list(_GOOD_RUN))
+def test_output_ending_in_a_separator_refused_before_any_work(capsys, tmp_path,
+                                                               monkeypatch, command):
+    # A path that ends in a separator names a directory, not a file: the
+    # command exits 2 naming it before it computes, and makes no directory.
+    _forbid_work(monkeypatch)
+    path = str(tmp_path / "out") + os.sep
+    argv = [*_GOOD_RUN[command][:-1], path]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert f"cannot write {path}:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, target", [

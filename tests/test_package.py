@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bfamily
+from bfamily.cli import main
 
 NAN = math.nan
 U = bfamily.TorusField.cosine(1.0, 64)
@@ -36,6 +38,20 @@ def test_readme_quick_reference_runs():
     out = subprocess.run([sys.executable, "-W", "error", "-c", blocks[0]],
                          capture_output=True, text=True, env=_src_env())
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # Each `bfamily` line of the README's command-line block runs as written
+    # (comments aside) and exits 0, its files written into a scratch directory.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.DOTALL | re.MULTILINE).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) == 6 and all(argv[0] == "bfamily" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BFAMILY_OUT_DIR", raising=False)
+    for argv in lines:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 def test_import_loads_no_scipy():

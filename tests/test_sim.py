@@ -125,6 +125,21 @@ class TestTorusField:
         expected = 0.5 + 0.1 * np.cos(2 * np.pi * x) - 0.2 * np.sin(2 * np.pi * x)
         assert np.allclose(u.values, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("cos_coeffs, sin_coeffs", [
+        ([0, 0, 0, 0, 0, 1], []),  # cos mode 5 would alias to mode 3
+        ([], [0, 0, 0, 0, 1]),     # sin mode n/2 would vanish on the grid
+    ])
+    def test_from_coefficients_refuses_modes_beyond_the_grid(self, cos_coeffs, sin_coeffs):
+        with pytest.raises(ValueError, match="8 grid points hold cosine modes up to 4"):
+            TorusField.from_coefficients(cos_coeffs, sin_coeffs, 8)
+
+    def test_from_coefficients_takes_every_mode_the_grid_holds(self):
+        # cos mode n/2 is (-1)^j; zeros beyond the grid's modes ask for nothing.
+        u = TorusField.from_coefficients([0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 1, 0, 0], 8)
+        x = u.x
+        want = np.cos(2.0 * np.pi * 4 * x) + np.sin(2.0 * np.pi * 3 * x)
+        assert np.allclose(u.values, want, atol=1e-14)
+
     @pytest.mark.parametrize("amp, n", [(1.0, 8), (0.1, 256), (-2.5, 1024), (1e-320, 64)])
     def test_presets_bit_for_bit(self, amp, n):
         # The presets are one term added to zeros, to the bit, so the golden
@@ -462,6 +477,23 @@ class TestIntegrate:
         assert np.array_equal(traj.history["t"], start + ref.history["t"])
         assert traj.final.time == start + ref.final.time
 
+    def test_run_is_the_band_projection(self):
+        # Mode 11 lies above the band n/3 = 10 of a 32-point grid: the run
+        # drops it, so the start row, the first step and the final state
+        # are those of the band projection P u0 = cos(2 pi x).
+        u0 = TorusField.from_coefficients([0, 1] + [0] * 9 + [0.3], [0] * 12, 32)
+        proj = TorusField(_band_projection(u0.values, True))
+        cfg = SimConfig(b=2.0, t_max=0.05)
+        traj, _ = integrate(u0, cfg)
+        start = traj.history[0]
+        assert start["min_slope"] == pytest.approx(proj.derivative_values().min(), rel=1e-12)
+        assert start["h1_energy"] == pytest.approx(conserved_quantities(proj).h1_energy,
+                                                   rel=1e-12)
+        final = np.abs(np.fft.rfft(traj.final.values))
+        assert final[11:].max() <= 1e-14 * final.max()
+        first = cfg.cfl / (32 * np.abs(proj.values).max())
+        assert traj.history["t"][1] == pytest.approx(first, rel=1e-12)
+
     @pytest.mark.parametrize("amp", [1e154, 1e308])
     def test_huge_data_stop_on_overflow_quietly(self, amp):
         # The transforms of such data overflow (u_x^2 at 1e154, the first
@@ -504,16 +536,25 @@ def _physical_rk4(vals, b, cfl, steps, dealias):
     return np.array(times), vals
 
 
+def _band_projection(vals, dealias):
+    # P u: the modes k <= n/3 of u with dealiasing, every mode without.
+    n = vals.size
+    spec = np.fft.rfft(vals)
+    spec[(n // 3 if dealias else n // 2) + 1 :] = 0.0
+    return np.fft.irfft(spec, n)
+
+
 class TestFourierStateOracle:
     @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("high_mode", [0.0, 1e-4])
     def test_integrate_matches_physical_rk4(self, dealias, high_mode):
-        # k = 100 lies above n/3 = 85: with dealiasing it never evolves but
-        # still sets dt and shows in the final state; without, it evolves.
+        # k = 100 lies above n/3 = 85: with dealiasing the run drops it and
+        # evolves the datum's band projection, so the oracle starts from
+        # that; without, it evolves.
         n, steps = 256, 40
         x = np.arange(n) / n
         vals = 0.8 * np.cos(2.0 * np.pi * x) + high_mode * np.cos(2.0 * np.pi * 100 * x)
-        times, want = _physical_rk4(vals, 2.5, 0.3, steps, dealias)
+        times, want = _physical_rk4(_band_projection(vals, dealias), 2.5, 0.3, steps, dealias)
         cfg = SimConfig(b=2.5, t_max=1.0, dealias=dealias, max_steps=steps)
         traj, rep = integrate(TorusField(vals), cfg)
         assert rep.stop_reason == "max_steps"
@@ -588,11 +629,7 @@ def _single_transform_run(vals, b, cfl, steps, dealias):
     # a run that takes exactly ``steps`` steps.
     n = vals.size
     st = _SingleTransformStepper(n, b, dealias)
-    spec = np.fft.rfft(vals)
-    above = spec.copy()
-    above[st.band] = 0.0
-    hi = np.fft.irfft(above, n)
-    spec = spec[st.band]
+    spec = np.fft.rfft(vals)[st.band]
     u, ux = st.fields(spec)
     k_lo = int(math.ceil(2.0 * (st.band.stop - 1) / 3.0))
     t, rows = 0.0, []
@@ -609,12 +646,12 @@ def _single_transform_run(vals, b, cfl, steps, dealias):
 
     record()
     for _ in range(steps):
-        dt = cfl / (n * float(np.max(np.abs(u + hi))))
+        dt = cfl / (n * float(np.max(np.abs(u))))
         spec = spec + st.increment(spec, dt, u, ux)
         u, ux = st.fields(spec)
         t += dt
         record()
-    return np.asarray(rows), u + hi
+    return np.asarray(rows), u
 
 
 class TestPairedTransforms:
