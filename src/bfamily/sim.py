@@ -14,9 +14,14 @@ u u_x = (u^2)_x / 2 holds exactly on the band, alias-free under the
 two-thirds rule; without, the products as written, since aliasing breaks
 that identity.  The fields and the first-stage tendency of a new step also
 serve its record, so a step costs 8 FFT calls on 16 rows and about 37 other
-array operations.  The batched calls give the same bits as one call per
-row.  A run evolves the band projection of its datum, the modes k <= n/3
-with dealiasing (every mode without), and nothing else.
+array operations; every stage array is a workspace the stepper allocates once.
+The transforms are ``_rfft`` and ``_irfft``, resolved once at import:
+pocketfft's gufuncs on numpy >= 2, called into the workspaces with the
+factors ``numpy.fft`` passes (1 forward, 1/n inverse), which skips that
+wrapper's per-call cost; ``numpy.fft`` itself on older numpy.  Both routes,
+and the batched calls against one call per row, give the same bits.  A run
+evolves the band projection of its datum, the modes k <= n/3 with
+dealiasing (every mode without), and nothing else.
 
 Blow-up here means wave breaking: the solution stays bounded while
 inf_x u_x runs to -infinity.  Detection is on min_x u_x crossing a large
@@ -216,6 +221,34 @@ class ConvolutionBoundReport:
     x_at_min: float
 
 
+def _numpy_rfft(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[...] = np.fft.rfft(rows)
+    return out
+
+
+def _numpy_irfft(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[...] = np.fft.irfft(spectra, out.shape[-1])
+    return out
+
+
+# The stepper's transforms along the last axis, written into ``out``.  The
+# module is private to numpy (new in 2.0), so any numpy without it falls back
+# to the public calls; ``_FFT_ROUTE`` names the one resolved.
+try:
+    from numpy.fft._pocketfft_umath import irfft as _pocketfft_irfft
+    from numpy.fft._pocketfft_umath import rfft_n_even as _pocketfft_rfft
+except ImportError:
+    _FFT_ROUTE, _rfft, _irfft = "numpy.fft", _numpy_rfft, _numpy_irfft
+else:
+    _FFT_ROUTE = "pocketfft gufuncs"
+
+    def _rfft(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _pocketfft_rfft(rows, 1.0, out=out)  # n is even: a power of two
+
+    def _irfft(spectra: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _pocketfft_irfft(spectra, 1.0 / out.shape[-1], out=out)
+
+
 # The rfft-ordered symbols on an n-point grid: d/dx, and convolution with p
 # and with p'.
 def _deriv_symbol(n: int) -> np.ndarray:
@@ -249,7 +282,12 @@ class _Stepper:
     and subtracted, which rounds exactly as adding -T.  With dealiasing the
     rows are u^2 and u_x^2 and T = A rfft(u^2) + C rfft(u_x^2), with
     A = ik/2 + (b/2) p' and C = (3-b)/2 p'; without, the rows are the two
-    products and the symbols [1, p'].  Returned arrays are fresh."""
+    products and the symbols [1, p'].
+
+    Every stage array is allocated here once.  ``fields`` returns the
+    workspace ``grid``, overwritten by its next call (``increment`` makes
+    three); ``tendency`` writes into ``out``, a fresh array if None, and
+    ``increment`` into its ``t1``."""
 
     def __init__(self, n: int, b: float, dealias: bool):
         self.n = n
@@ -267,16 +305,23 @@ class _Stepper:
             self.quad_coef = np.array([[0.5 * b], [0.5 * (3.0 - b)]])
             self.squares = np.empty((2, n))
         self.spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)
-        self.stage = np.empty(self.k + 1, dtype=np.complex128)
+        self.grid = np.empty((2, n))
         self.rows = np.empty((2, n))
+        self.transform = np.empty((2, n // 2 + 1), dtype=np.complex128)
+        # the band columns of the two spectra workspaces, as fixed views
+        self.spectra_band = self.spectra[:, self.band]
+        self.transform_band = self.transform[:, self.band]
         self.terms = np.empty((2, self.k + 1), dtype=np.complex128)
+        self.stage = np.empty(self.k + 1, dtype=np.complex128)
+        self.scaled = np.empty(self.k + 1, dtype=np.complex128)
+        self.tends = np.empty((3, self.k + 1), dtype=np.complex128)
 
     def fields(self, spec: np.ndarray) -> np.ndarray:
         """Rows u and u_x on the grid of the band spectrum ``spec``."""
-        np.multiply(spec, self.field_symbols, out=self.spectra[:, self.band])
-        return np.fft.irfft(self.spectra, self.n)
+        np.multiply(spec, self.field_symbols, out=self.spectra_band)
+        return _irfft(self.spectra, self.grid)
 
-    def tendency(self, uv: np.ndarray) -> np.ndarray:
+    def tendency(self, uv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Negated tendency T from the rows u, u_x: 1 FFT of both grid rows."""
         if self.dealias:
             np.multiply(uv, uv, out=self.rows)
@@ -285,21 +330,21 @@ class _Stepper:
             np.multiply(self.quad_coef, uv, out=self.squares)
             self.squares *= uv
             np.add(self.squares[0], self.squares[1], out=self.rows[1])
-        self.transform = np.fft.rfft(self.rows)
-        np.multiply(self.transform[:, self.band], self.row_symbols, out=self.terms)
-        return np.add(self.terms[0], self.terms[1])
+        _rfft(self.rows, self.transform)
+        np.multiply(self.transform_band, self.row_symbols, out=self.terms)
+        return np.add(self.terms[0], self.terms[1], out=out)
 
     def increment(self, spec: np.ndarray, dt: float, t1: np.ndarray) -> np.ndarray:
         """The negated RK4 increment of ``spec`` over dt; ``t1`` is
         ``tendency(fields(spec))`` and is overwritten by the result."""
-        tends = [t1]
-        for h in (0.5 * dt, 0.5 * dt, dt):
-            np.subtract(spec, h * tends[-1], out=self.stage)
-            tends.append(self.tendency(self.fields(self.stage)))
-        t1, t2, t3, t4 = tends
-        t2 *= 2.0
+        prev = t1
+        for h, tend in zip((0.5 * dt, 0.5 * dt, dt), self.tends):
+            np.multiply(h, prev, out=self.scaled)
+            np.subtract(spec, self.scaled, out=self.stage)
+            prev = self.tendency(self.fields(self.stage), out=tend)
+        t2, t3, t4 = self.tends
+        self.tends[:2] *= 2.0
         t1 += t2
-        t3 *= 2.0
         t1 += t3
         t1 += t4
         t1 *= dt / 6.0
@@ -429,7 +474,8 @@ def integrate(
 
     spec = u0.spectrum()[stepper.band]
     u, ux = uv = stepper.fields(spec)
-    t1 = stepper.tendency(uv)  # the first RK4 stage, whose transform the record reads
+    # the first RK4 stage, whose transform the record reads
+    t1 = stepper.tendency(uv, out=np.empty_like(spec))
     # The clock is the time since u0, so no step rounds away against a large
     # u0.time; rows are stamped with u0.time + elapsed.
     elapsed = 0.0
@@ -437,8 +483,11 @@ def integrate(
     k_lo = int(math.ceil(2.0 * stepper.k / 3.0))
     rows = []  # one tuple per recorded time, in SERIES_COLUMNS order
 
+    energy = np.empty(stepper.k)  # |u_x spectrum|^2, rewritten by each record
+    magnitude = np.empty(n)  # |u|, rewritten by each step
+
     def record():
-        energy = np.abs(stepper.spectra[1, 1 : stepper.k + 1]) ** 2  # u_x spectrum
+        np.square(np.abs(stepper.spectra[1, 1 : stepper.k + 1], out=energy), out=energy)
         total = float(energy.sum())
         tail = float(energy[k_lo - 1 :].sum()) / total if total > 0.0 else 0.0
         if cfg.dealias:  # zero modes: the state's, and those of u^2 and u_x^2
@@ -452,14 +501,14 @@ def integrate(
     stop_reason = "t_max"
     dts = []  # the step sizes taken
     while elapsed < cfg.t_max - 1e-14:
-        amp = float(np.max(np.abs(u)))
+        amp = float(np.abs(u, out=magnitude).max())
         if not math.isfinite(amp) or amp > _OVERFLOW_LIMIT:
             stop_reason = "overflow"
             break
         dt = min(cfg.cfl / (n * max(amp, 1e-12)), cfg.t_max - elapsed)
         spec -= stepper.increment(spec, dt, t1)
         u, ux = uv = stepper.fields(spec)
-        t1 = stepper.tendency(uv)
+        stepper.tendency(uv, out=t1)
         elapsed += dt
         dts.append(dt)
         record()
@@ -502,6 +551,6 @@ def integrate(
         dt_max=max(dts, default=None),
     )
 
-    final = u if dts else u0.values.copy()
+    final = (u if dts else u0.values).copy()  # u is the stepper's workspace
     history = np.array(rows, dtype=[(name, np.float64) for name in SERIES_COLUMNS])
     return Trajectory(history=history, final=TorusField(values=final, time=rows[-1][0])), report

@@ -18,6 +18,7 @@ from bfamily import (
     rhs,
     step,
 )
+from bfamily import sim
 from bfamily.sim import _MAX_N, SERIES_COLUMNS, _dp_symbol
 
 TWO_SINH_HALF = 2.0 * math.sinh(0.5)
@@ -562,22 +563,23 @@ class TestFourierStateOracle:
         assert np.abs(traj.final.values - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fft_count_per_step(self, monkeypatch):
-        rows = []  # rows transformed by each call
-        for name in ("rfft", "irfft"):
-            fn = getattr(np.fft, name)
+        rows = []  # rows transformed by each call of the stepper's transforms
+        for name in ("_rfft", "_irfft"):
+            fn = getattr(sim, name)
 
-            def counted(a, *args, _fn=fn, **kwargs):
-                rows.append(1 if np.ndim(a) == 1 else np.shape(a)[0])
-                return _fn(a, *args, **kwargs)
+            def counted(a, out, _fn=fn):
+                rows.append(np.shape(a)[0])
+                return _fn(a, out)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(sim, name, counted)
         traj, rep = integrate(TorusField.cosine(1.0, 256), SimConfig(b=2.0, t_max=0.5))
         steps = len(traj.history) - 1
         assert steps > 100
-        # One batched call per direction and RK4 stage; the physical-space
-        # RK4 made 27 single-row calls per step, one call per row made 16.
-        assert len(rows) <= 8 * steps + 8
-        assert sum(rows) <= 16 * steps + 8
+        # One batched call per direction and RK4 stage, and one pair for the
+        # start; the physical-space RK4 made 27 single-row calls per step, one
+        # call per row made 16.
+        assert len(rows) == 8 * steps + 2
+        assert sum(rows) == 16 * steps + 4
 
 
 class _SingleTransformStepper:
@@ -690,10 +692,45 @@ class TestPairedTransforms:
         s1, s2 = step(u, 2.0, 1e-3), step(u, 2.0, 1e-3)
         r1, r2 = rhs(u, 2.0), rhs(u, 2.0)
         traj, _ = integrate(u, SimConfig(b=2.0, t_max=0.05))
-        outs = [s1.values, s2.values, r1.values, r2.values, traj.final.values, u.values]
+        # The stepper's workspaces never reach a result: a second run at the
+        # same n leaves the first run's arrays as they were.
+        final, history = traj.final.values.copy(), traj.history.copy()
+        again, _ = integrate(TorusField.cosine(0.7, 256), SimConfig(b=2.5, t_max=0.05))
+        assert np.array_equal(traj.final.values, final)
+        assert np.array_equal(traj.history, history)
+        outs = [s1.values, s2.values, r1.values, r2.values, traj.final.values,
+                traj.history, again.final.values, again.history, u.values]
         for i, a in enumerate(outs):
+            assert a.flags.owndata  # no view of a workspace
             for other in outs[i + 1 :]:
                 assert not np.shares_memory(a, other)
+
+
+class TestTransformRoute:
+    # The stepper calls pocketfft's gufuncs directly on numpy >= 2 and
+    # numpy.fft before; both routes must give the same bits.
+    def test_route_resolved(self):
+        major = int(np.__version__.split(".")[0])
+        if major >= 2:
+            assert sim._FFT_ROUTE == "pocketfft gufuncs"
+            assert sim._rfft is not sim._numpy_rfft
+            assert sim._irfft is not sim._numpy_irfft
+        else:
+            assert sim._FFT_ROUTE == "numpy.fft"
+            assert sim._rfft is sim._numpy_rfft
+            assert sim._irfft is sim._numpy_irfft
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_numpy_fft_route_bit_identical(self, monkeypatch, n, dealias):
+        vals = _with_high_mode(n, 1e-4)
+        cfg = SimConfig(b=2.5, t_max=1.0, dealias=dealias, max_steps=40)
+        traj, _ = integrate(TorusField(vals), cfg)
+        monkeypatch.setattr(sim, "_rfft", sim._numpy_rfft)
+        monkeypatch.setattr(sim, "_irfft", sim._numpy_irfft)
+        want, _ = integrate(TorusField(vals), cfg)
+        assert traj.history.tobytes() == want.history.tobytes()
+        assert traj.final.values.tobytes() == want.final.values.tobytes()
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
@@ -704,6 +741,8 @@ def test_step_refuses_non_finite_dt(monkeypatch, dt):
     def no_transform(*args, **kwargs):
         raise AssertionError("transform before the dt check")
 
+    for name in ("_rfft", "_irfft"):
+        monkeypatch.setattr(sim, name, no_transform)
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, no_transform)
     with pytest.raises(ValueError, match="dt must be finite"):
