@@ -37,7 +37,6 @@ from .sim import (
     BlowupReport,
     ConservedQuantities,
     ConvolutionBoundReport,
-    CriterionPoint,
     SimConfig,
     TorusField,
     Trajectory,
@@ -79,7 +78,6 @@ __all__ = [
     "BlowupReport",
     "ConservedQuantities",
     "ConvolutionBoundReport",
-    "CriterionPoint",
     "ELSolution",
     "EstimateResult",
     "JResult",

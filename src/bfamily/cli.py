@@ -267,8 +267,8 @@ def _cmd_simulate(args) -> int:
         "resolution_loss": report.resolution_loss,
         "stop_reason": report.stop_reason,
         "lifespan_bound": report.lifespan_bound,
-        # equal to dataclasses.asdict for these flat points, at a tenth of its cost
-        "criterion_points": [dict(vars(p)) for p in report.criterion_points],
+        "criterion_points": [dict(zip(sim_mod.CRITERION_COLUMNS, row))
+                             for row in report.criterion_points.tolist()],
     }
     text = _dump_json(payload)
     if stem:  # files first, as in ``j``

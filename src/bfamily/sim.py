@@ -40,11 +40,14 @@ J(b, beta) u^2 on any ``TorusField``, the simulator's own included.
 
 A run keeps one step record, ``Trajectory.history``: a table with one row
 per recorded time and the fields ``SERIES_COLUMNS``, the header of the
-series CSV the ``simulate`` command writes from it unchanged.
+series CSV the ``simulate`` command writes from it unchanged.  The points of
+the pointwise criterion u0'(x) < -beta_b |u0(x)| are one table too, a row per
+qualifying grid point with the fields ``CRITERION_COLUMNS``, the keys of the
+points in the ``simulate`` report; a run reads them from the field it evolves.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,6 +60,10 @@ _OVERFLOW_LIMIT = 1e8
 
 # The fields of a run's step record, in order; also the series CSV header.
 SERIES_COLUMNS = ("t", "min_slope", "mean", "h1_energy", "tail_fraction")
+
+# The fields of a criterion point, in order; also its keys in the report.
+CRITERION_COLUMNS = ("x", "u0", "du0", "margin")
+_CRITERION_DTYPE = np.dtype([(name, np.float64) for name in CRITERION_COLUMNS])
 
 # Most grid points, J's cap: a run peaks at about 23 n-float arrays
 # (tracemalloc at n = 2^14 and 2^16), 3 GB here.  The rule is checked before
@@ -158,20 +165,14 @@ class SimConfig:
             raise ValueError(f"max_steps must be at least 1 (got {self.max_steps})")
 
 
-@dataclass(frozen=True)
-class CriterionPoint:
-    """Grid point where the pointwise blow-up criterion holds strictly."""
-
-    x: float
-    u0: float
-    du0: float
-    margin: float  # -u0'(x) - beta_b |u0(x)| > 0
-
-
 @dataclass
 class BlowupReport:
     """Outcome of a run: the verdict, its scalars and the criterion points
-    of the initial datum; the step record is ``Trajectory.history``.
+    of the start of the field it evolves; the step record is
+    ``Trajectory.history``.
+
+    ``criterion_points`` is a structured array as ``check_criterion``
+    returns, empty when the run was given no ``beta_b``.
 
     ``t_detect`` estimates the breaking time: the stop time plus the
     remaining-time bound 2/((b-1) |min u_x|) implied by the slope dynamics,
@@ -182,7 +183,7 @@ class BlowupReport:
 
     detected: bool
     t_detect: Optional[float]
-    criterion_points: list = field(default_factory=list)
+    criterion_points: np.ndarray
     lifespan_bound: Optional[float] = None
     resolution_loss: bool = False
     stop_reason: str = ""
@@ -389,21 +390,23 @@ def conserved_quantities(u: TorusField) -> ConservedQuantities:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_criterion(u0: TorusField, beta_b: float) -> list:
-    """Grid points with u0'(x) < -beta_b |u0(x)|, with their margins.
-    ``beta_b`` must be finite and > 0, or ValueError."""
+def check_criterion(u0: TorusField, beta_b: float) -> np.ndarray:
+    """Grid points with u0'(x) < -beta_b |u0(x)|: a structured array with one
+    row per point, in grid order, and the float fields ``CRITERION_COLUMNS``,
+    the margin being -u0'(x) - beta_b |u0(x)| > 0.  ``beta_b`` must be finite
+    and > 0, or ValueError."""
+    return _criterion_points(u0.values, u0.derivative_values(), beta_b)
+
+
+def _criterion_points(u: np.ndarray, du: np.ndarray, beta_b: float) -> np.ndarray:
     if not (math.isfinite(beta_b) and beta_b > 0.0):
         raise ValueError(f"beta_b must be finite and > 0 (got {beta_b})")
-    du = u0.derivative_values()
-    vals = u0.values
-    margin = -du - beta_b * np.abs(vals)
+    margin = -du - beta_b * np.abs(u)
     idx = np.flatnonzero(margin > 0.0)
-    x = u0.x
-    return [
-        CriterionPoint(x=float(x[i]), u0=float(vals[i]), du0=float(du[i]),
-                       margin=float(margin[i]))
-        for i in idx
-    ]
+    points = np.empty(idx.size, _CRITERION_DTYPE)
+    for name, column in zip(CRITERION_COLUMNS, (idx / u.size, u[idx], du[idx], margin[idx])):
+        points[name] = column
+    return points
 
 
 def lifespan_bound(u0: TorusField, b: float, beta_b: float) -> Optional[float]:
@@ -427,15 +430,14 @@ def check_convolution_bound(u: TorusField, b: float, beta: float) -> Convolution
     return ConvolutionBoundReport(min_slack=float(slack[i]), x_at_min=float(u.x[i]))
 
 
-def _bound_over_points(points: list, b: float, beta_b: float) -> Optional[float]:
+def _bound_over_points(points: np.ndarray, b: float, beta_b: float) -> Optional[float]:
     # The root in its scale-free form |u0'| sqrt((1-r)(1+r)), r = beta_b |u0| / |u0'|
     # < 1 at a criterion point, so no square of the datum under- or overflows.
-    if not points:
+    if not points.size:
         return None
-    root = 0.0
-    for p in points:
-        r = beta_b * abs(p.u0) / abs(p.du0)
-        root = max(root, abs(p.du0) * math.sqrt((1.0 - r) * (1.0 + r)))
+    slope = np.abs(points["du0"])
+    r = beta_b * np.abs(points["u0"]) / slope
+    root = float((slope * np.sqrt((1.0 - r) * (1.0 + r))).max())
     scale = (b - 1.0) * root
     bound = 2.0 / scale if scale > 0.0 else math.inf
     return bound if 0.0 < bound < math.inf else None
@@ -459,21 +461,22 @@ def integrate(
 ) -> tuple[Trajectory, BlowupReport]:
     """March u0 to cfg.t_max or to a detected blow-up.
 
-    When ``beta_b`` is given, the report also carries the criterion points of
-    the initial datum and the resulting lifespan bound; ``beta_b`` is checked
-    as in ``check_criterion`` before the first step.  On detection,
-    ``t_detect`` is the stop time plus the remaining-time bound from the
-    slope dynamics, so it estimates the breaking time itself and is stable
-    under grid refinement; the raw stop time is kept in ``t_stop``.  The
-    run starts from the band projection of u0, so a mode above the band is
-    dropped; the criterion and the lifespan bound read u0 as given.
+    The run starts from the band projection of u0, so a mode above the band
+    is dropped.  When ``beta_b`` is given, the report also carries the
+    criterion points of that projection, read from the u and u_x of the
+    start row, and the resulting lifespan bound; ``beta_b`` is checked as in
+    ``check_criterion`` before the first step.  On detection, ``t_detect``
+    is the stop time plus the remaining-time bound from the slope dynamics,
+    so it estimates the breaking time itself and is stable under grid
+    refinement; the raw stop time is kept in ``t_stop``.
     """
-    points = check_criterion(u0, beta_b) if beta_b is not None else []
     n = u0.n
     stepper = _Stepper(n, cfg.b, cfg.dealias)
 
     spec = u0.spectrum()[stepper.band]
     u, ux = uv = stepper.fields(spec)
+    points = (np.empty(0, _CRITERION_DTYPE) if beta_b is None
+              else _criterion_points(u, ux, beta_b))
     # the first RK4 stage, whose transform the record reads
     t1 = stepper.tendency(uv, out=np.empty_like(spec))
     # The clock is the time since u0, so no step rounds away against a large

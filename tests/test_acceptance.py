@@ -267,9 +267,9 @@ def test_c11_criterion_and_lifespan_cosine():
     traj, rep = bf.integrate(u0, bf.SimConfig(b=2.0, t_max=0.45), beta_b=beta2)
 
     pts = rep.criterion_points
-    assert pts, "criterion points expected"
-    best = max(pts, key=lambda p: p.du0**2 - beta2**2 * p.u0**2)
-    point_ok = abs(best.x - 0.25) <= 1.0 / 1024
+    assert pts.size, "criterion points expected"
+    best = pts[np.argmax(pts["du0"] ** 2 - beta2**2 * pts["u0"] ** 2)]
+    point_ok = abs(best["x"] - 0.25) <= 1.0 / 1024
     bound_ok = abs(rep.lifespan_bound - 1.0 / math.pi) <= 1e-3
     detect_ok = rep.detected and rep.t_detect <= (1.0 / math.pi) * 1.05
 
@@ -280,7 +280,7 @@ def test_c11_criterion_and_lifespan_cosine():
 
     _report("C11 end-to-end criterion and lifespan check (b=2, cosine)",
             point_ok and bound_ok and detect_ok and stable_ok,
-            f"x0 {best.x:.5f}, bound {rep.lifespan_bound:.6f}, "
+            f"x0 {best['x']:.5f}, bound {rep.lifespan_bound:.6f}, "
             f"t_detect {rep.t_detect:.5f}/{rep2.t_detect:.5f}")
 
 

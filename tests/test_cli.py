@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -412,7 +411,7 @@ class TestSimulate:
         _assert_close(got_rows, want_rows)
 
     def test_criterion_points_as_asdict(self, capsys, tmp_path, monkeypatch):
-        # The written points are dataclasses.asdict of the report's points.
+        # The written points are the report's rows, keyed by CRITERION_COLUMNS.
         reports = []
 
         def keep(*args, _fn=cli.sim_mod.integrate, **kwargs):
@@ -426,9 +425,10 @@ class TestSimulate:
                              "--out", str(tmp_path / "run"))
         assert code == 0
         got = json.loads((tmp_path / "run.report.json").read_text())["criterion_points"]
-        want = [dataclasses.asdict(p) for p in reports[0].criterion_points]
+        want = reports[0].criterion_points.tolist()
         assert len(want) > 10
-        assert got == want
+        assert all(tuple(p) == cli.sim_mod.CRITERION_COLUMNS for p in got)
+        assert [tuple(p.values()) for p in got] == want
 
     @pytest.mark.parametrize("bad", ["--amp=nan", "--beta-b=-inf", "--beta-b=-1", "--beta-b=0"])
     def test_bad_input_writes_no_file(self, capsys, tmp_path, bad):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bfamily import (
     step,
 )
 from bfamily import sim
-from bfamily.sim import _MAX_N, SERIES_COLUMNS, _dp_symbol
+from bfamily.sim import _MAX_N, CRITERION_COLUMNS, SERIES_COLUMNS, _dp_symbol
 
 TWO_SINH_HALF = 2.0 * math.sinh(0.5)
 
@@ -219,17 +220,30 @@ class TestSquaresIdentity:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _seeded_bound_data(count):
+    # Seeded trigonometric polynomials of up to 8 modes, each with a b and a
+    # beta_b, as (u0, b, beta_b).
+    rng = np.random.default_rng(36)
+    data = []
+    for _ in range(count):
+        k = rng.integers(1, 9)
+        u0 = TorusField.from_coefficients(rng.standard_normal(k + 1),
+                                          rng.standard_normal(k + 1), 1024)
+        data.append((u0, float(rng.uniform(1.2, 3.0)), float(rng.uniform(0.1, 1.5))))
+    return data
+
+
 class TestCriterion:
     def test_cosine_has_quarter_point(self):
         u0 = TorusField.cosine(1.0, 1024)
         pts = check_criterion(u0, 1.0)
-        assert pts
-        best = max(pts, key=lambda p: p.du0**2 - p.u0**2)
-        assert best.x == pytest.approx(0.25, abs=1.0 / 1024)
-        assert best.margin == pytest.approx(2.0 * np.pi, abs=1e-9)
+        assert pts.size
+        best = pts[np.argmax(pts["du0"] ** 2 - pts["u0"] ** 2)]
+        assert best["x"] == pytest.approx(0.25, abs=1.0 / 1024)
+        assert best["margin"] == pytest.approx(2.0 * np.pi, abs=1e-9)
 
     def test_constant_has_no_points(self):
-        assert check_criterion(TorusField.constant(1.0, 128), 1.0) == []
+        assert check_criterion(TorusField.constant(1.0, 128), 1.0).size == 0
 
     def test_sine_against_direct_scan(self):
         u0 = TorusField.from_coefficients([0.0], [0.0, 1.0], 512)
@@ -239,7 +253,7 @@ class TestCriterion:
         vals = np.sin(2.0 * np.pi * x)
         dvals = 2.0 * np.pi * np.cos(2.0 * np.pi * x)
         expected = {float(xx) for xx in x[-dvals - beta * np.abs(vals) > 0.0]}
-        assert {p.x for p in pts} == expected
+        assert set(pts["x"].tolist()) == expected
 
     def test_lifespan_simple_substitution(self):
         # slope -1 at a zero of u0 dominates: bound = 2/(b-1)
@@ -264,8 +278,40 @@ class TestCriterion:
     def test_lifespan_none_beyond_float_range(self):
         # The points qualify, but 2 / ((b-1) |u0'|) exceeds the largest float.
         u0 = TorusField.cosine(1e-320, 64)
-        assert check_criterion(u0, 0.5)
+        assert check_criterion(u0, 0.5).size
         assert lifespan_bound(u0, 2.0, 0.5) is None
+
+    @pytest.mark.parametrize("u0, b, beta_b", [
+        (TorusField.cosine(1.0, 1024), 2.0, 0.51),
+        (TorusField.odd_sine(0.1, 1024), 2.5, 0.66616),
+        *((TorusField(scale * TorusField.cosine(1.0, 1024).values), 2.0, 0.51)
+          for scale in (1e-300, 1e150, 1e160)),
+        *_seeded_bound_data(8),
+    ], ids=["cosine", "odd_sine", "scale1e-300", "scale1e150", "scale1e160",
+            *(f"seeded{i}" for i in range(8))])
+    def test_lifespan_bits_of_the_point_loop(self, u0, b, beta_b):
+        want = _loop_bound(check_criterion(u0, beta_b), b, beta_b)
+        assert want is not None
+        assert lifespan_bound(u0, b, beta_b) == want
+
+    def test_peak_grid_arrays(self):
+        # Deterministic, unlike a timing: at n = 2^16 the cosine qualifies at
+        # 31111 points, and the peak, the points included, stays within
+        # eight n-float arrays (one Python object per point took 16).
+        n = 2**16
+        u0 = TorusField.cosine(1.0, n)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pts = check_criterion(u0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert pts.size == 31111
+        assert peak / (8 * n) <= 8.0
 
     @pytest.mark.parametrize("amp", [1e154, 1e308])
     @pytest.mark.parametrize("call", [
@@ -282,6 +328,20 @@ class TestCriterion:
         before = np.geterr()
         call(TorusField.cosine(amp, 64))
         assert np.geterr() == before
+
+
+def _loop_bound(points, b, beta_b):
+    # The per-point loop lifespan_bound once ran over its criterion points,
+    # kept as the oracle of its bits.
+    if not points.size:
+        return None
+    root = 0.0
+    for _, u0, du0, _ in points.tolist():
+        r = beta_b * abs(u0) / abs(du0)
+        root = max(root, abs(du0) * math.sqrt((1.0 - r) * (1.0 + r)))
+    scale = (b - 1.0) * root
+    bound = 2.0 / scale if scale > 0.0 else math.inf
+    return bound if 0.0 < bound < math.inf else None
 
 
 def _trig(cos_c, sin_c):
@@ -433,12 +493,16 @@ class TestIntegrate:
         assert traj.final.time == pytest.approx(0.1, abs=1e-12)
         assert len(traj.history) == rep.steps + 1
         # One step record, whose fields are the series header, and the final
-        # state; the report holds no array.
+        # state; the report's only array is its criterion points, whose
+        # fields are the report keys.
         assert [f.name for f in dataclasses.fields(traj)] == ["history", "final"]
         assert traj.history.dtype.names == SERIES_COLUMNS
         assert all(traj.history.dtype[name] == np.float64 for name in SERIES_COLUMNS)
-        assert not any(isinstance(getattr(rep, f.name), np.ndarray)
-                       for f in dataclasses.fields(rep))
+        assert [f.name for f in dataclasses.fields(rep)
+                if isinstance(getattr(rep, f.name), np.ndarray)] == ["criterion_points"]
+        assert rep.criterion_points.dtype.names == CRITERION_COLUMNS
+        assert all(rep.criterion_points.dtype[name] == np.float64
+                   for name in CRITERION_COLUMNS)
 
     def test_slope_threshold_stop(self):
         # With threshold 50 the tail monitor trips first; 20 is crossed at
@@ -494,6 +558,29 @@ class TestIntegrate:
         assert final[11:].max() <= 1e-14 * final.max()
         first = cfg.cfl / (32 * np.abs(proj.values).max())
         assert traj.history["t"][1] == pytest.approx(first, rel=1e-12)
+
+    def test_criterion_reads_the_band_projection(self):
+        # The datum of test_run_is_the_band_projection: the report's points
+        # and bound are those of P u0 = cos(2 pi x), bound 1/pi, where the
+        # datum as given has 0.1047.
+        u0 = TorusField.from_coefficients([0, 1] + [0] * 9 + [0.3], [0] * 12, 32)
+        proj = TorusField(_band_projection(u0.values, True))
+        beta_b = 0.51328
+        _, rep = integrate(u0, SimConfig(b=2.0, t_max=0.05), beta_b=beta_b)
+        assert rep.lifespan_bound == pytest.approx(lifespan_bound(proj, 2.0, beta_b),
+                                                   rel=1e-12)
+        assert rep.lifespan_bound == pytest.approx(1.0 / np.pi, rel=1e-12)
+        got, want = rep.criterion_points, check_criterion(proj, beta_b)
+        assert np.array_equal(got["x"], want["x"])
+        for name in CRITERION_COLUMNS[1:]:
+            assert np.allclose(got[name], want[name], rtol=0.0, atol=1e-13)
+
+    def test_criterion_reads_the_start_row(self):
+        # The points come from the u and u_x of the start row: the steepest
+        # one is the row's min_slope, bit for bit.
+        traj, rep = integrate(TorusField.cosine(1.0, 1024),
+                              SimConfig(b=2.0, t_max=0.45, max_steps=1), beta_b=0.51328)
+        assert rep.criterion_points["du0"].min() == traj.history["min_slope"][0]
 
     @pytest.mark.parametrize("amp", [1e154, 1e308])
     def test_huge_data_stop_on_overflow_quietly(self, amp):
