@@ -17,14 +17,17 @@ independent routes are provided:
 The BVP route is the production path, also at the degenerate weight; the
 direct minimization is kept as an independent oracle.  Both return through
 one shell, which checks beta, solves at n and at the companion grid of the
-Richardson band, and builds the ``JResult``.  One builder (``_system``)
-assembles either route's tridiagonal system from the route's block function.
-Up to the threshold search's n = 4096 both read the memoized grid, as one
-block; above it the system is built per call, block by block from slices of
-the nodes.  A row reads only its own cells, so its bits do not depend on the
-blocks.  The solver overwrites the system in place, so four full-length
-arrays are alive at once besides a few block-sized temporaries, and a J
-evaluation keeps none of them.
+Richardson band, and builds the ``JResult``.  Above the threshold search's
+n = 4096 the companion is solved in a worker thread beside the caller's
+solve, as ``spd_solve`` releases the GIL; up to it the two run one after the
+other.  One builder (``_system``) assembles either route's tridiagonal system
+from the route's block function.  Up to n = 4096 both read the memoized
+grid, as one block; above it the system is built per call, block by block,
+each block's nodes built for it.  A row reads only its own cells, and a node
+only its own index, so the bits do not depend on the blocks.  The solver
+overwrites the system in place, so a system holds three full-length arrays
+besides a few block-sized temporaries (a call above 4096, with its companion
+beside it, four and a half), and a J evaluation keeps none of them.
 
 ``SpectralJ`` encloses J between two spectral bounds (Prager and Synge's
 two-energy bound): the Ritz minimum over u = 1 + x(1-x) sum c_k
@@ -53,7 +56,10 @@ Discretization notes (constraints, not style):
   sqrt((3-b)/b) near b = 3 are thinner than 16 cells of the 4096-cell grid.
 """
 
+import contextvars
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -68,8 +74,9 @@ from .kernel import (
 _DEFAULT_N = 4096
 _MIN_N = 64  # fewest grid cells of any J value and its band, b = 3 included
 # Most grid cells: 16x the 2^20 of perfbench's j-refine workload.  A solve on
-# n cells holds four n-float arrays, 512 MiB at this n; the check runs before
-# any of them is built, so a larger n is a ValueError, not a MemoryError.
+# n cells holds three n-float arrays, and its companion on n/2 cells, solved
+# beside it, half as many again: 576 MiB at this n.  The check runs before any
+# of them is built, so a larger n is a ValueError, not a MemoryError.
 _MAX_N = 2**24
 _GAUSS_OFS = 0.5 / math.sqrt(3.0)  # the two-point Gauss rule's offset from a cell's middle
 
@@ -86,17 +93,21 @@ class ELSolution:
     """Solution of the Euler-Lagrange BVP on the interior nodes of (0, 1).
 
     ``flux0`` and ``flux1`` are the extrapolated limits of w*v_x at 0+ and
-    1-.  ``grid`` holds the interior nodes; they are cosine-graded by the
+    1-.  ``grid``, the interior nodes, is built when read, so a solution
+    keeps one full-length array, ``v``; the nodes are cosine-graded by the
     mesh rule both J routes take (``_graded``): at the degenerate weight
     (``kernel.is_degenerate``) and for b near 3.
     """
 
     b: float
     beta: float
-    grid: np.ndarray
     v: np.ndarray
     flux0: float
     flux1: float
+
+    @property
+    def grid(self) -> np.ndarray:
+        return _nodes(self.v.size + 1, _graded(self.b, self.beta))[1:-1]
 
 
 @dataclass(frozen=True)
@@ -148,32 +159,56 @@ def _dptsv():
     return module.dptsv
 
 
+_ONE = ctypes.c_int(1)  # dptsv's nrhs, read only
+
+
+@lru_cache(maxsize=None)
+def _dptsv_c():
+    # The routine the f2py object of ``_dptsv`` calls, at the address it
+    # exposes in a PyCapsule, as a ctypes function: dptsv(n, nrhs, d, e, b,
+    # ldb, info), every argument by reference.  scipy's _flapack is its LP64
+    # build, so the integers are C ints.  A CFUNCTYPE call releases the GIL
+    # for its duration.
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = capsule_pointer(_dptsv()._cpointer, None)
+    c_int, c_double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    return ctypes.CFUNCTYPE(None, c_int, c_int, c_double, c_double, c_double, c_int,
+                            c_int)(address)
+
+
 def spd_solve(diag, off, rhs, overwrite=False):
     """Solve the symmetric positive-definite tridiagonal system.
 
     ``diag`` (n,) is the main diagonal, ``off`` (n-1,) the first off-diagonal,
     ``rhs`` (n,) the right-hand side; none is modified unless ``overwrite``
-    is true, when the solver may use all three as its workspace (contiguous
-    float64 arrays are overwritten, and the solution is then ``rhs``
-    itself).  LAPACK ``dptsv`` factors the matrix as L D L^T; the first
-    call loads the top-level ``scipy`` package and its LAPACK extension
-    (about 15 ms, see ``_dptsv``), not ``scipy.linalg``.  Raises
+    is true, when the solver may use all three as its workspace.  Contiguous,
+    aligned, writeable float64 arrays are then overwritten: ``diag`` and
+    ``off`` with the factors of the matrix as L D L^T (D, and the
+    subdiagonal of the unit bidiagonal L), and ``rhs`` with the solution,
+    which is then ``rhs`` itself.
+    LAPACK ``dptsv`` is called through ctypes at the address that scipy's
+    f2py wrapper of it exposes, so the call releases the GIL and two solves
+    can run in two threads; the bits are the wrapper's.  The first call
+    loads the top-level ``scipy`` package and its LAPACK extension (about
+    15 ms, see ``_dptsv``), not ``scipy.linalg``.  Raises
     ``numpy.linalg.LinAlgError`` when the matrix is not positive definite.
     """
     diag = np.asarray(diag, dtype=np.float64)
     off = np.asarray(off, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     n = diag.shape[0]
-    if off.shape[0] != max(n - 1, 0) or rhs.shape[0] != n:
+    if diag.shape != (n,) or off.shape != (max(n - 1, 0),) or rhs.shape != (n,):
         raise ValueError("inconsistent system dimensions")
-    if n < 2:  # the LAPACK wrapper rejects an empty off-diagonal
+    if n < 2:  # the off-diagonal is empty, and ctypes passes no empty buffer
         if not np.all(diag > 0.0):
             raise np.linalg.LinAlgError("leading minor 1 not positive definite")
         return rhs / diag
-    _, _, x, info = _dptsv()(diag, off, rhs, overwrite_d=overwrite, overwrite_e=overwrite,
-                             overwrite_b=overwrite)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
+    d, e, x = [a if overwrite and a.flags.carray else a.copy() for a in (diag, off, rhs)]
+    size, info, buffer = ctypes.c_int(n), ctypes.c_int(0), ctypes.c_double.from_buffer
+    _dptsv_c()(size, _ONE, buffer(d), buffer(e), buffer(x), size, info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info.value} not positive definite")
     return x
 
 
@@ -192,12 +227,19 @@ def _graded(b: float, beta: float) -> bool:
     return bool(is_degenerate(beta)) or 3.0 - b < b * (16 / _DEFAULT_N) ** 2
 
 
-def _nodes(n: int, graded: bool) -> np.ndarray:
-    _check_n(n)
+def _nodes(n: int, graded: bool, start: int = 0, stop: int | None = None) -> np.ndarray:
+    # The nodes start .. stop-1 of the n-cell grid, all n + 1 by default.  A
+    # node is built from its own index by elementwise operations, so a block
+    # of nodes holds the bits of the same nodes of the whole grid.
+    stop = n + 1 if stop is None else stop
+    x = np.arange(start, stop, dtype=np.float64)
     if not graded:
-        return np.linspace(0.0, 1.0, n + 1)
+        # np.linspace(0, 1, n + 1)'s arithmetic: i * (1/n), the last node 1
+        x *= 1.0 / n
+        if stop == n + 1:
+            x[-1] = 1.0
+        return x
     # 0.5 (1 - cos(pi i / n)), built in one array
-    x = np.arange(n + 1, dtype=np.float64)
     x *= np.pi
     x /= n
     np.cos(x, out=x)
@@ -273,23 +315,22 @@ def _cached_grid(n: int, graded: bool) -> _Grid:
 
 
 def _system(block, b: float, beta: float, n: int):
-    # The nodes x and the tridiagonal system (diag, off, rhs) of either
-    # route, with what ``block`` returned for each block, in order.  Grids up
-    # to the search's n come from the memo, as one block.  Larger ones are
-    # built block by block (``_blocks``) into the system, so only x and the
-    # system are full-length, and the solver may overwrite the system: at
-    # n = 2^20 each fresh 8 MB array costs about 3 ms of page faults.
+    # The tridiagonal system (diag, off, rhs) of either route, with what
+    # ``block`` returned for each block, in order.  Grids up to the search's
+    # n come from the memo, as one block.  Larger ones are built block by
+    # block (``_blocks``), each block's nodes for it, into the system, so only
+    # the system is full-length, and the solver may overwrite it: at n = 2^20
+    # each fresh 8 MB array costs about 3 ms of page faults.
+    _check_n(n)
     graded = _graded(b, beta)
     if n <= _DEFAULT_N:
-        grid = _cached_grid(n, graded)
-        x, blocks = grid.x, [(0, n - 1)]
+        grids = [(0, n - 1, _cached_grid(n, graded))]
     else:
-        grid, x = None, _nodes(n, graded)
-        blocks = _blocks(n)
+        grids = ((j0, j1, _Grid(_nodes(n, graded, j0, j1 + 2))) for j0, j1 in _blocks(n))
     diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
-    parts = [block(b, beta, _Grid(x[j0:j1 + 2]) if grid is None else grid,
-                   diag[j0:j1], off[j0:j1], rhs[j0:j1]) for j0, j1 in blocks]
-    return x, diag, off, rhs, parts
+    parts = [block(b, beta, grid, diag[j0:j1], off[j0:j1], rhs[j0:j1])
+             for j0, j1, grid in grids]
+    return diag, off, rhs, parts
 
 
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
@@ -306,13 +347,15 @@ def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
 def _bvp_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
     # The rows of the BVP's system for the unknowns of one block, written
     # into the block's slices of diag, off and rhs from the block's grid.
-    # Returns the face weights and widths of the three faces at each end of
-    # the block, head and tail.
+    # Returns the four nodes and the face weights and widths of the three
+    # faces at each end of the block, head and tail.
     w = grid.weight(beta)
     a = _face_weights(w)
-    ends = (a[:3].tolist(), grid.h[:3].tolist()), (a[-3:].tolist(), grid.h[-3:].tolist())
+    x, h = grid.x, grid.h
+    ends = ((x[:4].tolist(), a[:3].tolist(), h[:3].tolist()),
+            (x[-4:].tolist(), a[-3:].tolist(), h[-3:].tolist()))
     a *= 3.0 - b
-    a /= grid.h                                 # face conductances
+    a /= h                                      # face conductances
     q = w[1:-1]                                 # inner node masses b w share
     q *= b
     q *= grid.share
@@ -355,15 +398,15 @@ def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSoluti
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     check_b(b, open_top=True)
     check_beta(beta)
-    x, diag, off, rhs, ends = _system(_bvp_block, b, beta, n)
+    diag, off, rhs, ends = _system(_bvp_block, b, beta, n)
     v = _solve(b, beta, n, diag, off, rhs)
-    (wf0, h0), _ = ends[0]
-    _, (wf1, h1) = ends[-1]
+    head, _ = ends[0]
+    _, tail = ends[-1]
 
     # The three faces at each end, closed by v(0) = v(1) = 0.
-    flux0 = _end_flux(0.0, x[:4].tolist(), wf0, h0, [0.0] + v[:3].tolist())
-    flux1 = _end_flux(1.0, x[-4:].tolist(), wf1, h1, v[-3:].tolist() + [0.0])
-    return ELSolution(b=b, beta=beta, grid=x[1:-1], v=v, flux0=flux0, flux1=flux1)
+    flux0 = _end_flux(0.0, *head, [0.0] + v[:3].tolist())
+    flux1 = _end_flux(1.0, *tail, v[-3:].tolist() + [0.0])
+    return ELSolution(b=b, beta=beta, v=v, flux0=flux0, flux1=flux1)
 
 
 def _j_bvp_value(b: float, beta: float, n: int) -> float:
@@ -371,14 +414,45 @@ def _j_bvp_value(b: float, beta: float, n: int) -> float:
     return 0.5 * (3.0 - b) * (sol.flux1 - sol.flux0)
 
 
+def _beside(j_value, b: float, beta: float, n: int, n2: int):
+    # j_value at n here and at n2 in a worker thread, whose solve runs while
+    # this one's does, as spd_solve releases the GIL.  The worker runs in a
+    # copy of this thread's context (numpy's errstate included), and is
+    # joined before anything returns or raises; an error of either solve
+    # raises here, this thread's first.
+    _dptsv_c()  # loaded here, so that the two threads do not both load it
+    out = {}
+
+    def companion():
+        try:
+            out["value"] = j_value(b, beta, n2)
+        except BaseException as exc:
+            out["error"] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(companion,))
+    worker.start()
+    try:
+        value = j_value(b, beta, n)
+    finally:
+        worker.join()
+    if "error" in out:
+        raise out["error"]
+    return value, out["value"]
+
+
 def _with_band(j_value, method: str, b: float, beta: float, n: int) -> JResult:
     # Second-order scheme: error(n) ~ |J_n - J_{n/2}| / 3, or 4/3 |J_n - J_{2n}|
-    # where n/2 is below the 64-cell minimum.
+    # where n/2 is below the 64-cell minimum.  Up to the search's n the two
+    # solves run one after the other: a thread costs more than it saves there.
     check_beta(beta)
-    value = j_value(b, beta, n)
+    _check_n(n)
     n2, factor = (n // 2, 1.0 / 3.0) if n // 2 >= _MIN_N else (2 * n, 4.0 / 3.0)
+    if n <= _DEFAULT_N:
+        value, companion = j_value(b, beta, n), j_value(b, beta, n2)
+    else:
+        value, companion = _beside(j_value, b, beta, n, n2)
     return JResult(b=b, beta=beta, value=value, method=method,
-                   error_estimate=factor * abs(value - j_value(b, beta, n2)))
+                   error_estimate=factor * abs(value - companion))
 
 
 def compute_j_bvp(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:
@@ -415,11 +489,17 @@ def _direct_block(b: float, beta: float, grid: _Grid, diag, off, rhs):
 
 
 def _j_direct_value(b: float, beta: float, n: int) -> float:
-    _, diag, off, rhs, _ = _system(_direct_block, b, beta, n)
-    v = _solve(b, beta, n, diag, off, rhs.copy())   # rhs . v reads rhs
-    # 0.5 b + 0.5 f.v with f = -rhs, to the bit: negation commutes with every
-    # rounding of the sum.
-    return 0.5 * b - 0.5 * float(rhs @ v)
+    # J = b/2 + T(v) = b/2 - v^T A v / 2 at the minimizer, A v = rhs.  The
+    # energy is sum d_i (v_i + l_i v_{i+1})^2 over the factors A = L D L^T
+    # the solve leaves in diag and off, built in place in v: no copy of rhs,
+    # and no BLAS dot, whose threads would set the bits of the sum.
+    diag, off, rhs, _ = _system(_direct_block, b, beta, n)
+    v = _solve(b, beta, n, diag, off, rhs)
+    np.multiply(off, v[1:], out=off)
+    v[:-1] += off
+    v *= v
+    v *= diag
+    return 0.5 * b - 0.5 * float(v.sum())
 
 
 def compute_j_direct(b: float, beta: float, n: int = _DEFAULT_N) -> JResult:

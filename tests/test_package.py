@@ -108,6 +108,23 @@ def test_first_solve_loads_only_lapack():
     assert out.stdout.split() == ["True", "True", "True"]
 
 
+def test_concurrent_first_solve_loads_lapack_once():
+    # A fresh process whose first solve is a 2^14 J, whose band's companion
+    # is solved in a worker thread: the extension is looked up and loaded
+    # once, before the worker starts, not once in each thread.
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib.util as util; load = util.module_from_spec; loaded = []; "
+         "util.module_from_spec = lambda spec: loaded.append(spec.name) or load(spec); "
+         "import bfamily; from bfamily.variational import _dptsv, _dptsv_c; "
+         "bfamily.compute_j(2.0, 0.5, 2**14); "
+         "print(loaded, _dptsv.cache_info().misses, _dptsv_c.cache_info().misses)"],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["['scipy.linalg._flapack']", "1", "1"]
+
+
 def _cli(*argv):
     # The code that runs the command line on argv.
     return f"from bfamily.cli import main; main({list(argv)!r})"

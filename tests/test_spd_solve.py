@@ -1,3 +1,4 @@
+import ctypes
 import importlib.machinery
 import re
 import sys
@@ -10,7 +11,7 @@ import scipy
 import scipy.linalg.lapack
 from scipy.linalg import solveh_banded
 
-from bfamily.variational import _dptsv, spd_solve
+from bfamily.variational import _dptsv, _dptsv_c, spd_solve
 
 
 def random_spd_system(rng, n):
@@ -94,6 +95,58 @@ def test_overwrite_gives_the_copying_bits(n):
     want = spd_solve(*system)
     got = spd_solve(*(a.copy() for a in system), overwrite=True)
     assert np.array_equal(got, want)
+
+
+class TestGilFreeRoute:
+    # spd_solve calls LAPACK's dptsv through ctypes, at the address scipy's
+    # f2py wrapper exposes, so that the call releases the GIL.  It must give
+    # the wrapper's bits and keep its in-place contract.
+    def test_call_releases_the_gil(self):
+        # A CFUNCTYPE function; a PYFUNCTYPE one would hold the GIL.
+        assert not type(_dptsv_c())._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    @pytest.mark.parametrize("n", [2, 3, 4096, 2**16])
+    def test_bit_identical_to_the_f2py_wrapper(self, n):
+        rng = np.random.default_rng(300 + n)
+        system = random_spd_system(rng, n)
+        d, e, x, info = _dptsv()(*system)
+        assert info == 0
+        assert np.array_equal(spd_solve(*system), x)
+        # Overwriting: the solution in rhs itself, the L D L^T factors in
+        # diag and off, all the wrapper's bits.
+        work = [a.copy() for a in system]
+        got = spd_solve(*work, overwrite=True)
+        assert got is work[2]
+        for a, want in zip(work, (d, e, x)):
+            assert np.array_equal(a, want)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_strided_and_other_dtype_inputs_are_solved(self, overwrite):
+        rng = np.random.default_rng(11)
+        diag, off, rhs = random_spd_system(rng, 65)
+        want = spd_solve(diag, off, rhs)
+        strided = [np.repeat(a, 2)[::2] for a in (diag, off, rhs)]
+        assert not strided[0].flags.c_contiguous
+        assert np.array_equal(spd_solve(*strided, overwrite=overwrite), want)
+        # float32 and integer inputs are converted to float64 first.
+        small = [a.astype(np.float32) for a in (diag, off, rhs)]
+        x = spd_solve(*small, overwrite=overwrite)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, spd_solve(*(a.astype(np.float64) for a in small)))
+        ints = np.array([4, 4, 4]), np.array([1, 1]), np.array([1, 2, 3])
+        assert np.allclose(dense(*ints[:2]) @ spd_solve(*ints, overwrite=overwrite), ints[2])
+        # A read-only array is not overwritten.
+        frozen = diag.copy()
+        frozen.flags.writeable = False
+        assert np.array_equal(spd_solve(frozen, off.copy(), rhs.copy(), overwrite=True), want)
+        assert np.array_equal(frozen, diag)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_indefinite_raises(self, overwrite):
+        diag, off, rhs = random_spd_system(np.random.default_rng(5), 4096)
+        diag[2000] = -1.0
+        with pytest.raises(np.linalg.LinAlgError, match="leading minor 2001 "):
+            spd_solve(diag, off, rhs, overwrite=overwrite)
 
 
 @pytest.fixture

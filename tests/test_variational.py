@@ -1,5 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +299,16 @@ def _per_call_j_direct(b, beta, n, graded=False):
     diag = b * (pair + skew) + s * (k[:-1] + k[1:])
     off = 0.5 * b * mass[1:-1] - s * k[1:-1]
     f = b * (1.5 * pair + skew)
-    return 0.5 * b + 0.5 * float(f @ vmod.spd_solve(diag, off, -f))
+    return 0.5 * b - 0.5 * _ldlt_energy(diag, off, -f)
+
+
+def _ldlt_energy(diag, off, rhs):
+    # v^T A v at the solution of A v = rhs, as sum d_i (v_i + l_i v_{i+1})^2
+    # over the factors A = L D L^T that the overwriting solve leaves in diag
+    # and off, one expression per array.
+    v = vmod.spd_solve(diag, off, rhs, overwrite=True)
+    t = np.concatenate((v[:-1] + off * v[1:], v[-1:]))
+    return float(np.sum(t * t * diag))
 
 
 # The (b, beta) and n of the direct route's bit pins: on the memoized grids,
@@ -325,7 +340,10 @@ class TestSearchGrid:
         assert vmod._cached_grid.cache_info().hits == 1
         assert (cached.flux0, cached.flux1) == (fresh.flux0, fresh.flux1)
         assert np.array_equal(cached.v, fresh.v)
-        assert not cached.grid.flags.writeable
+        # The solution's grid is built when read, without the memo: the
+        # interior nodes, bit for bit.
+        assert np.array_equal(cached.grid, _written_out_nodes(4096, False)[1:-1])
+        assert vmod._cached_grid.cache_info().hits == 1
         # The direct route reads the same memo: its n = 4096 grid is a hit,
         # the 2048 of its band a new entry; above the memo's n it adds none.
         compute_j_direct(2.0, 0.5)
@@ -384,26 +402,118 @@ class TestLargeGrid:
         monkeypatch.setattr(vmod, "_BLOCK", block)
         assert (vmod._j_bvp_value(b, beta, n), vmod._j_direct_value(b, beta, n)) == want
 
-    @pytest.mark.parametrize("compute", [compute_j_bvp, compute_j_direct])
-    @pytest.mark.parametrize("beta", [0.5, BETA_MAX])
-    def test_peak_full_length_arrays(self, compute, beta):
-        # Deterministic, unlike a timing: besides a few block-sized
-        # temporaries, four (n+1)-float arrays are alive at once: the system,
-        # which the solver overwrites, and the nodes (in the direct route's
-        # solve, the copy of the right-hand side).
+    @staticmethod
+    def _peak_arrays(fn, *args):
+        # The peak of traced memory during fn(*args), in (n+1)-float arrays
+        # at n = 2^20; tracemalloc sees the allocations of every thread.
+        # Deterministic, unlike a timing.
         n = 2**20
-        compute(2.0, beta, n)
+        fn(*args, n)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            compute(2.0, beta, n)
+            fn(*args, n)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak / (8 * (n + 1)) < 4.5
+        return peak / (8 * (n + 1))
+
+    @pytest.mark.parametrize("j_value", [vmod._j_bvp_value, vmod._j_direct_value])
+    @pytest.mark.parametrize("beta", [0.5, BETA_MAX])
+    def test_peak_full_length_arrays_per_system(self, j_value, beta):
+        # Besides a few block-sized temporaries, three full-length arrays:
+        # the system, which the solver overwrites.  The nodes are built per
+        # block, and the direct route's energy is built in the solution.
+        assert self._peak_arrays(j_value, 2.0, beta) < 3.5
+
+    @pytest.mark.parametrize("compute", [compute_j_bvp, compute_j_direct])
+    @pytest.mark.parametrize("beta", [0.5, BETA_MAX])
+    def test_peak_full_length_arrays(self, compute, beta):
+        # The system on n cells and its companion on n/2, solved beside it in
+        # a worker thread: four and a half arrays, and the block-sized
+        # temporaries of both threads.
+        assert self._peak_arrays(compute, 2.0, beta) < 4.9
+
+
+class TestConcurrentCompanion:
+    # Above the memo's n the band's companion on n/2 cells is solved in a
+    # worker thread beside the solve on n; the result must be the sequential
+    # composition's, to the bit, and no thread may outlive the call.
+    ROUTES = [(compute_j_bvp, vmod._j_bvp_value), (compute_j_direct, vmod._j_direct_value)]
+
+    @pytest.mark.parametrize("n", [4097, 8192, 3 * 2**14 + 5])
+    @pytest.mark.parametrize("b, beta", [(2.0, 0.5), (2.5, BETA_MAX), (1.01, -1.3)])
+    @pytest.mark.parametrize("compute, j_value", ROUTES)
+    def test_bit_identical_to_sequential_composition(self, compute, j_value, b, beta, n):
+        value = j_value(b, beta, n)
+        band = (1.0 / 3.0) * abs(value - j_value(b, beta, n // 2))
+        res = compute(b, beta, n)
+        assert (res.value, res.error_estimate) == (value, band)
+
+    @pytest.mark.parametrize("failing", ["main", "companion", "both"])
+    @pytest.mark.parametrize("compute, j_value", ROUTES)
+    def test_failed_solve_raises_and_joins_the_worker(self, monkeypatch, compute, j_value,
+                                                      failing):
+        # A solve of the n-cell system, of its n/2 companion, or of both, is
+        # made to fail: the call raises LinearSolveFailure naming the failed
+        # grid (this thread's first), and leaves no thread behind, also when
+        # the companion is still solving as this thread's solve fails.
+        n = 8192
+        failing_n = {"main": [n], "companion": [n // 2], "both": [n, n // 2]}[failing]
+        solve = vmod.spd_solve
+
+        def failing_solve(diag, off, rhs, overwrite=False):
+            if diag.shape[0] + 1 in failing_n:
+                raise np.linalg.LinAlgError("leading minor 1 not positive definite")
+            if failing == "main":
+                time.sleep(0.1)
+            return solve(diag, off, rhs, overwrite)
+
+        monkeypatch.setattr(vmod, "spd_solve", failing_solve)
+        threads = threading.active_count()
+        with pytest.raises(LinearSolveFailure, match=f"n={failing_n[0]}$"):
+            compute(2.0, 0.5, n)
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy < 2 keeps errstate per thread, not in a context variable")
+    def test_worker_runs_in_the_callers_errstate(self):
+        # The companion runs in another thread, in a copy of the caller's
+        # context: an np.errstate around the call holds in it.
+        seen = {}
+
+        def probe(b, beta, n):
+            seen[n] = threading.get_ident(), np.geterr()["divide"]
+            return float(n)
+
+        with np.errstate(divide="raise"):
+            vmod._with_band(probe, "PROBE", 2.0, 0.5, 8192)
+        assert seen[8192] == (threading.get_ident(), "raise")
+        assert seen[4096][0] != threading.get_ident() and seen[4096][1] == "raise"
+
+
+def test_direct_value_independent_of_blas_threads():
+    # The direct route's energy is summed without BLAS, so its value and band
+    # are the same bits whatever number of threads OpenBLAS runs.  Its
+    # threaded dot product once made them differ in the last digit at both n.
+    code = ("from bfamily.variational import compute_j_direct\n"
+            "for n in (2**14, 2**18):\n"
+            "    r = compute_j_direct(2.0, 1.0, n)\n"
+            "    print(repr(r.value), repr(r.error_estimate))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert len(outs[0].split()) == 4
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("b, beta, n", [
@@ -414,7 +524,8 @@ class TestLargeGrid:
 def test_closed_form_matches_element_sums(b, beta, n):
     # The closed-form cell arrays regroup the two-point rule's element sums,
     # so value and band agree with the element-by-element form to rounding:
-    # at most 2.2e-16 and 3.0e-16 of max(1, |J|) measured at these points.
+    # at most 3.3e-15 and 1.2e-15 of max(1, |J|) measured at these points,
+    # the route's L D L^T energy against the oracle's dot product.
     graded = vmod._graded(b, beta)
     n2, factor = (n // 2, 1.0 / 3.0) if n // 2 >= 64 else (2 * n, 4.0 / 3.0)
     value = _element_sum_j_direct(b, beta, n, graded)
