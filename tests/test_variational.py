@@ -478,11 +478,10 @@ class TestConcurrentCompanion:
             compute(2.0, 0.5, n)
         assert threading.active_count() == threads
 
-    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
-                        reason="numpy < 2 keeps errstate per thread, not in a context variable")
     def test_worker_runs_in_the_callers_errstate(self):
-        # The companion runs in another thread, in a copy of the caller's
-        # context: an np.errstate around the call holds in it.
+        # The companion runs in another thread, which takes the caller's
+        # numpy error state: an np.errstate around the call holds in it, on
+        # numpy 1.x (errstate per thread) and 2.x (in a context variable).
         seen = {}
 
         def probe(b, beta, n):
