@@ -47,6 +47,7 @@ points in the ``simulate`` report; a run reads them from the field it evolves.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,7 +73,7 @@ _MAX_N = 2**24
 
 
 def _check_n(n: int) -> None:
-    if n < 8 or n & (n - 1) or n > _MAX_N:
+    if not isinstance(n, numbers.Integral) or n < 8 or n & (n - 1) or n > _MAX_N:
         raise ValueError(f"need a power-of-two grid of 8 to {_MAX_N} samples (got {n})")
 
 

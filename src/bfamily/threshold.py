@@ -39,6 +39,7 @@ its certificate are ``compute_j``'s, bit for bit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,10 +143,10 @@ class _Search:
         self.max_gap = None
 
     def _j(self, b: float, beta: float, n: int) -> float:
-        """J's value on n cells as ``compute_j`` gives it (J = 0 exactly at
-        b = 3, with no solve); on 4096 cells solved once per beta and kept."""
+        """J's value on n cells as ``compute_j`` gives it: at b = 3 the exact
+        0.0, with no solve and no public call; on 4096 cells solved once and kept."""
         if self.spec is None:
-            return compute_j(b, beta, n).value
+            return 0.0
         if n != _DEFAULT_N:
             return _j_bvp_value(b, beta, n)
         value = self.values.get(beta)
@@ -336,15 +337,16 @@ def sweep_grid(b_min: float, b_max: float, steps: int) -> list[float]:
     """The b values of an inclusive sweep: ``steps`` points, both ends exact.
 
     ``beta-b`` and ``estimates`` share this grid, so their CSVs join on b.
-    It is also their one range rule: finite ends, ``b_min <= b_max``,
-    ``1 <= steps <= _MAX_SWEEP_STEPS`` and one step only where the ends meet,
-    or ``ValueError`` before any row is built.
+    It is also their one range rule: finite ends, ``b_min <= b_max``, an
+    integer ``1 <= steps <= _MAX_SWEEP_STEPS`` and one step only where the
+    ends meet, or ``ValueError`` before any row is built.
     """
     if not (math.isfinite(b_min) and math.isfinite(b_max) and b_min <= b_max
-            and 1 <= steps <= _MAX_SWEEP_STEPS and (steps > 1 or b_min == b_max)):
-        raise ValueError(f"sweep needs finite ends with b_min <= b_max, 1 <= steps <= "
-                         f"{_MAX_SWEEP_STEPS}, and steps > 1 unless b_min == b_max "
-                         f"(got {b_min}:{b_max}:{steps})")
+            and isinstance(steps, numbers.Integral) and 1 <= steps <= _MAX_SWEEP_STEPS
+            and (steps > 1 or b_min == b_max)):
+        raise ValueError(f"sweep needs finite ends with b_min <= b_max, an integer "
+                         f"1 <= steps <= {_MAX_SWEEP_STEPS}, and steps > 1 unless "
+                         f"b_min == b_max (got {b_min}:{b_max}:{steps})")
     return np.linspace(b_min, b_max, steps).tolist()
 
 

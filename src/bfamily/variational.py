@@ -21,12 +21,12 @@ Richardson band, and builds the ``JResult``.  Above the threshold search's
 n = 4096 the companion is solved in a worker thread beside the caller's
 solve, as ``spd_solve`` releases the GIL; up to it the two run one after the
 other.  One builder (``_system``) assembles either route's tridiagonal system
-from the route's block function.  Up to n = 4096 both read the memoized
-grid, as one block; above it the system is built per call, block by block,
-each block's nodes built for it.  A row reads only its own cells, and a node
-only its own index, so the bits do not depend on the blocks.  The solver
-overwrites the system in place, so a system holds three full-length arrays
-besides a few block-sized temporaries (a call above 4096, with its companion
+from the route's block function and solves it in place.  Up to n = 4096 both
+read the memoized grid, as one block; above it the system is built per call,
+block by block, each block's nodes built for it.  A row reads only its own
+cells, and a node only its own index, so the bits do not depend on the
+blocks.  As the solve overwrites the system, a system holds three full-length
+arrays besides a few block-sized temporaries (a call above 4096, with its companion
 beside it, four and a half), and a J evaluation keeps none of them.
 
 ``SpectralJ`` encloses J between two spectral bounds (Prager and Synge's
@@ -58,6 +58,7 @@ Discretization notes (constraints, not style):
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -119,8 +120,14 @@ class JResult:
 
 @lru_cache(maxsize=None)
 def _dptsv():
-    # LAPACK's dptsv, loaded at the first solve from scipy's compiled wrapper
-    # module, with scipy's top-level package but not scipy.linalg.
+    # LAPACK's dptsv as a CFUNCTYPE function, whose call releases the GIL:
+    # dptsv(n, nrhs, d, e, b, ldb, info), every argument by reference, the
+    # integers C ints, as scipy's _flapack is its LP64 build.  Its address is
+    # the one scipy's f2py wrapper exposes in a PyCapsule (``_cpointer``); the
+    # routine keeps that object as ``wrapper``, which holds the capsule alive
+    # and gives the bits to check it against.  The wrapper is loaded at the
+    # first solve from scipy's compiled wrapper module, with scipy's
+    # top-level package but not scipy.linalg.
     # `from scipy.linalg.lapack import dptsv` runs all of scipy.linalg's
     # package init: about 0.33 s, +27 MB RSS and 332 modules in a fresh
     # process.  `import scipy` (its distributor hook, which may set up the
@@ -133,10 +140,7 @@ def _dptsv():
     # scipy.linalg` would take it from there without binding it as
     # scipy.linalg._flapack; that import loads it anew, and CPython builds
     # the new module from the first one's namespace (f2py modules use
-    # single-phase init), so it holds the same routine.  The closed-form
-    # estimates never solve, and load no scipy; nor does simulate given
-    # beta_b or the estimate criterion, but at its defaults it runs the
-    # threshold search first, which loads this extension.
+    # single-phase init), so it holds the same routine.
     import importlib.util
     import os
     import sys
@@ -154,25 +158,16 @@ def _dptsv():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules.pop(name, None)
-    return module.dptsv
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    c_int, c_double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    routine = ctypes.CFUNCTYPE(None, c_int, c_int, c_double, c_double, c_double, c_int,
+                               c_int)(capsule_pointer(module.dptsv._cpointer, None))
+    routine.wrapper = module.dptsv
+    return routine
 
 
 _ONE = ctypes.c_int(1)  # dptsv's nrhs, read only
-
-
-@lru_cache(maxsize=None)
-def _dptsv_c():
-    # The routine the f2py object of ``_dptsv`` calls, at the address it
-    # exposes in a PyCapsule, as a ctypes function: dptsv(n, nrhs, d, e, b,
-    # ldb, info), every argument by reference.  scipy's _flapack is its LP64
-    # build, so the integers are C ints.  A CFUNCTYPE call releases the GIL
-    # for its duration.
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = capsule_pointer(_dptsv()._cpointer, None)
-    c_int, c_double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    return ctypes.CFUNCTYPE(None, c_int, c_int, c_double, c_double, c_double, c_int,
-                            c_int)(address)
 
 
 def spd_solve(diag, off, rhs, overwrite=False):
@@ -185,11 +180,12 @@ def spd_solve(diag, off, rhs, overwrite=False):
     ``off`` with the factors of the matrix as L D L^T (D, and the
     subdiagonal of the unit bidiagonal L), and ``rhs`` with the solution,
     which is then ``rhs`` itself.
-    LAPACK ``dptsv`` is called through ctypes at the address that scipy's
-    f2py wrapper of it exposes, so the call releases the GIL and two solves
-    can run in two threads; the bits are the wrapper's.  The first call
-    loads the top-level ``scipy`` package and its LAPACK extension (about
-    15 ms, see ``_dptsv``), not ``scipy.linalg``.  Raises
+    LAPACK ``dptsv`` is the ctypes routine of ``_dptsv``, at the address
+    that scipy's f2py wrapper of it exposes, so the call releases the GIL
+    and two solves can run in two threads; the bits are the wrapper's, which
+    the routine keeps as ``_dptsv().wrapper``.  The first call loads the
+    top-level ``scipy`` package and its LAPACK extension (about 15 ms, see
+    ``_dptsv``), not ``scipy.linalg``.  Raises
     ``numpy.linalg.LinAlgError`` when the matrix is not positive definite.
     """
     diag = np.asarray(diag, dtype=np.float64)
@@ -204,15 +200,15 @@ def spd_solve(diag, off, rhs, overwrite=False):
         return rhs / diag
     d, e, x = [a if overwrite and a.flags.carray else a.copy() for a in (diag, off, rhs)]
     size, info, buffer = ctypes.c_int(n), ctypes.c_int(0), ctypes.c_double.from_buffer
-    _dptsv_c()(size, _ONE, buffer(d), buffer(e), buffer(x), size, info)
+    _dptsv()(size, _ONE, buffer(d), buffer(e), buffer(x), size, info)
     if info.value > 0:
         raise np.linalg.LinAlgError(f"leading minor {info.value} not positive definite")
     return x
 
 
 def _check_n(n: int) -> None:
-    if n < _MIN_N:
-        raise ValueError(f"need n >= {_MIN_N} grid cells (got {n})")
+    if not isinstance(n, numbers.Integral) or n < _MIN_N:
+        raise ValueError(f"need n >= {_MIN_N} grid cells (got {n}), as an integer")
     if n > _MAX_N:
         raise ValueError(f"need n <= {_MAX_N} grid cells (got {n})")
 
@@ -313,12 +309,14 @@ def _cached_grid(n: int, graded: bool) -> _Grid:
 
 
 def _system(block, b: float, beta: float, n: int):
-    # The tridiagonal system (diag, off, rhs) of either route, with what
-    # ``block`` returned for each block, in order.  Grids up to the search's
-    # n come from the memo, as one block.  Larger ones are built block by
-    # block (``_blocks``), each block's nodes for it, into the system, so only
-    # the system is full-length, and the solver may overwrite it: at n = 2^20
-    # each fresh 8 MB array costs about 3 ms of page faults.
+    # Either route's tridiagonal system, built and solved in place: (v, diag,
+    # off, parts), the solution, the L D L^T factors the solve leaves, and
+    # what ``block`` returned for each block, in order; a failed solve is a
+    # LinearSolveFailure.  Grids up to the search's n come from the memo, as
+    # one block.  Larger ones are built block by block (``_blocks``), each
+    # block's nodes for it, into the system, so only the system is
+    # full-length: at n = 2^20 each fresh 8 MB array costs about 3 ms of page
+    # faults.
     _check_n(n)
     graded = _graded(b, beta)
     if n <= _DEFAULT_N:
@@ -328,7 +326,11 @@ def _system(block, b: float, beta: float, n: int):
     diag, off, rhs = np.empty(n - 1), np.empty(n - 2), np.empty(n - 1)
     parts = [block(b, beta, grid, diag[j0:j1], off[j0:j1], rhs[j0:j1])
              for j0, j1, grid in grids]
-    return diag, off, rhs, parts
+    try:
+        return spd_solve(diag, off, rhs, overwrite=True), diag, off, parts
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailure(f"tridiagonal system singular at b={b}, beta={beta}, "
+                                 f"n={n}") from exc
 
 
 def _face_weights(w_nodes: np.ndarray) -> np.ndarray:
@@ -382,22 +384,11 @@ def _end_flux(x0: float, x, wf, h, v) -> float:
     return _extrapolate_to(x0, mids, flux)
 
 
-def _solve(b: float, beta: float, n: int, diag, off, rhs) -> np.ndarray:
-    # spd_solve in place for either route; a failed solve is a LinearSolveFailure.
-    try:
-        return spd_solve(diag, off, rhs, overwrite=True)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveFailure(
-            f"tridiagonal system singular at b={b}, beta={beta}, n={n}"
-        ) from exc
-
-
 def solve_euler_lagrange(b: float, beta: float, n: int = _DEFAULT_N) -> ELSolution:
     """Solve (3-b) (w v')' = b w (v + 1) with v(0) = v(1) = 0 on n cells."""
     check_b(b, open_top=True)
     check_beta(beta)
-    diag, off, rhs, ends = _system(_bvp_block, b, beta, n)
-    v = _solve(b, beta, n, diag, off, rhs)
+    v, _, _, ends = _system(_bvp_block, b, beta, n)
     head, _ = ends[0]
     _, tail = ends[-1]
 
@@ -422,7 +413,7 @@ def _beside(j_value, b: float, beta: float, n: int, n2: int):
     # (2-core x86-64, Python 3.11).
     from concurrent.futures import ThreadPoolExecutor
 
-    _dptsv_c()  # loaded here, so that the two threads do not both load it
+    _dptsv()  # loaded here, so that the two threads do not both load it
     err, call = np.geterr(), np.geterrcall()
 
     def companion():
@@ -493,8 +484,7 @@ def _j_direct_value(b: float, beta: float, n: int) -> float:
     # energy is sum d_i (v_i + l_i v_{i+1})^2 over the factors A = L D L^T
     # the solve leaves in diag and off, built in place in v: no copy of rhs,
     # and no BLAS dot, whose threads would set the bits of the sum.
-    diag, off, rhs, _ = _system(_direct_block, b, beta, n)
-    v = _solve(b, beta, n, diag, off, rhs)
+    v, diag, off, _ = _system(_direct_block, b, beta, n)
     np.multiply(off, v[1:], out=off)
     v[:-1] += off
     v *= v

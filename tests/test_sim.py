@@ -111,6 +111,14 @@ class TestTorusField:
         with pytest.raises(ValueError, match=rf"to 16777216 samples \(got {n}\)"):
             build(1.0, n)
 
+    @pytest.mark.parametrize("build", [TorusField.cosine, TorusField.constant])
+    def test_grid_size_must_be_an_integer(self, build):
+        # The grid rule refuses a float n, whose power-of-two test needs an
+        # integer; a numpy integer is a size.
+        with pytest.raises(ValueError, match=r"samples \(got 8.0\)"):
+            build(1.0, 8.0)
+        assert build(1.0, np.int64(8)).n == 8
+
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_time_must_be_finite(self, time):
         with pytest.raises(ValueError, match="time must be finite"):

@@ -11,7 +11,7 @@ import scipy
 import scipy.linalg.lapack
 from scipy.linalg import solveh_banded
 
-from bfamily.variational import _dptsv, _dptsv_c, spd_solve
+from bfamily.variational import _dptsv, spd_solve
 
 
 def random_spd_system(rng, n):
@@ -100,16 +100,17 @@ def test_overwrite_gives_the_copying_bits(n):
 class TestGilFreeRoute:
     # spd_solve calls LAPACK's dptsv through ctypes, at the address scipy's
     # f2py wrapper exposes, so that the call releases the GIL.  It must give
-    # the wrapper's bits and keep its in-place contract.
+    # the bits of the wrapper, which the routine keeps, and keep its in-place
+    # contract.
     def test_call_releases_the_gil(self):
         # A CFUNCTYPE function; a PYFUNCTYPE one would hold the GIL.
-        assert not type(_dptsv_c())._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        assert not type(_dptsv())._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
     @pytest.mark.parametrize("n", [2, 3, 4096, 2**16])
     def test_bit_identical_to_the_f2py_wrapper(self, n):
         rng = np.random.default_rng(300 + n)
         system = random_spd_system(rng, n)
-        d, e, x, info = _dptsv()(*system)
+        d, e, x, info = _dptsv().wrapper(*system)
         assert info == 0
         assert np.array_equal(spd_solve(*system), x)
         # Overwriting: the solution in rhs itself, the L D L^T factors in
@@ -161,11 +162,12 @@ def uncached_dptsv():
 def test_loaded_lapack_module_reused(uncached_dptsv, monkeypatch):
     # This module has imported scipy.linalg, so its LAPACK extension is in
     # sys.modules: the solve takes that one rather than loading it again.
-    assert _dptsv() is scipy.linalg.lapack.dptsv
+    assert _dptsv().wrapper is scipy.linalg.lapack.dptsv
     _dptsv.cache_clear()
-    loaded = types.SimpleNamespace(dptsv=object())
+    loaded = types.SimpleNamespace(
+        dptsv=types.SimpleNamespace(_cpointer=scipy.linalg.lapack.dptsv._cpointer))
     monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", loaded)
-    assert _dptsv() is loaded.dptsv
+    assert _dptsv().wrapper is loaded.dptsv
 
 
 def test_missing_scipy_raises_import_error(uncached_dptsv, monkeypatch):
@@ -201,5 +203,5 @@ def test_extension_found_by_meta_path_finder(uncached_dptsv, monkeypatch, tmp_pa
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     monkeypatch.setattr(sys, "meta_path", [BuildTreeFinder, *sys.meta_path])
-    assert _dptsv() is scipy.linalg.lapack.dptsv
+    assert _dptsv().wrapper is scipy.linalg.lapack.dptsv
     assert "scipy.linalg._flapack" not in sys.modules

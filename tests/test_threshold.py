@@ -65,6 +65,19 @@ class TestComputeBetaB:
         assert res.beta_b == pytest.approx(math.sqrt(1.5), abs=2e-4)
         assert not res.sign_reversal_above
 
+    def test_b3_makes_no_j_call(self, monkeypatch):
+        # J(3, .) = 0 is exact: the search takes it with no solve and no
+        # public compute_j call, and returns what the compute_j route gave.
+        def no_call(*args):
+            raise AssertionError("compute_j called")
+
+        monkeypatch.setattr(threshold, "compute_j", no_call)
+        assert repr(compute_beta_b(3.0)) == (
+            "BetaBResult(b=3.0, status='FINITE', beta_b=1.2247817207539176, "
+            "uncertainty=6.629759233267585e-05, sign_reversal_above=False, "
+            "f_lo=-7.213227014002399e-05, band_lo=0.0, f_hi=9.026349292717839e-05, "
+            "band_hi=0.0, solved_points=0, screened_points=0, max_gap=None)")
+
     def test_b2_below_one_and_below_estimate(self):
         res = compute_beta_b(2.0)
         assert res.status == STATUS_FINITE
@@ -521,11 +534,14 @@ class TestSweep:
     def test_grid_is_linspace(self):
         assert threshold.sweep_grid(1.28, 3.0, 100) == np.linspace(1.28, 3.0, 100).tolist()
         assert threshold.sweep_grid(1.5, 1.5, 1) == [1.5]
+        assert threshold.sweep_grid(2.0, 2.1, np.int64(3)) == np.linspace(2.0, 2.1, 3).tolist()
 
-    @pytest.mark.parametrize("b_min, b_max, steps", [(1.5, 2.0, 1), (1.5, 2.0, 10**12)])
+    @pytest.mark.parametrize("b_min, b_max, steps",
+                             [(1.5, 2.0, 1), (1.5, 2.0, 10**12), (2.0, 2.1, 3.0)])
     def test_grid_refuses_steps_its_range_cannot_take(self, b_min, b_max, steps):
         # One step would drop b_max from an inclusive sweep; 10^12 steps
-        # exceed the row cap and are refused before any array is built.
+        # exceed the row cap and are refused before any array is built; a
+        # float count of steps is no count.
         for build in (threshold.sweep_grid, sweep):
             with pytest.raises(ValueError, match="steps"):
                 build(b_min, b_max, steps)

@@ -122,6 +122,20 @@ class TestComputeJ:
             compute_j(b, 0.5, 63)
         assert compute_j(b, 0.5, 64).method == ("SPECIAL_B3" if b == 3.0 else "BVP_FLUX")
 
+    @pytest.mark.parametrize("n", [4096.0, 64.5])
+    @pytest.mark.parametrize("compute, b", [
+        (compute_j, 2.0), (compute_j, 3.0), (compute_j_bvp, 2.0), (compute_j_direct, 2.0),
+        (compute_j_direct, 3.0), (solve_euler_lagrange, 2.0),
+    ])
+    def test_grid_size_must_be_an_integer(self, compute, b, n):
+        # The grid rule refuses a float n before any array is built, also at
+        # b = 3, where compute_j needs no solve.
+        with pytest.raises(ValueError, match=rf"grid cells \(got {n}\), as an integer"):
+            compute(b, 0.5, n)
+
+    def test_numpy_integer_grid_size(self):
+        assert compute_j(2.0, 0.5, np.int64(64)) == compute_j(2.0, 0.5, 64)
+
     @pytest.mark.parametrize("compute, b", [
         (compute_j, 2.0), (compute_j, 3.0), (compute_j_direct, 2.0), (compute_j_direct, 3.0),
         (solve_euler_lagrange, 2.0), (solve_euler_lagrange, 2.999999),
