@@ -29,13 +29,13 @@ in one vectorised pass of the floor, the Ritz upper bound and the
 interpolant.  The dual makes knots of three anchors, the first scan point
 the Ritz bound leaves open and its two neighbours; above them the
 interpolant is the chord to (BETA_MAX, L(b)), and a point it leaves open
-goes to the dual.  A bisection midpoint is screened by scalar tests; where
-it needs the lower bound, the scan bracket's ends become knots, so the
-interpolant there is the chord between their lower bounds.  Only the
-points the bounds leave open are solved, and on 4096 cells alone: a sign
-needs no error band.  The two bracket ends the verdict rests on are always
-solved, with their Richardson companion on 2048 cells, so the verdict and
-its certificate are ``compute_j``'s, bit for bit.
+goes to the dual.  Before the first bisection midpoint the scan bracket's
+ends become knots, so the scalar tests of a midpoint read only bounds built
+before the bisection.  Only the points the bounds leave open are solved,
+and on 4096 cells alone: a sign needs no error band.  The two bracket ends
+the verdict rests on are always solved, with their Richardson companion on
+2048 cells, so the verdict and its certificate are ``compute_j``'s, bit for
+bit.
 """
 
 import math
@@ -138,7 +138,6 @@ class _Search:
                 self.floor = 0.0
             self.knots = {BETA_MAX: self.floor}
         self.values = {}
-        self.ends = None
         self.screened_points = 0
         self.max_gap = None
 
@@ -171,8 +170,9 @@ class _Search:
 
     def bisect(self, lo: float, hi: float, tol: float) -> tuple[float, float]:
         """Halve the scan bracket [lo, hi], F(lo) < 0 <= F(hi), to width
-        ``tol``; returns the final bracket."""
-        self.ends = (lo, hi)
+        ``tol``; returns the final bracket.  Its ends become knots first."""
+        if self.spec is not None and hi - lo > tol:
+            self.dual((lo, hi))
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             known = self._known_mid(mid)
@@ -216,9 +216,8 @@ class _Search:
         # the upper bound, less the margin, already gives it.
         if _f(self.b, mid, upper - _SCREEN_MARGIN) < 0.0:
             return 0
-        # With the scan bracket's ends as knots, the interpolant at mid is
-        # the chord between their lower bounds.
-        self.dual(self.ends)
+        # The scan bracket's ends are knots, so the interpolant at mid is the
+        # chord between their lower bounds.
         lower = float(self.lower(mid))
         if _f(self.b, mid, lower - _SCREEN_MARGIN) >= 0.0:
             self._gap(upper - lower)

@@ -166,13 +166,22 @@ class TestComputeBetaB:
         # those are solved on n = 4096 cells alone, and only the two bracket
         # ends add a Richardson companion on n/2.  Solving every point took
         # 266 solves, and 526 with a companion each; a companion at every
-        # solved point took 8 at b = 2 and 14 at b = 1.06.
-        solves, betas, dual = [], [], []
+        # solved point took 8 at b = 2 and 14 at b = 1.06.  The benchmark's
+        # tracer counts its l0 and l1 layers by replacing the module
+        # attributes variational.spd_solve and solve_euler_lagrange, as here;
+        # its check that the traced targets exist misses a search that
+        # reaches either by another name.
+        solves, bvps, betas, dual = [], [], [], []
         solve, j, lower = variational.spd_solve, threshold._j_bvp_value, variational.SpectralJ.lower
+        bvp = variational.solve_euler_lagrange
 
         def counting(diag, *args, **kwargs):
             solves.append(len(diag) + 1)
             return solve(diag, *args, **kwargs)
+
+        def bvp_counting(b, beta, n):
+            bvps.append(n)
+            return bvp(b, beta, n)
 
         def recording(b, beta, n):
             betas.append(beta)
@@ -183,13 +192,20 @@ class TestComputeBetaB:
             return lower(self, beta)
 
         monkeypatch.setattr(variational, "spd_solve", counting)
+        monkeypatch.setattr(variational, "solve_euler_lagrange", bvp_counting)
         monkeypatch.setattr(threshold, "_j_bvp_value", recording)
         monkeypatch.setattr(variational.SpectralJ, "lower", dual_counting)
-        # b: (status, n = 4096 solves at most), main and onset rows, and two
-        # with no bracket to certify or no solve at all.
+        # b: (status, n = 4096 solves at most), main and onset rows, three
+        # near b = 3 that solve only the bracket ends, and two with no
+        # bracket to certify or no solve at all.  The near-b = 3 rows solve 5
+        # points if the scan bracket's ends are not made knots before the
+        # bisection, as the chord between them proves the midpoints there.
         for b, status, max_solves in [(2.0, STATUS_FINITE, 6), (1.06, STATUS_FINITE, 10),
+                                      (2.9918, STATUS_FINITE, 2), (2.99098, STATUS_FINITE, 2),
+                                      (2.98852, STATUS_FINITE, 2),
                                       (1.0005, STATUS_INFINITE, 0), (3.0, STATUS_FINITE, 0)]:
             solves.clear()
+            bvps.clear()
             betas.clear()
             dual.clear()
             res = compute_beta_b(b)
@@ -198,6 +214,7 @@ class TestComputeBetaB:
             companions = 2 if status == STATUS_FINITE and b < 3.0 else 0
             assert solves.count(threshold._DEFAULT_N // 2) == companions
             assert len(solves) == res.solved_points + companions
+            assert sorted(bvps) == sorted(solves)
             assert BETA_MAX not in betas
             if companions:
                 assert res.screened_points >= 263 - res.solved_points
@@ -210,15 +227,18 @@ class TestComputeBetaB:
                 assert dual == []
 
     def test_dual_calls_per_threshold(self, monkeypatch):
-        # The dual runs once per threshold, on at most 3 scan points: the
-        # first the Ritz bound leaves open and its two neighbours (the
-        # anchors).  Above them the chord to (BETA_MAX, L(b)) proves the
-        # rest, and the bisection's chord reuses the anchors' bounds, the
-        # scan bracket's ends being anchors.  Where the scan chord leaves a
-        # point open it goes to the dual in a second call: on the benchmark's
-        # 1920 sweep rows only b = 1.01007 needs it, below gamma, where F
-        # turns negative again before BETA_MAX.  With tol above the scan
-        # spacing there is no bisection, and still one call.
+        # The scan runs the dual once, on at most 3 scan points: the first
+        # the Ritz bound leaves open and its two neighbours (the anchors).
+        # Above them the chord to (BETA_MAX, L(b)) proves the rest.  Where the
+        # scan chord leaves a point open it goes to the dual in a second
+        # call: on the benchmark's 1920 sweep rows only b = 1.01007 needs
+        # it, below gamma, where F turns negative again before BETA_MAX.
+        # Before the first midpoint the scan bracket's ends become knots,
+        # with no call where both are anchors already, as on these rows but
+        # 1.01007, where neither is and a third call takes both (135 of the
+        # 1920 rows make a one-beta call for a left end that is not an
+        # anchor).  With tol above the scan spacing there is no bisection,
+        # and still one call.
         sizes = []
         lower = variational.SpectralJ.lower
 
@@ -228,7 +248,7 @@ class TestComputeBetaB:
 
         monkeypatch.setattr(variational.SpectralJ, "lower", recording)
         for b, want in [(1.06, [3]), (1.0448642857142858, [3]), (1.953846, [3]), (2.0, [3]),
-                        (2.9, [3]), (1.01007, [3, 2])]:
+                        (2.9, [3]), (1.01007, [3, 2, 2])]:
             sizes.clear()
             compute_beta_b(b)
             assert sizes == want, b
@@ -240,11 +260,37 @@ class TestComputeBetaB:
             assert res.uncertainty > spacing / 2
             assert sizes == [3], b
 
+    @pytest.mark.parametrize("b, before_loop", [(2.99918, [2]), (2.0, [3, 0, 2]),
+                                                (1.01007, [3, 2, 2])])
+    def test_no_dual_call_in_bisection(self, monkeypatch, b, before_loop):
+        # The scan bracket's ends become knots before the first midpoint, so
+        # a midpoint test reads only bounds built before the loop.
+        # before_loop: the betas given to each _Search.dual call, the
+        # anchors, the points the scan chord leaves open and the two ends.
+        # At 2.99918 the scan runs no dual, and the ends' call is the
+        # search's only one; at 2.0 both ends are anchors already.
+        calls, looping = [], [False]
+        dual, known_mid = threshold._Search.dual, threshold._Search._known_mid
+
+        def recording(self, betas):
+            calls.append((looping[0], len(betas)))
+            return dual(self, betas)
+
+        def midpoint(self, mid):
+            looping[0] = True
+            return known_mid(self, mid)
+
+        monkeypatch.setattr(threshold._Search, "dual", recording)
+        monkeypatch.setattr(threshold._Search, "_known_mid", midpoint)
+        assert compute_beta_b(b).status == STATUS_FINITE
+        assert looping[0]
+        assert calls == [(False, size) for size in before_loop]
+
     # The interpolant's assumption, J >= lower: below the value compute_j
     # returns, within a tenth of the margin, and below the Ritz upper bound,
     # within the dual's rounding allowance.  Checked at every beta the search
-    # forms it at, and at each bisection midpoint with the scan bracket's
-    # ends as knots, as the midpoint test forms it.  The scan rows check
+    # forms it at, and at each bisection midpoint, where the scan bracket's
+    # ends are knots, as the midpoint test reads it.  The scan rows check
     # that the interpolant between knots proves F >= 0 on the scan, so that
     # a chord too high at its BETA_MAX end shows near that end: 1.0118 has
     # the floor reach BETA_MAX, 1.0117 not; at 2.999999 the floor falls back
@@ -369,18 +415,22 @@ class TestComputeBetaB:
 
 def _formed_lower(monkeypatch, b):
     # (search, on the scan, between knots, beta, lower) at every beta the
-    # search forms the lower bound at, then at each bisection midpoint with
-    # the scan bracket's ends as knots.
-    formed, searches, mids = [], [], []
-    lower, known_mid = threshold._Search.lower, threshold._Search._known_mid
+    # search forms the lower bound at, then at each bisection midpoint from
+    # the knots the search ends with, which are those the midpoint test reads.
+    formed, searches, mids, scan = [], [], [], [True]
+    lower, bisect = threshold._Search.lower, threshold._Search.bisect
+    known_mid = threshold._Search._known_mid
 
     def recording(self, betas):
         values = lower(self, betas)
         first = min(self.knots)
         for beta, value in zip(np.atleast_1d(betas).tolist(), np.atleast_1d(values).tolist()):
-            formed.append((self, self.ends is None, first < beta and beta not in self.knots,
-                           beta, value))
+            formed.append((self, scan[0], first < beta and beta not in self.knots, beta, value))
         return values
+
+    def bisecting(self, lo, hi, tol):
+        scan[0] = False
+        return bisect(self, lo, hi, tol)
 
     def recording_mid(self, mid):
         searches.append(self)
@@ -388,14 +438,13 @@ def _formed_lower(monkeypatch, b):
         return known_mid(self, mid)
 
     monkeypatch.setattr(threshold._Search, "lower", recording)
+    monkeypatch.setattr(threshold._Search, "bisect", bisecting)
     monkeypatch.setattr(threshold._Search, "_known_mid", recording_mid)
     compute_beta_b(b)
     if mids:
         assert len(mids) == 7 and len(set(searches)) == 1
-        search = searches[0]
-        search.dual(np.array(search.ends))
         for mid in mids:
-            search.lower(mid)
+            searches[0].lower(mid)
     return formed
 
 
